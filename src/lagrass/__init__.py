@@ -103,91 +103,3 @@ from .subspaces import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComplexMatrix",
-    "ComplexStructure",
-    "anticommutes_with_structure",
-    "commutes_with_structure",
-    "complex_inner_product",
-    "complexify",
-    "is_complex_unitary",
-    "realify",
-    "standard_form",
-    "symplectic_form",
-    "ComputationError",
-    "InvariantViolation",
-    "NotAGraphError",
-    "Geodesic",
-    "GeodesicGenerator",
-    "Multiplicity",
-    "MultiplicityReport",
-    "alternate_generator",
-    "alternate_generators",
-    "classify_multiplicity",
-    "connect",
-    "distance",
-    "evaluate",
-    "exponential_map",
-    "length",
-    "sample",
-    "sampled_length",
-    "sampled_lengths",
-    "ESSENTIAL_SPECTRUM_NOTE",
-    "CayleyCurveResult",
-    "CayleyCurveSample",
-    "CayleyTransform",
-    "GraphWindowVerdict",
-    "TransformedGraph",
-    "cayley_curve",
-    "cayley_transform",
-    "codiagonal_generator",
-    "gap_distance",
-    "graph_basis",
-    "graph_projection",
-    "graph_safe_radius",
-    "graph_subspace",
-    "graph_symmetry",
-    "graph_window",
-    "is_graph",
-    "recover_operator",
-    "transformed_graph_operator",
-    "PrincipalAngles",
-    "SpectralDecomposition",
-    "apply_function",
-    "expm_antisymmetric",
-    "logm_special_orthogonal",
-    "max_abs",
-    "principal_angles",
-    "schatten_norm",
-    "singular_values",
-    "spectral_decompose",
-    "perturbed_curve",
-    "random_antisymmetric",
-    "random_complex_antisymmetric",
-    "random_complex_rotation",
-    "random_horizontal",
-    "random_lagrangian",
-    "random_lagrangian_pair",
-    "random_symmetric",
-    "random_tangent",
-    "FiveWayDecomposition",
-    "Projection",
-    "Subspace",
-    "Symmetry",
-    "check_tangent",
-    "covariant_derivative",
-    "five_way_decompose",
-    "is_lagrangian",
-    "orthogonal_complement",
-    "projection_from_subspace",
-    "projection_from_symmetry",
-    "subspace_from_projection",
-    "subspace_from_symmetry",
-    "symmetry_from_projection",
-    "symmetry_from_subspace",
-    "tangent_project",
-    "tangent_project_offdiagonal",
-    "vertical_symmetry",
-    "__version__",
-]

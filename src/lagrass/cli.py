@@ -24,6 +24,7 @@ from .complex_structure import ComplexStructure
 from .errors import ComputationError, InvariantViolation
 from .geodesics import (
     Geodesic,
+    _speed_norms,
     alternate_generators,
     classify_multiplicity,
     connect,
@@ -223,27 +224,22 @@ def _cmd_validate(args) -> int:
 def _generator_payload(gen, structure, e0, e1) -> dict:
     z = gen.z
     j = structure.matrix
-    endpoint = None
-    if e1 is not None:
-        endpoint = max_abs(expm_antisymmetric(2.0 * z, validate=False) @ e0.matrix
-                           - e1.matrix)
-    payload = {
+    endpoint = expm_antisymmetric(2.0 * z, validate=False) @ e0.matrix
+    return {
         "z": z.tolist(),
-        "norm_op": schatten_norm(z, math.inf),
+        "norm_op": gen.norm,
         "residuals": {
             "antisymmetry": max_abs(z + z.T),
             "commutator_with_j": max_abs(z @ j - j @ z),
             "anticommutator_with_base": max_abs(z @ e0.matrix + e0.matrix @ z),
+            "endpoint": max_abs(endpoint - e1.matrix),
         },
     }
-    if endpoint is not None:
-        payload["residuals"]["endpoint"] = endpoint
-    return payload
 
 
 def _cmd_connect(args) -> int:
     structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure, route=args.route,
+    gen = connect(e0, e1, structure,
                   zero_tol=args.tol_angle, right_tol=args.tol_angle)
     payload = _generator_payload(gen, structure, e0, e1)
     payload["norm_k"] = {str(k): schatten_norm(2.0 * gen.z, k) for k in (1, 2)}
@@ -272,13 +268,16 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.grid < 3:
+        raise ParseFailure("sample: --grid must be >= 3")
     structure, e0, e1 = _load_pair(args)
     gen = connect(e0, e1, structure,
                   zero_tol=args.tol_angle, right_tol=args.tol_angle)
     ts = np.linspace(0.0, 1.0, args.grid)
     stack = sample(Geodesic(gen), ts)
     dim = structure.dim
-    k = math.inf if args.k == "inf" else int(args.k)
+    deriv = np.gradient(stack, float(ts[1] - ts[0]), axis=0, edge_order=2)
+    speeds = _speed_norms(np.abs(np.linalg.eigvalsh(deriv)), args.k)
 
     curve_cols = ["t"] + [f"eps_{i}_{j}" for i in range(dim) for j in range(dim)]
     curve_rows = ([t] + list(stack[idx].reshape(-1)) for idx, t in enumerate(ts))
@@ -286,20 +285,13 @@ def _cmd_sample(args) -> int:
                _csv_header(args, "sample", f"grid={args.grid} k={args.k}"),
                curve_cols, curve_rows)
 
-    dt = float(ts[1] - ts[0]) if len(ts) > 1 else 1.0
-    deriv = np.gradient(stack, dt, axis=0, edge_order=2)
-    values = np.abs(np.linalg.eigvalsh(deriv))
-    if k == math.inf:
-        speeds = values.max(axis=1)
-    else:
-        speeds = (values ** k).sum(axis=1) ** (1.0 / k)
     _write_csv(args.out_prefix + "_speed.csv",
                _csv_header(args, "sample", f"grid={args.grid} k={args.k}"),
                ["t", f"speed_{args.k}"],
                ([t, speeds[idx]] for idx, t in enumerate(ts)))
     sys.stdout.write(json.dumps({
         "files": [args.out_prefix + "_curve.csv", args.out_prefix + "_speed.csv"],
-        "closed_form_speed": schatten_norm(2.0 * gen.z, k),
+        "closed_form_speed": schatten_norm(2.0 * gen.z, args.k),
     }, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -444,6 +436,17 @@ def _cmd_random_pair(args) -> int:
 # argument parsing and dispatch
 
 
+def _schatten_order(text: str):
+    """Parse a Schatten order: 'inf' or an integer (range checked downstream)."""
+    if text == "inf":
+        return math.inf
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"Schatten order must be an integer or inf, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagrass",
@@ -465,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="minimal geodesic generator between two subspaces")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--route", choices=("log", "halmos"), default="log")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_connect)
 
@@ -479,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--k", default="inf", help="Schatten order for the speed column")
+    p.add_argument("--k", type=_schatten_order, default=math.inf,
+                   help="Schatten order for the speed column: an integer or inf")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import as_matrix, max_abs, require_square
+from .linalg import max_abs, require_square
 from .tolerances import SYM_RTOL
 
 

@@ -6,12 +6,9 @@ at most pi/2. Any two Lagrangians are joined by such a curve; it is unique iff
 the endpoints have no common pi/2 principal angle, and it is length-minimizing
 for every Schatten k-norm.
 
-`connect` builds the generator blockwise from the five-way decomposition of
-the endpoint pair. Two independent routes are kept: the production route takes
-the principal log of the reduced product eps1 eps0 on the generic block; the
-cross-check route assembles the same block from principal angles through
-functional calculus in a two-block model space. The swapped blocks always
-carry (pi/2) J, the coincident blocks carry 0.
+`connect` builds the generator blockwise from the principal angles of the
+endpoint pair: the swapped blocks carry (pi/2) J, each generic 2-plane carries
+its angle as a plane rotation, and the coincident blocks carry 0.
 """
 
 from __future__ import annotations
@@ -19,17 +16,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complex_structure import ComplexMatrix, ComplexStructure, complexify, realify
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
-    SpectralDecomposition,
-    apply_function,
     expm_antisymmetric,
-    logm_special_orthogonal,
     max_abs,
     require_antisymmetric,
     schatten_norm,
@@ -59,11 +53,13 @@ class GeodesicGenerator:
     """A validated geodesic velocity seed z at a base Lagrangian.
 
     Invariants: z antisymmetric, z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2.
+    norm is the operator norm ||z||, computed once by the validation.
     """
 
     z: np.ndarray
     base: Symmetry
     structure: ComplexStructure
+    norm: float = field(init=False)
 
     def __post_init__(self):
         z = require_antisymmetric(self.z, "generator")
@@ -76,13 +72,11 @@ class GeodesicGenerator:
         e = self.base.matrix
         if max_abs(z @ e + e @ z) > GENERATOR_ATOL * scale:
             raise InvariantViolation("generator: does not anticommute with the base")
-        if schatten_norm(z, math.inf) > math.pi / 2.0 + GENERATOR_ATOL:
+        norm = schatten_norm(z, math.inf)
+        if norm > math.pi / 2.0 + GENERATOR_ATOL:
             raise InvariantViolation("generator: operator norm exceeds pi/2")
         object.__setattr__(self, "z", z)
-
-    @property
-    def norm(self) -> float:
-        return schatten_norm(self.z, math.inf)
+        object.__setattr__(self, "norm", norm)
 
 
 @dataclass(frozen=True)
@@ -135,48 +129,26 @@ def _transversal_block(frames, structure: ComplexStructure) -> np.ndarray:
     return (math.pi / 2.0) * (p @ structure.matrix @ p)
 
 
-def _generic_block_log(frames, eps0: Symmetry, eps1: Symmetry) -> np.ndarray:
-    """Production route: half principal log of the reduced product eps1 eps0."""
-    w = np.hstack([frames.generic_left, frames.generic_ortho])
-    reduced = (w.T @ eps1.matrix @ w) @ (w.T @ eps0.matrix @ w)
-    try:
-        half_log = logm_special_orthogonal(reduced)
-    except ComputationError as exc:
-        raise ComputationError(
-            "generic block contains a rotation too close to pi; angle bucketing "
-            "should have classified it as transversal"
-        ) from exc
-    return w @ half_log @ w.T
+def _generic_block(frames) -> np.ndarray:
+    """The angle operator x as a rotation of each generic 2-plane.
 
-
-def _generic_block_model(frames) -> np.ndarray:
-    """Cross-check route: assemble the generic generator from principal angles.
-
-    In the model space spanned by the left frame and its orthogonal partners,
-    the pair becomes p0' = [[I,0],[0,0]], p1' = [[c^2, cs],[cs, s^2]] with
-    c = cos(x), s = sin(x) and x the diagonal operator of angles. The generator
-    there is [[0, -x], [x, 0]], pulled back along the frame.
+    Each plane is spanned by a left frame vector and its orthogonal partner,
+    and the generator turns the first toward the second by the plane's angle.
     """
-    angles = frames.generic_angles
-    g = angles.shape[0]
-    dec = SpectralDecomposition(angles, np.eye(g))
-    x = apply_function(dec, lambda t: t)
-    model = np.zeros((2 * g, 2 * g))
-    model[:g, g:] = -x
-    model[g:, :g] = x
-    w = np.hstack([frames.generic_left, frames.generic_ortho])
-    return w @ model @ w.T
+    x = frames.generic_angles
+    left, ortho = frames.generic_left, frames.generic_ortho
+    return (ortho * x) @ left.T - (left * x) @ ortho.T
 
 
-def connect(eps0, eps1, structure: ComplexStructure, route: str = "log",
+def connect(eps0, eps1, structure: ComplexStructure,
             zero_tol: float = ANGLE_ZERO_TOL,
             right_tol: float = ANGLE_RIGHT_TOL) -> GeodesicGenerator:
     """Generator of a minimal geodesic from eps0 to eps1: e^{2z} eps0 = eps1.
 
-    route="log" is the production path (principal log on the generic block);
-    route="halmos" rebuilds that block from principal angles through the model
-    construction and exists as an independent cross-check. Identical endpoints
-    short-circuit to z = 0. The endpoint residual is verified before returning.
+    The generator is assembled from the principal angles of the pair: (pi/2) J
+    on the swapped blocks and the angle operator on the generic 2-planes.
+    Identical endpoints short-circuit to z = 0. The endpoint residual is
+    verified before returning.
     """
     e0 = _as_symmetry(eps0)
     e1 = _as_symmetry(eps1)
@@ -191,14 +163,7 @@ def connect(eps0, eps1, structure: ComplexStructure, route: str = "log",
     if frames.plus_minus.shape[1] != frames.minus_plus.shape[1]:
         raise ComputationError("connect: swapped blocks differ in dimension")
 
-    z = _transversal_block(frames, structure)
-    if frames.generic_angles.shape[0]:
-        if route == "log":
-            z = z + _generic_block_log(frames, e0, e1)
-        elif route == "halmos":
-            z = z + _generic_block_model(frames)
-        else:
-            raise InvariantViolation(f"connect: unknown route {route!r}")
+    z = _transversal_block(frames, structure) + _generic_block(frames)
     z = (z - z.T) / 2.0
     # exact projections onto the J-commuting and base-anticommuting parts;
     # they commute and strip conditioning noise from near-critical angles

@@ -32,9 +32,7 @@ from .subspaces import (
     Subspace,
     Symmetry,
     _as_symmetry,
-    projection_from_subspace,
     subspace_from_symmetry,
-    vertical_symmetry,
 )
 from .tolerances import (
     CAYLEY_FORM_TOL,

@@ -22,7 +22,6 @@ import scipy.linalg
 from .complex_structure import ComplexStructure, anticommutes_with_structure
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
-    PrincipalAngles,
     as_matrix,
     max_abs,
     require_orthonormal_columns,

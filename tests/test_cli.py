@@ -14,7 +14,7 @@ import pytest
 
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
-from lagrass.geodesics import GeodesicGenerator
+from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.linalg import max_abs
 from lagrass.subspaces import Symmetry
 
@@ -151,14 +151,21 @@ def test_connect_emits_valid_generator(tmp_path, capsys):
     )
 
 
-def test_connect_routes_agree(tmp_path, capsys):
-    first = line_file(tmp_path, 0.1, "a.json")
-    second = line_file(tmp_path, 1.2, "b.json")
-    _, out_log = run_cli(capsys, ["connect", first, second, "--route", "log"])
-    _, out_halmos = run_cli(capsys, ["connect", first, second, "--route", "halmos"])
-    z_log = np.array(json.loads(out_log)["z"])
-    z_halmos = np.array(json.loads(out_halmos)["z"])
-    assert max_abs(z_log - z_halmos) < 1e-10
+def test_connect_angle_just_inside_tight_right_tolerance(tmp_path, capsys):
+    # with --tol-angle 1e-10 an angle 2e-9 short of pi/2 stays generic; the
+    # generator must carry it exactly instead of failing near the pi rotation
+    theta = math.pi / 2 - 2e-9
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, theta, "b.json")
+    code, out = run_cli(capsys, ["--tol-angle", "1e-10", "connect", first, second])
+    assert code == 0
+    assert abs(json.loads(out)["norm_op"] - theta) < 1e-12
+
+    s = ComplexStructure.standard(1)
+    gen = connect(Symmetry(np.array(line_symmetry(0.0))),
+                  Symmetry(np.array(line_symmetry(theta))), s,
+                  zero_tol=1e-10, right_tol=1e-10)
+    assert abs(gen.norm - theta) < 1e-12
 
 
 def test_distance_payload(tmp_path, capsys):
@@ -240,6 +247,40 @@ def test_sample_writes_curve_and_speed(tmp_path, capsys):
     # interior rows of a geodesic report constant speed up to grid error
     mid = float(speed_lines[2 + 10].split(",")[1])
     assert abs(mid - payload["closed_form_speed"]) < 5e-3
+
+
+def test_sample_large_k_speed_stays_finite(tmp_path, capsys):
+    # speeds above 1 raised to a large k overflow unless rescaled
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, 1.0, "b.json")
+    prefix = tmp_path / "run"
+    code, out = run_cli(capsys, [
+        "sample", first, second, "--grid", "21", "--k", "1100",
+        "--out-prefix", str(prefix),
+    ])
+    assert code == 0
+    closed = json.loads(out)["closed_form_speed"]
+    assert abs(closed - 2.0 * 2.0 ** (1 / 1100)) < 1e-12
+    speed_lines = (tmp_path / "run_speed.csv").read_text().splitlines()
+    assert speed_lines[1] == "t,speed_1100"
+    speeds = [float(line.split(",")[1]) for line in speed_lines[2:]]
+    assert all(math.isfinite(v) for v in speeds)
+    assert abs(speeds[10] - closed) < 5e-3
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--k", "abc"], 2),
+    (["--k", "0"], 3),
+    (["--grid", "2"], 2),
+])
+def test_sample_rejects_bad_options(tmp_path, capsys, argv, want):
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, 0.6, "b.json")
+    prefix = tmp_path / "run"
+    code = main(["sample", first, second, "--out-prefix", str(prefix)] + argv)
+    capsys.readouterr()
+    assert code == want
+    assert not list(tmp_path.glob("run_*.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from lagrass.geodesics import (
     sampled_lengths,
 )
 from lagrass.graphs import graph_symmetry
-from lagrass.linalg import expm_antisymmetric, max_abs, schatten_norm
+from lagrass.linalg import (
+    expm_antisymmetric,
+    logm_special_orthogonal,
+    max_abs,
+    schatten_norm,
+)
 from lagrass.sampling import (
     perturbed_curve,
     random_horizontal,
@@ -112,9 +117,10 @@ def test_connect_routes_agree_in_uniqueness_regime():
         p1 = projection_from_symmetry(e1).matrix
         if schatten_norm(p0 - p1, math.inf) >= 1.0 - 1e-6:
             continue
-        za = connect(e0, e1, structure, route="log").z
-        zb = connect(e0, e1, structure, route="halmos").z
-        assert max_abs(za - zb) < 1e-8
+        # below the cut locus e1 e0 has no eigenvalue -1, so half its
+        # principal log is the unique minimal generator
+        z_ref = logm_special_orthogonal(e1.matrix @ e0.matrix)
+        assert max_abs(connect(e0, e1, structure).z - z_ref) < 1e-8
         done += 1
 
 
@@ -140,12 +146,6 @@ def test_connect_rejects_non_lagrangian():
         connect(not_lagrangian, vertical_symmetry(2), s)
     with pytest.raises(InvariantViolation):
         connect(vertical_symmetry(2), not_lagrangian, s)
-
-
-def test_connect_unknown_route():
-    s = ComplexStructure.standard(1)
-    with pytest.raises(InvariantViolation):
-        connect(line(0.0), line(0.3), s, route="secant")
 
 
 def test_sin_norm_equals_projection_gap():
