@@ -316,6 +316,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
+    if args.limit < 1:
+        raise ParseFailure("multiplicity: --limit must be >= 1")
     structure, e0, e1 = _load_pair(args)
     gen = connect(e0, e1, structure,
                   zero_tol=args.tol_angle, right_tol=args.tol_angle)
@@ -447,6 +449,22 @@ def _schatten_order(text: str):
             f"Schatten order must be an integer or inf, got {text!r}") from None
 
 
+def _angle_tolerance(text: str) -> float:
+    """Parse --tol-angle: a finite angle in (0, pi/4).
+
+    The value is both the coincident and the right-angle bucket width, so at
+    pi/4 or above the two buckets overlap.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < math.pi / 4.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite angle in (0, pi/4), got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagrass",
@@ -454,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol-sym", type=float, default=SYM_RTOL,
                         help="symmetry/invariant tolerance (relative)")
-    parser.add_argument("--tol-angle", type=float, default=ANGLE_ZERO_TOL,
+    parser.add_argument("--tol-angle", type=_angle_tolerance, default=ANGLE_ZERO_TOL,
                         help="principal-angle bucketing tolerance")
     parser.add_argument("--tol-rank", type=float, default=RANK_RTOL,
                         help="rank cutoff for graph detection")

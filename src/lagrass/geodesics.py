@@ -17,10 +17,17 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .complex_structure import ComplexMatrix, ComplexStructure, complexify, realify
+from .complex_structure import (
+    ComplexMatrix,
+    ComplexStructure,
+    anticommutes_with_structure,
+    complexify,
+    realify,
+)
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
     expm_antisymmetric,
@@ -89,6 +96,14 @@ class Geodesic:
     def base(self) -> Symmetry:
         return self.generator.base
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, U, U^H C) with z = i U diag(mu) U^H: one eigh per curve,
+        shared by every `sample` and `evaluate` call on it."""
+        g = self.generator
+        mu, u = np.linalg.eigh(_hermitian(g.z, g.structure))
+        return mu, u, u.conj().T @ _conjugation_matrix(g.base, g.structure)
+
 
 def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
     """Geodesic through eps with initial velocity v (a tangent vector there).
@@ -102,18 +117,89 @@ def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
 
 
 def evaluate(geo: Geodesic, t: float) -> Symmetry:
-    """The symmetry at parameter t: e^{2tz} eps0 (= eps0 e^{-2tz})."""
-    g = geo.generator
-    rot = expm_antisymmetric(2.0 * float(t) * g.z, validate=False)
-    return Symmetry(rot @ g.base.matrix)
+    """The symmetry at parameter t: e^{2tz} eps0, the one-node case of `sample`."""
+    return Symmetry(sample(geo, [float(t)])[0])
 
 
 def sample(geo: Geodesic, ts) -> np.ndarray:
-    """Stack of symmetries e^{2tz} eps0 over a grid, shape (len(ts), 2n, 2n)."""
-    g = geo.generator
+    """Stack of symmetries e^{2tz} eps0 over a grid, shape (len(ts), 2n, 2n).
+
+    z is fixed, so one n x n Hermitian eigh z = iH, H = U diag(mu) U^H,
+    serves the whole grid and every later call on geo: each node is then a
+    phase multiply and one n x n complex matrix product (see `_curve_points`).
+    """
     t = np.asarray(ts, dtype=float).reshape(-1)
-    rot = expm_antisymmetric(2.0 * t[:, None, None] * g.z, validate=False)
-    return np.matmul(rot, g.base.matrix)
+    mu, u, right = geo._spectrum
+    return _curve_points(geo.generator, 2.0 * t[:, None] * mu, u, right)
+
+
+# ---------------------------------------------------------------------------
+# the complexified curve kernel
+#
+# In standard coordinates a J-commuting antisymmetric generator is the
+# complex-linear map iH of C^n with H Hermitian, and a Lagrangian symmetry
+# anticommutes with J, so it is the conjugate-linear map v -> C conj(v) with C
+# complex symmetric. A curve point e^{iH} eps0 is therefore
+# v -> U e^{i mu} U^H C conj(v): half-size complex data in place of a real
+# 2n x 2n exponential.
+
+
+def _hermitian(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
+    """H with complexify(a) = iH; Hermitian when a is antisymmetric.
+
+    Refuses (InvariantViolation) an operator that does not commute with J.
+    """
+    zc = complexify(a, structure)
+    return zc.im - 1j * zc.re
+
+
+def _conjugation_matrix(eps: Symmetry, structure: ComplexStructure) -> np.ndarray:
+    """C with eps v = C conj(v) on C^n, for a symmetry anticommuting with J.
+
+    In standard coordinates eps = [[Re C, Im C], [Im C, -Re C]].
+    """
+    if not anticommutes_with_structure(eps.matrix, structure):
+        raise InvariantViolation("base symmetry: does not anticommute with J")
+    n = structure.n
+    r = structure.to_standard
+    std = r.T @ eps.matrix @ r
+    return std[:n, :n] + 1j * std[n:, :n]
+
+
+def _stack_times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """stack @ b for one matrix b, computed as a single matrix product.
+
+    numpy multiplies a stack by a matrix one small product at a time; for
+    small n the call overhead of those products outweighs their arithmetic.
+    """
+    rows = stack.reshape(-1, stack.shape[-1]) @ b
+    return rows.reshape(stack.shape[:-1] + b.shape[-1:])
+
+
+def _curve_points(gen: GeodesicGenerator, angles: np.ndarray, u: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """Real symmetries e^{iH} eps0 for H = U diag(angles) U^H, one per node.
+
+    angles has one row per node; u is one unitary shared by every node or a
+    stack with one per node, and right is the matching U^H C. Each point is
+    eps0 plus the conjugate-linear step m = U (e^{i angles} - 1) U^H C,
+    realified as [[Re m, Im m], [Im m, -Re m]] and taken from standard
+    coordinates back to J's by to_standard. A node with zero angles returns
+    eps0 itself.
+    """
+    scaled = u * (np.exp(1j * angles) - 1.0)[..., None, :]
+    m = _stack_times(scaled, right) if right.ndim == 2 else np.matmul(scaled, right)
+    structure = gen.structure
+    n = structure.n
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = m.real
+    out[..., :n, n:] = m.imag
+    out[..., n:, :n] = m.imag
+    out[..., n:, n:] = -m.real
+    if not structure.is_standard():
+        r = structure.to_standard
+        out = r @ out @ r.T
+    return gen.base.matrix + out
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +306,16 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     Speeds come from the second-order finite-difference derivative of the
     sample stack (one-sided at the ends), integrated by the trapezoid rule.
     Samples are symmetric matrices, so singular values are |eigenvalues|.
+    An ndarray stack is used as it is; a sequence of Symmetry objects or
+    matrices is stacked first.
     """
-    stack = np.stack([
-        s.matrix if isinstance(s, Symmetry) else np.asarray(s, dtype=float)
-        for s in samples
-    ])
+    if isinstance(samples, np.ndarray):
+        stack = np.asarray(samples, dtype=float)
+    else:
+        stack = np.stack([
+            s.matrix if isinstance(s, Symmetry) else np.asarray(s, dtype=float)
+            for s in samples
+        ])
     if stack.ndim != 3 or stack.shape[0] < 3:
         raise InvariantViolation("sampled length: need a stack of at least 3 matrices")
     if dt <= 0.0:
@@ -277,30 +368,19 @@ class _PiPlanes:
     max_abs_mu: float
 
 
-def _conjugation(eps_std: np.ndarray, n: int):
-    """Conjugate-linear action of a J-anticommuting symmetry on C^n."""
+def _real_form_basis(cols: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {w : c conj(w) = w} inside span(cols).
 
-    def act(w: np.ndarray) -> np.ndarray:
-        xi = np.concatenate([w.real, w.imag])
-        out = eps_std @ xi
-        return out[:n] + 1j * out[n:]
-
-    return act
-
-
-def _real_form_basis(cols: np.ndarray, conj) -> np.ndarray:
-    """Orthonormal basis of {w : conj(w) = w} inside span(cols).
-
-    conj is an antiunitary involution preserving the span; the fixed set is a
-    real form of complex dimension equal to the span's. Candidates w + conj(w)
-    and i(w - conj(w)) are fixed; a Gram-Schmidt sweep keeps an orthonormal
-    subset of the right size.
+    w -> c conj(w) is an antiunitary involution preserving the span; the fixed
+    set is a real form of complex dimension equal to the span's. Candidates
+    w + c conj(w) and i(w - c conj(w)) are fixed; a Gram-Schmidt sweep keeps an
+    orthonormal subset of the right size.
     """
     m = cols.shape[1]
     kept: list[np.ndarray] = []
     for i in range(m):
         v = cols[:, i]
-        cv = conj(v)
+        cv = c @ v.conj()
         for cand in (v + cv, 1j * (v - cv)):
             if len(kept) == m:
                 break
@@ -318,21 +398,18 @@ def _real_form_basis(cols: np.ndarray, conj) -> np.ndarray:
 def _pi_planes(gen: GeodesicGenerator, pi_tol: float = PI_PLANE_TOL) -> _PiPlanes:
     structure = gen.structure
     n = structure.n
-    zc = complexify(gen.z, structure)
-    y = zc.im - 1j * zc.re                      # complexify(z) = iY, Y hermitian
+    y = _hermitian(gen.z, structure)
     if max_abs(np.abs(y - y.conj().T)) > 1e-9 * max(1.0, max_abs(np.abs(y))):
         raise ComputationError("complexified generator is not anti-hermitian")
     y = (y + y.conj().T) / 2.0
     mu, vec = np.linalg.eigh(y)
-    r = structure.to_standard
-    eps_std = r.T @ gen.base.matrix @ r
-    conj = _conjugation(eps_std, n)
+    c = _conjugation_matrix(gen.base, structure)
     mus: list[float] = []
     vecs: list[np.ndarray] = []
     for sign in (1.0, -1.0):
         mask = np.abs(mu - sign * math.pi / 2.0) <= pi_tol / 2.0
         if np.any(mask):
-            basis = _real_form_basis(vec[:, mask], conj)
+            basis = _real_form_basis(vec[:, mask], c)
             for i in range(basis.shape[1]):
                 mus.append(sign * math.pi / 2.0)
                 vecs.append(basis[:, i])
@@ -392,10 +469,12 @@ def alternate_generator(gen: GeodesicGenerator, signs,
 
 def alternate_generators(gen: GeodesicGenerator, limit: int = 64,
                          pi_tol: float = PI_PLANE_TOL) -> list[GeodesicGenerator]:
-    """All sign-pattern alternates, at most `limit` of the 2^d patterns.
+    """All sign-pattern alternates, at most `limit` (>= 1) of the 2^d patterns.
 
     With d = 0 the geodesic is unique and the list is just [gen].
     """
+    if limit < 1:
+        raise InvariantViolation(f"alternate generators: limit must be >= 1, got {limit!r}")
     d = _pi_planes(gen, pi_tol).mus.shape[0]
     if d == 0:
         return [gen]

@@ -14,8 +14,14 @@ import numpy as np
 
 from .complex_structure import ComplexStructure
 from .errors import InvariantViolation
-from .geodesics import GeodesicGenerator
-from .linalg import expm_antisymmetric, schatten_norm
+from .geodesics import (
+    GeodesicGenerator,
+    _conjugation_matrix,
+    _curve_points,
+    _hermitian,
+    _stack_times,
+)
+from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
 from .subspaces import Symmetry, tangent_project, vertical_symmetry
 
 
@@ -127,10 +133,18 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
 
     Shares both endpoints with the geodesic of gen since rho vanishes at
     t = 0, 1. Returns a stack of symmetric matrices over the grid.
+
+    w must be an antisymmetric 2n x 2n matrix commuting with J
+    (InvariantViolation otherwise), so every node stays Lagrangian. With
+    z = iH_z and w = iH_w, one stacked n x n Hermitian eigh of
+    2t(H_z + rho(t) H_w) gives all nodes through the complexified kernel that
+    `sample` uses.
     """
+    structure = gen.structure
+    h_w = _hermitian(require_antisymmetric(w, "perturbation"), structure)
+    h_z = _hermitian(gen.z, structure)
     t = np.asarray(ts, dtype=float).reshape(-1)
     rho = amplitude * np.sin(math.pi * t)
-    gens = 2.0 * t[:, None, None] * (gen.z[None, :, :]
-                                     + rho[:, None, None] * w[None, :, :])
-    rot = expm_antisymmetric(gens, validate=False)
-    return np.matmul(rot, gen.base.matrix)
+    mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
+    right = _stack_times(np.swapaxes(u.conj(), -1, -2), _conjugation_matrix(gen.base, structure))
+    return _curve_points(gen, mu, u, right)

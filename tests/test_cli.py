@@ -167,6 +167,12 @@ def test_connect_angle_just_inside_tight_right_tolerance(tmp_path, capsys):
                   zero_tol=1e-10, right_tol=1e-10)
     assert abs(gen.norm - theta) < 1e-12
 
+    # the flag is both bucket widths, so it must be a finite angle in (0, pi/4)
+    other = line_file(tmp_path, 0.6, "c.json")
+    for bad in ("1", "0.7853981633974483", "0", "-0.001", "nan", "inf", "abc"):
+        code, out = run_cli(capsys, ["--tol-angle", bad, "connect", first, other])
+        assert code == 2 and out == "", bad
+
 
 def test_distance_payload(tmp_path, capsys):
     theta = 0.4
@@ -216,6 +222,20 @@ def test_multiplicity_with_alternates(tmp_path, capsys):
     assert payload["classification"] == "ExactlyTwo"
     assert payload["minus_one_dim_complex"] == 1
     assert len(payload["alternates"]) == 2
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_multiplicity_rejects_limit_below_one(tmp_path, capsys, limit):
+    first = write_problem(tmp_path / "a.json", {
+        "dim": 4, "subspace": {"graph_of": [[1.0, 0.0], [0.0, 1.0]]},
+    })
+    second = write_problem(tmp_path / "b.json", {
+        "dim": 4, "subspace": {"graph_of": [[1.0, 0.0], [0.0, -1.0]]},
+    })
+    code, out = run_cli(capsys, ["multiplicity", first, second,
+                                 "--alternates", "--limit", limit])
+    assert code == 2
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,8 @@ def test_sampled_lengths_shares_one_derivative():
     multi = sampled_lengths(stack, dt, [math.inf, 2])
     assert multi[math.inf] == sampled_length(stack, dt, math.inf)
     assert multi[2] == sampled_length(stack, dt, 2)
+    assert sampled_lengths([Symmetry(s) for s in stack], dt, [math.inf, 2]) == multi
+    assert sampled_lengths(list(stack), dt, [math.inf, 2]) == multi
 
 
 def test_sampled_length_input_validation():
@@ -333,6 +335,9 @@ def test_alternate_generators_cap():
     gen = connect(graph_symmetry(np.eye(4)),
                   graph_symmetry(np.diag([1.0, 1.0, -1.0, -1.0])), structure)
     assert len(alternate_generators(gen, limit=3)) == 3
+    for limit in (0, -1):
+        with pytest.raises(InvariantViolation):
+            alternate_generators(gen, limit=limit)
 
 
 def test_generator_constructor_rejects_bad_inputs():
