@@ -3,19 +3,22 @@
 Construction and classification of minimal geodesics between Lagrangian
 subspaces, Schatten-norm length functionals, graph charts of symmetric
 operators, the gap metric, and Cayley-transform spectral curves. The substrate
-is real throughout; complex matrices appear only as (re, im) pairs where the
-complexified picture is the natural one.
+is real throughout. Where the complexified picture is the natural one,
+complex matrices are plain numpy complex arrays: `complexify` gives the n x n
+matrix of a J-commuting operator, and `conjugation_matrix` gives the matrix C
+of a Lagrangian symmetry, which acts as v -> C conj(v).
 """
 
 from .complex_structure import (
-    ComplexMatrix,
     ComplexStructure,
     anticommutes_with_structure,
     commutes_with_structure,
     complex_inner_product,
     complexify,
+    conjugation_matrix,
     is_complex_unitary,
     realify,
+    realify_conjugation,
     standard_form,
     symplectic_form,
 )

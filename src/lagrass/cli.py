@@ -24,23 +24,22 @@ from .complex_structure import ComplexStructure
 from .errors import ComputationError, InvariantViolation
 from .geodesics import (
     Geodesic,
+    _connect,
     _speed_norms,
     alternate_generators,
     classify_multiplicity,
     connect,
-    evaluate,
     sample,
 )
 from .graphs import (
-    cayley_curve,
+    _cayley_result,
+    _chart_grid,
     codiagonal_generator,
     graph_symmetry,
-    is_graph,
     recover_operator,
 )
 from .linalg import (
     apply_function,
-    expm_antisymmetric,
     max_abs,
     schatten_norm,
     spectral_decompose,
@@ -221,30 +220,25 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _generator_payload(gen, structure, e0, e1) -> dict:
+def _cmd_connect(args) -> int:
+    structure, e0, e1 = _load_pair(args)
+    gen, endpoint = _connect(e0, e1, structure, args.tol_angle, args.tol_angle)
     z = gen.z
     j = structure.matrix
-    endpoint = expm_antisymmetric(2.0 * z, validate=False) @ e0.matrix
-    return {
+    sigma = np.linalg.svd(2.0 * z, compute_uv=False)[None, :]
+    payload = {
         "z": z.tolist(),
         "norm_op": gen.norm,
         "residuals": {
             "antisymmetry": max_abs(z + z.T),
             "commutator_with_j": max_abs(z @ j - j @ z),
             "anticommutator_with_base": max_abs(z @ e0.matrix + e0.matrix @ z),
-            "endpoint": max_abs(endpoint - e1.matrix),
+            "endpoint": endpoint,
         },
+        "norm_k": {key: float(_speed_norms(sigma, k)[0])
+                   for key, k in (("1", 1), ("2", 2), ("inf", math.inf))},
+        "provenance": _provenance(args),
     }
-
-
-def _cmd_connect(args) -> int:
-    structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure,
-                  zero_tol=args.tol_angle, right_tol=args.tol_angle)
-    payload = _generator_payload(gen, structure, e0, e1)
-    payload["norm_k"] = {str(k): schatten_norm(2.0 * gen.z, k) for k in (1, 2)}
-    payload["norm_k"]["inf"] = schatten_norm(2.0 * gen.z, math.inf)
-    payload["provenance"] = _provenance(args)
     _emit_json(payload, args.out)
     return 0
 
@@ -377,16 +371,11 @@ def _cmd_spectral_curve(args) -> int:
     n = y.shape[0]
     gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
     ts = np.linspace(-1.0, 1.0, args.grid)
-    geo = Geodesic(gen)
-    kept, skipped = [], 0
-    for t in ts:
-        if is_graph(evaluate(geo, float(t)), rank_rtol=args.tol_rank):
-            kept.append(float(t))
-        else:
-            skipped += 1
-    if not kept:
+    c, in_chart = _chart_grid(gen, ts, args.tol_rank)
+    if not np.any(in_chart):
         raise ComputationError("spectral-curve: no grid time stays inside the graph chart")
-    result = cayley_curve(gen, kept)
+    skipped = int(np.sum(~in_chart))
+    result = _cayley_result(gen, ts[in_chart], c[in_chart])
     columns = ["t"] + [f"phase_{i}" for i in range(n)] + ["min_gap_to_minus_one"]
     rows = ([s.t] + list(s.phases) + [s.min_gap_to_minus_one] for s in result.samples)
     if args.out:

@@ -4,7 +4,11 @@ A complex structure is an orthogonal antisymmetric J with J^2 = -I. It turns
 R^{2n} into C^n: multiplication by i is application of J, the symplectic form
 is w(xi, eta) = <J xi, eta>, and the complex inner product is
 <xi, eta> - i w(xi, eta). Operators commuting with J are complex-linear and
-admit an n x n complex representation (kept as a pair of real matrices).
+have an n x n complex matrix (`complexify`, `realify`). Operators
+anticommuting with J, among them the symmetry of every Lagrangian, are
+conjugate-linear: v -> C conj(v) with an n x n complex matrix C
+(`conjugation_matrix`, `realify_conjugation`). All of these are plain numpy
+complex arrays.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class ComplexStructure:
     matrix: np.ndarray
     n: int = field(init=False)
     to_standard: np.ndarray = field(init=False)
+    _standard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = require_square(self.matrix, "J")
@@ -65,12 +70,10 @@ class ComplexStructure:
             raise InvariantViolation("J: must be orthogonal")
         object.__setattr__(self, "matrix", j)
         object.__setattr__(self, "n", n)
-        std = standard_form(n)
-        if max_abs(j - std) <= 1e-12:
-            r = np.eye(dim)
-        else:
-            r = _standardizing_basis(j)
+        standard = bool(max_abs(j - standard_form(n)) <= 1e-12)
+        r = np.eye(dim) if standard else _standardizing_basis(j)
         object.__setattr__(self, "to_standard", r)
+        object.__setattr__(self, "_standard", standard)
 
     @classmethod
     def standard(cls, n: int) -> "ComplexStructure":
@@ -81,7 +84,7 @@ class ComplexStructure:
         return 2 * self.n
 
     def is_standard(self) -> bool:
-        return bool(max_abs(self.matrix - standard_form(self.n)) <= 1e-12)
+        return self._standard
 
 
 def _standardizing_basis(j: np.ndarray) -> np.ndarray:
@@ -152,43 +155,11 @@ def is_complex_unitary(u, structure: ComplexStructure, rtol: float = SYM_RTOL) -
     return commutes_with_structure(arr, structure, rtol)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """An n x n complex matrix stored as a pair of real matrices (re, im)."""
+def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> np.ndarray:
+    """The n x n complex matrix of a J-commuting real operator.
 
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = require_square(self.re, "re")
-        im = require_square(self.im, "im")
-        if re.shape != im.shape:
-            raise InvariantViolation("complex matrix: re/im shapes differ")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @classmethod
-    def from_complex(cls, arr) -> "ComplexMatrix":
-        a = np.asarray(arr, dtype=complex)
-        return cls(a.real.copy(), a.imag.copy())
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.re.T, -self.im.T)
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
-        return ComplexMatrix(re, im)
-
-
-def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> ComplexMatrix:
-    """The n x n complex representation of a J-commuting real operator.
-
-    In standard coordinates a = [[x, -y], [y, x]] and the representation is
-    x + i y. Refuses operators that do not commute with J.
+    In standard coordinates a = [[x, -y], [y, x]] and the matrix is x + i y.
+    Refuses operators that do not commute with J.
     """
     arr = require_square(a, "operator")
     if arr.shape[0] != structure.dim:
@@ -199,15 +170,56 @@ def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> Comple
     r = structure.to_standard
     std = r.T @ arr @ r
     n = structure.n
-    return ComplexMatrix(std[:n, :n].copy(), std[n:, :n].copy())
+    return std[:n, :n] + 1j * std[n:, :n]
 
 
-def realify(m: ComplexMatrix, structure: ComplexStructure) -> np.ndarray:
+def realify(m, structure: ComplexStructure) -> np.ndarray:
     """Inverse of complexify: rebuild the real 2n x 2n operator."""
-    if m.re.shape[0] != structure.n:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (structure.n, structure.n):
         raise InvariantViolation("realify: dimension mismatch")
-    top = np.hstack([m.re, -m.im])
-    bot = np.hstack([m.im, m.re])
-    std = np.vstack([top, bot])
+    std = np.block([[m.real, -m.imag], [m.imag, m.real]])
     r = structure.to_standard
     return r @ std @ r.T
+
+
+def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
+    """C with a v = C conj(v) on C^n, for a real operator anticommuting with J.
+
+    a is one 2n x 2n operator or a stack of them; in standard coordinates
+    a = [[Re C, Im C], [Im C, -Re C]]. For a Lagrangian symmetry C is a
+    symmetric unitary, and for the graph of f it is minus the Cayley image
+    (f - i)(f + i)^(-1). Refuses (InvariantViolation) an operator that does not
+    anticommute with J, with the tolerance of `anticommutes_with_structure`.
+    """
+    arr = np.asarray(a, dtype=float)
+    dim = structure.dim
+    if arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
+        raise InvariantViolation("conjugation matrix: dimension mismatch")
+    j = structure.matrix
+    defect = np.max(np.abs(arr @ j + j @ arr), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.max(np.abs(arr), axis=(-2, -1), initial=0.0), 1e-300)
+    if np.any(defect > SYM_RTOL * max(dim, 1) * scale):
+        raise InvariantViolation("conjugation matrix: operator does not anticommute with J")
+    if not structure.is_standard():
+        r = structure.to_standard
+        arr = r.T @ arr @ r
+    n = structure.n
+    return arr[..., :n, :n] + 1j * arr[..., n:, :n]
+
+
+def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarray:
+    """Inverse of conjugation_matrix: the real operator(s) v -> C conj(v).
+
+    c is one n x n complex matrix or a stack of them.
+    """
+    n = structure.n
+    out = np.empty(c.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = c.real
+    out[..., :n, n:] = c.imag
+    out[..., n:, :n] = c.imag
+    out[..., n:, n:] = -c.real
+    if not structure.is_standard():
+        r = structure.to_standard
+        out = r @ out @ r.T
+    return out

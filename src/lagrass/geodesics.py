@@ -22,11 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .complex_structure import (
-    ComplexMatrix,
     ComplexStructure,
     anticommutes_with_structure,
     complexify,
+    conjugation_matrix,
     realify,
+    realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
@@ -59,8 +60,9 @@ from .tolerances import (
 class GeodesicGenerator:
     """A validated geodesic velocity seed z at a base Lagrangian.
 
-    Invariants: z antisymmetric, z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2.
-    norm is the operator norm ||z||, computed once by the validation.
+    Invariants: eps0 J = -J eps0 (the base is Lagrangian), z antisymmetric,
+    z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2. norm is the operator norm
+    ||z||, computed once by the validation.
     """
 
     z: np.ndarray
@@ -72,6 +74,8 @@ class GeodesicGenerator:
         z = require_antisymmetric(self.z, "generator")
         if z.shape[0] != self.structure.dim or z.shape[0] != self.base.ambient_dim:
             raise InvariantViolation("generator: dimension mismatch")
+        if not anticommutes_with_structure(self.base.matrix, self.structure):
+            raise InvariantViolation("generator: base symmetry does not anticommute with J")
         scale = max(1.0, max_abs(z))
         j = self.structure.matrix
         if max_abs(z @ j - j @ z) > GENERATOR_ATOL * scale:
@@ -101,8 +105,8 @@ class Geodesic:
         """(mu, U, U^H C) with z = i U diag(mu) U^H: one eigh per curve,
         shared by every `sample` and `evaluate` call on it."""
         g = self.generator
-        mu, u = np.linalg.eigh(_hermitian(g.z, g.structure))
-        return mu, u, u.conj().T @ _conjugation_matrix(g.base, g.structure)
+        mu, u = np.linalg.eigh(-1j * complexify(g.z, g.structure))
+        return mu, u, u.conj().T @ conjugation_matrix(g.base.matrix, g.structure)
 
 
 def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
@@ -144,28 +148,6 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
 # 2n x 2n exponential.
 
 
-def _hermitian(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
-    """H with complexify(a) = iH; Hermitian when a is antisymmetric.
-
-    Refuses (InvariantViolation) an operator that does not commute with J.
-    """
-    zc = complexify(a, structure)
-    return zc.im - 1j * zc.re
-
-
-def _conjugation_matrix(eps: Symmetry, structure: ComplexStructure) -> np.ndarray:
-    """C with eps v = C conj(v) on C^n, for a symmetry anticommuting with J.
-
-    In standard coordinates eps = [[Re C, Im C], [Im C, -Re C]].
-    """
-    if not anticommutes_with_structure(eps.matrix, structure):
-        raise InvariantViolation("base symmetry: does not anticommute with J")
-    n = structure.n
-    r = structure.to_standard
-    std = r.T @ eps.matrix @ r
-    return std[:n, :n] + 1j * std[n:, :n]
-
-
 def _stack_times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     """stack @ b for one matrix b, computed as a single matrix product.
 
@@ -182,24 +164,12 @@ def _curve_points(gen: GeodesicGenerator, angles: np.ndarray, u: np.ndarray,
 
     angles has one row per node; u is one unitary shared by every node or a
     stack with one per node, and right is the matching U^H C. Each point is
-    eps0 plus the conjugate-linear step m = U (e^{i angles} - 1) U^H C,
-    realified as [[Re m, Im m], [Im m, -Re m]] and taken from standard
-    coordinates back to J's by to_standard. A node with zero angles returns
-    eps0 itself.
+    eps0 plus the realified conjugate-linear step m = U (e^{i angles} - 1) U^H C.
+    A node with zero angles returns eps0 itself.
     """
     scaled = u * (np.exp(1j * angles) - 1.0)[..., None, :]
     m = _stack_times(scaled, right) if right.ndim == 2 else np.matmul(scaled, right)
-    structure = gen.structure
-    n = structure.n
-    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = m.real
-    out[..., :n, n:] = m.imag
-    out[..., n:, :n] = m.imag
-    out[..., n:, n:] = -m.real
-    if not structure.is_standard():
-        r = structure.to_standard
-        out = r @ out @ r.T
-    return gen.base.matrix + out
+    return gen.base.matrix + realify_conjugation(m, gen.structure)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +206,22 @@ def connect(eps0, eps1, structure: ComplexStructure,
     Identical endpoints short-circuit to z = 0. The endpoint residual is
     verified before returning.
     """
+    return _connect(eps0, eps1, structure, zero_tol, right_tol)[0]
+
+
+def _connect(eps0, eps1, structure: ComplexStructure, zero_tol: float,
+             right_tol: float) -> tuple[GeodesicGenerator, float]:
+    """`connect` together with the endpoint residual max|e^{2z} eps0 - eps1| it
+    verified."""
     e0 = _as_symmetry(eps0)
     e1 = _as_symmetry(eps1)
     for name, e in (("first", e0), ("second", e1)):
         if not is_lagrangian(e, structure):
             raise InvariantViolation(f"connect: {name} endpoint is not Lagrangian")
     dim = structure.dim
-    if max_abs(e0.matrix - e1.matrix) <= 1e-13:
-        return GeodesicGenerator(np.zeros((dim, dim)), e0, structure)
+    gap = max_abs(e0.matrix - e1.matrix)
+    if gap <= 1e-13:
+        return GeodesicGenerator(np.zeros((dim, dim)), e0, structure), gap
 
     frames = _pair_frames(e0, e1, zero_tol, right_tol)
     if frames.plus_minus.shape[1] != frames.minus_plus.shape[1]:
@@ -264,7 +242,7 @@ def connect(eps0, eps1, structure: ComplexStructure,
         raise ComputationError(
             f"connect: endpoint residual {resid:.3e} beyond {ENDPOINT_RTOL * dim:.3e}"
         )
-    return gen
+    return gen, resid
 
 
 def distance(eps0, eps1, structure: ComplexStructure) -> float:
@@ -395,19 +373,19 @@ def _real_form_basis(cols: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.column_stack(kept) if kept else np.zeros((cols.shape[0], 0), dtype=complex)
 
 
-def _pi_planes(gen: GeodesicGenerator, pi_tol: float = PI_PLANE_TOL) -> _PiPlanes:
+def _pi_planes(gen: GeodesicGenerator) -> _PiPlanes:
     structure = gen.structure
     n = structure.n
-    y = _hermitian(gen.z, structure)
+    y = -1j * complexify(gen.z, structure)
     if max_abs(np.abs(y - y.conj().T)) > 1e-9 * max(1.0, max_abs(np.abs(y))):
         raise ComputationError("complexified generator is not anti-hermitian")
     y = (y + y.conj().T) / 2.0
     mu, vec = np.linalg.eigh(y)
-    c = _conjugation_matrix(gen.base, structure)
+    c = conjugation_matrix(gen.base.matrix, structure)
     mus: list[float] = []
     vecs: list[np.ndarray] = []
     for sign in (1.0, -1.0):
-        mask = np.abs(mu - sign * math.pi / 2.0) <= pi_tol / 2.0
+        mask = np.abs(mu - sign * math.pi / 2.0) <= PI_PLANE_TOL / 2.0
         if np.any(mask):
             basis = _real_form_basis(vec[:, mask], c)
             for i in range(basis.shape[1]):
@@ -418,15 +396,14 @@ def _pi_planes(gen: GeodesicGenerator, pi_tol: float = PI_PLANE_TOL) -> _PiPlane
     return _PiPlanes(y, np.asarray(mus), vectors, top)
 
 
-def classify_multiplicity(gen: GeodesicGenerator,
-                          pi_tol: float = PI_PLANE_TOL) -> MultiplicityReport:
+def classify_multiplicity(gen: GeodesicGenerator) -> MultiplicityReport:
     """Count the -1 eigenspace of the complexified e^{2z} and classify.
 
     d = 0 -> the minimal geodesic is unique; d = 1 -> exactly two; d >= 2 ->
     infinitely many. norm_gap = pi/2 - ||z|| measures distance to the
     non-unique regime.
     """
-    planes = _pi_planes(gen, pi_tol)
+    planes = _pi_planes(gen)
     d = planes.mus.shape[0]
     if d == 0:
         cls = Multiplicity.UNIQUE
@@ -437,8 +414,7 @@ def classify_multiplicity(gen: GeodesicGenerator,
     return MultiplicityReport(cls, d, math.pi / 2.0 - planes.max_abs_mu)
 
 
-def alternate_generator(gen: GeodesicGenerator, signs,
-                        pi_tol: float = PI_PLANE_TOL) -> GeodesicGenerator:
+def alternate_generator(gen: GeodesicGenerator, signs) -> GeodesicGenerator:
     """Flip the sign of z on the selected pi-rotation planes.
 
     signs has one entry of +-1 per plane (ordered as in the multiplicity
@@ -446,7 +422,7 @@ def alternate_generator(gen: GeodesicGenerator, signs,
     are unchanged. Requires ||z|| = pi/2 within tolerance (otherwise there is
     no plane to flip).
     """
-    planes = _pi_planes(gen, pi_tol)
+    planes = _pi_planes(gen)
     d = planes.mus.shape[0]
     if d == 0:
         raise InvariantViolation(
@@ -457,28 +433,32 @@ def alternate_generator(gen: GeodesicGenerator, signs,
         raise InvariantViolation(
             f"alternate generator: need {d} signs of +-1, got {signs!r}"
         )
+    return _flipped(gen, planes, sign_arr)
+
+
+def _flipped(gen: GeodesicGenerator, planes: _PiPlanes, signs) -> GeodesicGenerator:
+    """The generator with z negated on the planes whose sign is -1."""
     y = planes.hermitian.copy()
-    for i in range(d):
-        if sign_arr[i] < 0.0:
+    for i, sign in enumerate(signs):
+        if sign < 0:
             w = planes.vectors[:, i]
             y = y - 2.0 * planes.mus[i] * np.outer(w, w.conj())
-    z_new = realify(ComplexMatrix.from_complex(1j * y), gen.structure)
+    z_new = realify(1j * y, gen.structure)
     z_new = (z_new - z_new.T) / 2.0
     return GeodesicGenerator(z_new, gen.base, gen.structure)
 
 
-def alternate_generators(gen: GeodesicGenerator, limit: int = 64,
-                         pi_tol: float = PI_PLANE_TOL) -> list[GeodesicGenerator]:
+def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[GeodesicGenerator]:
     """All sign-pattern alternates, at most `limit` (>= 1) of the 2^d patterns.
 
-    With d = 0 the geodesic is unique and the list is just [gen].
+    With d = 0 the geodesic is unique and the list is just [gen]. The
+    pi-rotation planes are found once and shared by every pattern.
     """
     if limit < 1:
         raise InvariantViolation(f"alternate generators: limit must be >= 1, got {limit!r}")
-    d = _pi_planes(gen, pi_tol).mus.shape[0]
+    planes = _pi_planes(gen)
+    d = planes.mus.shape[0]
     if d == 0:
         return [gen]
-    out = []
-    for pattern in itertools.islice(itertools.product((1, -1), repeat=d), limit):
-        out.append(alternate_generator(gen, pattern, pi_tol))
-    return out
+    patterns = itertools.islice(itertools.product((1, -1), repeat=d), limit)
+    return [_flipped(gen, planes, pattern) for pattern in patterns]

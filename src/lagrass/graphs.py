@@ -7,6 +7,12 @@ construction (operator recovery), measures the gap metric between graphs, and
 tracks the Cayley-transform eigenphases of the graph operators along a
 geodesic, including the window and safe-radius guarantees for staying inside
 the chart.
+
+Along a flow, each node is read through the conjugation matrix C of its
+symmetry (v -> C conj(v) in the standard split, a plain numpy complex array).
+For the graph of f, the Cayley image (f - i)(f + i)^(-1) is exactly -C, and
+the top block of an orthonormal basis has singular values |1 + spec C| / 2,
+so the chart test and the Cayley curve need no operator recovery.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_structure import ComplexMatrix, ComplexStructure, is_complex_unitary
+from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, sample
 from .linalg import (
@@ -42,6 +48,9 @@ from .tolerances import (
     PHASE_GAP_TOL,
     RANK_RTOL,
 )
+
+# grid size of the pointwise chart checks in graph_window and graph_safe_radius
+_CHECK_GRID = 50
 
 # In finite dimension the essential spectrum is empty, so window conditions
 # stated partly on it reduce to their eigenvalue clause. Verdicts carry this
@@ -223,13 +232,34 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
 # staying inside the chart
 
 
+def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugation matrices C_t and the chart mask of the flow e^{2tz} eps0.
+
+    The flow is sampled once; evaluate(geo, t) is the symmetry of e^{tz}(S),
+    the same parameter t. Every node is validated as a Symmetry and read in
+    the standard split, the chart's own split, which refuses a node that is
+    not Lagrangian for the standard J (InvariantViolation). A node lies in
+    the graph chart iff dist(-1, spec C_t) / 2, the smallest singular value
+    of the top block of an orthonormal basis that `is_graph` tests, exceeds
+    rank_rtol; C_t is normal, so that distance is the smallest singular value
+    of I + C_t.
+    """
+    stack = sample(Geodesic(gen), ts)
+    for node in stack:
+        Symmetry(node)
+    n = gen.structure.n
+    c = conjugation_matrix(stack, ComplexStructure.standard(n))
+    sigma = np.linalg.svd(np.eye(n) + c, compute_uv=False)
+    return c, sigma[:, -1] / 2.0 > rank_rtol
+
+
 @dataclass(frozen=True)
 class GraphWindowVerdict:
     """Eigenvalue-window check for the half-space block of a geodesic flow.
 
-    ok is true iff every eigenvalue lies in (-pi/4 + tol, pi/2]; the margins
-    measure clearance to the window ends. curve_verified reports the grid
-    check of the flow through the identity graph (run only when ok).
+    ok is true iff every eigenvalue lies in (-pi/4 + GRAPH_WINDOW_TOL, pi/2];
+    the margins measure clearance to the window ends. curve_verified reports
+    the grid check of the flow through the identity graph (run only when ok).
     """
 
     ok: bool
@@ -243,13 +273,14 @@ class GraphWindowVerdict:
         return self.ok
 
 
-def graph_window(y, tol: float = GRAPH_WINDOW_TOL, grid_points: int = 50) -> GraphWindowVerdict:
+def graph_window(y) -> GraphWindowVerdict:
     """Check that the flow e^{t [[0,y],[-y,0]]} of the identity graph stays a
     graph for t in [0, 1].
 
     The sufficient condition is spectral: eigenvalues of y in (-pi/4, pi/2].
-    The left endpoint is excluded with margin tol so the pointwise grid
-    verification stays clear of the rank cutoff. Requires ||y|| <= pi/2.
+    The left endpoint is excluded with margin GRAPH_WINDOW_TOL so the
+    pointwise grid verification stays clear of the rank cutoff. Requires
+    ||y|| <= pi/2.
     """
     arr = require_symmetric(y, "half-space block")
     lam = np.linalg.eigvalsh(arr)
@@ -259,25 +290,23 @@ def graph_window(y, tol: float = GRAPH_WINDOW_TOL, grid_points: int = 50) -> Gra
         raise InvariantViolation("graph_window: operator norm exceeds pi/2")
     lower = float(lam[0] + math.pi / 4.0)
     upper = float(math.pi / 2.0 - lam[-1])
-    ok = bool(lam[0] > -math.pi / 4.0 + tol and lam[-1] <= math.pi / 2.0 + 1e-12)
+    ok = bool(lam[0] > -math.pi / 4.0 + GRAPH_WINDOW_TOL and lam[-1] <= math.pi / 2.0 + 1e-12)
     verified = False
     if ok:
         n = arr.shape[0]
         gen = codiagonal_generator(arr, graph_symmetry(np.eye(n)))
-        # evaluate(geo, t) is the symmetry of e^{tz}(S): same parameter t
-        ts = np.linspace(0.0, 1.0, grid_points)
-        stack = sample(Geodesic(gen), ts)
-        for i, t in enumerate(ts):
-            if not is_graph(Symmetry(stack[i])):
-                raise ComputationError(
-                    f"graph_window: curve leaves the chart at t = {t:g} "
-                    "despite the window condition"
-                )
+        ts = np.linspace(0.0, 1.0, _CHECK_GRID)
+        exits = ts[~_chart_grid(gen, ts, RANK_RTOL)[1]]
+        if exits.size:
+            raise ComputationError(
+                f"graph_window: curve leaves the chart at t = {exits[0]:g} "
+                "despite the window condition"
+            )
         verified = True
     return GraphWindowVerdict(ok, lam, lower, upper, verified)
 
 
-def graph_safe_radius(gen: GeodesicGenerator, grid_points: int = 50) -> float:
+def graph_safe_radius(gen: GeodesicGenerator) -> float:
     """Largest guaranteed graph window pi / (4 ||z||) for the flow e^{tz}(S).
 
     Returns +inf for z = 0. When the base is the identity graph, the claim is
@@ -290,14 +319,13 @@ def graph_safe_radius(gen: GeodesicGenerator, grid_points: int = 50) -> float:
     n = gen.structure.n
     base_identity = graph_symmetry(np.eye(n)).matrix
     if max_abs(gen.base.matrix - base_identity) <= 1e-10:
-        ts = np.linspace(0.0, radius * (1.0 - 1e-3), grid_points)
-        stack = sample(Geodesic(gen), ts)
-        for i, t in enumerate(ts):
-            if not is_graph(Symmetry(stack[i])):
-                raise ComputationError(
-                    f"graph_safe_radius: not a graph at t = {t:g}, "
-                    f"inside the guaranteed radius {radius:g}"
-                )
+        ts = np.linspace(0.0, radius * (1.0 - 1e-3), _CHECK_GRID)
+        exits = ts[~_chart_grid(gen, ts, RANK_RTOL)[1]]
+        if exits.size:
+            raise ComputationError(
+                f"graph_safe_radius: not a graph at t = {exits[0]:g}, "
+                f"inside the guaranteed radius {radius:g}"
+            )
     return radius
 
 
@@ -323,12 +351,13 @@ def gap_distance(a, b) -> float:
 class CayleyTransform:
     """Unitary image (f - iI)(f + iI)^(-1) of a symmetric operator.
 
-    eigenphases[i] in (-pi, pi] is the phase of the eigenvalue image
-    -pi + 2 arctan(lambda_i), aligned with ascending eigenvalues of f. The
-    value 1 is never an eigenphase image of a finite eigenvalue.
+    matrix is the n x n complex unitary. eigenphases[i] in (-pi, pi] is the
+    phase of the eigenvalue image -pi + 2 arctan(lambda_i), aligned with
+    ascending eigenvalues of f. The value 1 is never an eigenphase image of a
+    finite eigenvalue.
     """
 
-    matrix: ComplexMatrix
+    matrix: np.ndarray
     eigenphases: np.ndarray
 
 
@@ -347,7 +376,7 @@ def cayley_transform(a) -> CayleyTransform:
     n = arr.shape[0]
     if max_abs(np.abs(u @ u.conj().T - np.eye(n))) > 1e-10 * max(1, n):
         raise ComputationError("cayley_transform: image failed the unitarity check")
-    return CayleyTransform(ComplexMatrix.from_complex(u), phases)
+    return CayleyTransform(u, phases)
 
 
 @dataclass(frozen=True)
@@ -385,13 +414,14 @@ class CayleyCurveResult:
 
 
 def cayley_curve(gen: GeodesicGenerator, ts) -> CayleyCurveResult:
-    """Track Cayley eigenphases of the recovered graph operators along a flow.
+    """Track Cayley eigenphases of the graph operators along a flow.
 
     The generator must be based at the identity graph (codiagonal block form
-    [[0, y], [-y, 0]] is then automatic). At each grid time the subspace is
-    recovered as a graph (error naming the first non-graph time otherwise),
-    its operator's Cayley transform is computed, and the result is verified
-    against the closed form with eigenvalue images e^{-i(pi/2 + 2 t mu)}.
+    [[0, y], [-y, 0]] is then automatic). The flow is sampled once; every
+    grid time must lie in the graph chart (NotAGraphError naming the first
+    time that does not). The Cayley image of the graph operator at t is -C_t,
+    read off the node's conjugation matrix; it is checked unitary and against
+    the closed form with eigenvalue images e^{-i(pi/2 + 2 t mu)}.
     """
     structure = gen.structure
     if not structure.is_standard():
@@ -399,44 +429,39 @@ def cayley_curve(gen: GeodesicGenerator, ts) -> CayleyCurveResult:
     n = structure.n
     if max_abs(gen.base.matrix - graph_symmetry(np.eye(n)).matrix) > 1e-10:
         raise InvariantViolation("cayley_curve: base point must be the identity graph")
-    y = gen.z[:n, n:]
-    dec_y = spectral_decompose(y)
-    mus = dec_y.eigenvalues
-    vec = dec_y.eigenvectors
-
     t_arr = np.asarray(ts, dtype=float).reshape(-1)
     if t_arr.size == 0:
         raise InvariantViolation("cayley_curve: empty grid")
-    stack = sample(Geodesic(gen), t_arr)
+    c, in_chart = _chart_grid(gen, t_arr, RANK_RTOL)
+    exits = t_arr[~in_chart]
+    if exits.size:
+        raise NotAGraphError(f"cayley_curve: curve leaves the graph chart at t = {exits[0]:g}")
+    return _cayley_result(gen, t_arr, c)
 
-    samples = []
-    dets = []
-    worst_form = 0.0
-    min_gap = math.inf
-    for i, t in enumerate(t_arr):
-        eps_t = Symmetry(stack[i])
-        try:
-            f_t = recover_operator(eps_t)
-        except NotAGraphError as exc:
-            raise NotAGraphError(
-                f"cayley_curve: curve leaves the graph chart at t = {t:g}"
-            ) from exc
-        cay = cayley_transform(f_t)
-        u_t = cay.matrix.to_complex()
-        closed = (vec * np.exp(-1j * (math.pi / 2.0 + 2.0 * t * mus))) @ vec.T
-        worst_form = max(worst_form, float(np.max(np.abs(u_t - closed))))
-        phases = np.sort(cay.eigenphases)
-        gap = float(np.min(math.pi - np.abs(phases)))
-        min_gap = min(min_gap, gap)
-        samples.append(CayleyCurveSample(float(t), phases, gap))
-        dets.append(complex(np.linalg.det(u_t)))
 
+def _cayley_result(gen: GeodesicGenerator, t_arr: np.ndarray, c: np.ndarray) -> CayleyCurveResult:
+    """The spectral curve from the conjugation matrices C_t of in-chart nodes."""
+    n = gen.structure.n
+    dec_y = spectral_decompose(gen.z[:n, n:])
+    mus = dec_y.eigenvalues
+    vec = dec_y.eigenvectors
+    u = -c
+    unitarity = max_abs(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(n)))
+    if unitarity > 1e-10 * max(1, n):
+        raise ComputationError("cayley_curve: image failed the unitarity check")
+    closed = (vec * np.exp(-1j * (math.pi / 2.0 + 2.0 * t_arr[:, None] * mus))[:, None, :]) @ vec.T
+    worst_form = max_abs(np.abs(u - closed))
     if worst_form > CAYLEY_FORM_TOL:
         raise ComputationError(
             f"cayley_curve: closed-form residual {worst_form:.3e} beyond {CAYLEY_FORM_TOL:.0e}"
         )
-    det_change = 0.0
-    for prev, cur in zip(dets, dets[1:]):
-        det_change += math.atan2((cur / prev).imag, (cur / prev).real)
-    trivial = bool(min_gap > PHASE_GAP_TOL)
-    return CayleyCurveResult(tuple(samples), trivial, min_gap, worst_form, det_change)
+    values = np.linalg.eigvals(u)
+    phases = np.sort(_wrap_phase(np.angle(values)), axis=-1)
+    gaps = np.min(math.pi - np.abs(phases), axis=-1)
+    samples = tuple(CayleyCurveSample(float(t), p, float(g))
+                    for t, p, g in zip(t_arr, phases, gaps))
+    dets = np.prod(values, axis=-1)
+    det_change = float(np.sum(np.angle(dets[1:] / dets[:-1])))
+    min_gap = float(np.min(gaps))
+    return CayleyCurveResult(samples, bool(min_gap > PHASE_GAP_TOL), min_gap, worst_form,
+                             det_change)

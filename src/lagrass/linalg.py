@@ -15,8 +15,6 @@ import scipy.linalg
 
 from .errors import ComputationError, InvariantViolation
 from .tolerances import (
-    ANGLE_RIGHT_TOL,
-    ANGLE_ZERO_TOL,
     EIGENVALUE_GAP_TOL,
     ORTH_RTOL,
     RECON_RTOL,
@@ -195,13 +193,13 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     return out
 
 
-def logm_special_orthogonal(g, gap_tol: float = EIGENVALUE_GAP_TOL) -> np.ndarray:
+def logm_special_orthogonal(g) -> np.ndarray:
     """Half the principal logarithm of a special orthogonal matrix.
 
     Reduces g to its 2x2 rotation blocks via the real Schur form and reads one
     angle in (-pi, pi) per block, so the result z is antisymmetric by
     construction and satisfies expm_antisymmetric(2 z) = g. Any rotation angle
-    within gap_tol of pi (eigenvalue at -1) is refused: the principal log is
+    within EIGENVALUE_GAP_TOL of pi (eigenvalue at -1) is refused: the principal log is
     not defined there.
     """
     arr = require_orthogonal(g, "logm input")
@@ -225,10 +223,10 @@ def logm_special_orthogonal(g, gap_tol: float = EIGENVALUE_GAP_TOL) -> np.ndarra
             continue
         b = t[i : i + 2, i : i + 2]
         angle = math.atan2(b[1, 0] - b[0, 1], b[0, 0] + b[1, 1])
-        if math.pi - abs(angle) <= gap_tol:
+        if math.pi - abs(angle) <= EIGENVALUE_GAP_TOL:
             raise ComputationError(
                 f"principal log undefined: rotation angle {angle:.12f} within "
-                f"{gap_tol:.1e} of pi"
+                f"{EIGENVALUE_GAP_TOL:.1e} of pi"
             )
         log2[i, i + 1] = -angle
         log2[i + 1, i] = angle
@@ -250,24 +248,14 @@ class PrincipalAngles:
     """Principal angles between two subspaces, ascending, with paired vectors.
 
     angles[i] is the angle between left[:, i] (in the first subspace) and
-    right[:, i] (in the second). Buckets: an angle at most zero_tol counts as a
-    coincident direction, an angle within right_tol of pi/2 as an orthogonal
-    one, anything else as generic.
+    right[:, i] (in the second). The five-way decomposition buckets them: an
+    angle at most zero_tol counts as a coincident direction, an angle within
+    right_tol of pi/2 as an orthogonal one, anything else as generic.
     """
 
     angles: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-    def coincident_mask(self, zero_tol: float = ANGLE_ZERO_TOL) -> np.ndarray:
-        return self.angles <= zero_tol
-
-    def orthogonal_mask(self, right_tol: float = ANGLE_RIGHT_TOL) -> np.ndarray:
-        return self.angles >= math.pi / 2.0 - right_tol
-
-    def generic_mask(self, zero_tol: float = ANGLE_ZERO_TOL,
-                     right_tol: float = ANGLE_RIGHT_TOL) -> np.ndarray:
-        return ~(self.coincident_mask(zero_tol) | self.orthogonal_mask(right_tol))
 
 
 def _refined_angles(sigma: np.ndarray, q0: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -12,15 +12,9 @@ import math
 
 import numpy as np
 
-from .complex_structure import ComplexStructure
+from .complex_structure import ComplexStructure, complexify, conjugation_matrix
 from .errors import InvariantViolation
-from .geodesics import (
-    GeodesicGenerator,
-    _conjugation_matrix,
-    _curve_points,
-    _hermitian,
-    _stack_times,
-)
+from .geodesics import GeodesicGenerator, _curve_points, _stack_times
 from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
 from .subspaces import Symmetry, tangent_project, vertical_symmetry
 
@@ -141,10 +135,11 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     `sample` uses.
     """
     structure = gen.structure
-    h_w = _hermitian(require_antisymmetric(w, "perturbation"), structure)
-    h_z = _hermitian(gen.z, structure)
+    h_w = -1j * complexify(require_antisymmetric(w, "perturbation"), structure)
+    h_z = -1j * complexify(gen.z, structure)
     t = np.asarray(ts, dtype=float).reshape(-1)
     rho = amplitude * np.sin(math.pi * t)
     mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
-    right = _stack_times(np.swapaxes(u.conj(), -1, -2), _conjugation_matrix(gen.base, structure))
+    c = conjugation_matrix(gen.base.matrix, structure)
+    right = _stack_times(np.swapaxes(u.conj(), -1, -2), c)
     return _curve_points(gen, mu, u, right)

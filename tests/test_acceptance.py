@@ -27,6 +27,7 @@ from lagrass.geodesics import (
     sampled_lengths,
 )
 from lagrass.graphs import (
+    _chart_grid,
     cayley_curve,
     codiagonal_generator,
     gap_distance,
@@ -58,6 +59,7 @@ from lagrass.subspaces import (
     tangent_project_offdiagonal,
     vertical_symmetry,
 )
+from lagrass.tolerances import RANK_RTOL
 
 SEED = 20260816
 
@@ -319,11 +321,9 @@ def test_criterion_8_graph_chart_formulas():
            f"identity chart {err_identity:.2e}, gap value {gap_err:.2e}")
 
 
-def test_criterion_9_spectral_curves():
+def criterion_9_flows():
+    """The 50 flows of criterion 9: (inner, eigenvalues of y, generator)."""
     rng = np.random.default_rng(SEED + 9)
-    worst_form = 0.0
-    trivial_failures = 0
-    radius_checked = 0
     for i in range(50):
         n = int(rng.integers(1, 5))
         inner = bool(i % 2)
@@ -332,7 +332,14 @@ def test_criterion_9_spectral_curves():
         else:
             vals = rng.uniform(-math.pi / 4 + 0.01, math.pi / 2, size=n)
         y = rotated_diag(vals, rng)
-        gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
+        yield inner, vals, codiagonal_generator(y, graph_symmetry(np.eye(n)))
+
+
+def test_criterion_9_spectral_curves():
+    worst_form = 0.0
+    trivial_failures = 0
+    radius_checked = 0
+    for inner, _, gen in criterion_9_flows():
         geo = Geodesic(gen)
         ts = np.linspace(-1.0, 1.0, 50)
         kept = [t for t in ts if is_graph(evaluate(geo, t))]
@@ -347,6 +354,26 @@ def test_criterion_9_spectral_curves():
            f"closed form error {worst_form:.2e}, "
            f"trivial-flow misses {trivial_failures}, "
            f"safe radii verified {radius_checked}/50")
+
+
+def test_criterion_9_chart_mask_matches_is_graph():
+    # the chart test read off C_t must agree with is_graph node by node, on
+    # criterion 9's grid and on a wider one that adds each flow's exact chart
+    # exit t = -pi / (4 mu) for its largest |mu|
+    disagreements = 0
+    exits_seen = 0
+    for _, vals, gen in criterion_9_flows():
+        geo = Geodesic(gen)
+        mu = vals[np.argmax(np.abs(vals))]
+        wide = np.append(np.linspace(-3.0, 3.0, 61), -math.pi / (4.0 * mu))
+        for ts in (np.linspace(-1.0, 1.0, 50), wide):
+            mask = _chart_grid(gen, ts, RANK_RTOL)[1]
+            want = np.array([is_graph(evaluate(geo, float(t))) for t in ts])
+            disagreements += int(np.sum(mask != want))
+            exits_seen += int(np.sum(~want))
+    ok = disagreements == 0 and exits_seen >= 50
+    report(9, "chart mask against is_graph", ok,
+           f"disagreements {disagreements}, chart exits seen {exits_seen}")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

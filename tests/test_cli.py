@@ -18,6 +18,8 @@ from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.linalg import max_abs
 from lagrass.subspaces import Symmetry
 
+from test_graphs import near_edge_block
+
 SEED = 90210
 
 
@@ -335,6 +337,18 @@ def test_spectral_curve_outputs(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[1] == "t,phase_0,phase_1,min_gap_to_minus_one"
     assert len(lines) == 2 + 41
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_spectral_curve_near_the_chart_edge(tmp_path, capsys, n):
+    # a double eigenvalue 3e-7 inside -pi/4: the node at t = 1 sits 3e-7
+    # inside the chart
+    path = write_problem(tmp_path / "y.json", {"matrix": near_edge_block(n).tolist()})
+    code, out = run_cli(capsys, ["spectral-curve", path, "--grid", "21"])
+    assert code == 0
+    verdict = json.loads(out[out.index("{"):])
+    assert verdict["closed_form_max_error"] <= 1e-12
+    assert verdict["skipped_times"] == 0
 
 
 def test_spectral_curve_rejects_wide_spectrum(tmp_path, capsys):

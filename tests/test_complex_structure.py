@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from lagrass.complex_structure import (
-    ComplexMatrix,
     ComplexStructure,
     anticommutes_with_structure,
     commutes_with_structure,
     complex_inner_product,
     complexify,
+    conjugation_matrix,
     is_complex_unitary,
     realify,
+    realify_conjugation,
     standard_form,
     symplectic_form,
 )
@@ -103,8 +104,8 @@ def test_complexify_realify_round_trip_standard():
     q = np.array([[1.0, 0.2], [0.2, -0.5]])
     a = np.block([[p, -q], [q, p]])
     m = complexify(a, s)
-    assert max_abs(m.re - p) < 1e-14
-    assert max_abs(m.im - q) < 1e-14
+    assert max_abs(m.real - p) < 1e-14
+    assert max_abs(m.imag - q) < 1e-14
     back = realify(m, s)
     assert max_abs(back - a) < 1e-14
 
@@ -133,17 +134,42 @@ def test_complexify_multiplicative_nonstandard():
     mb = complexify(b, t)
     prod = ma @ mb
     direct = complexify(a @ b, t)
-    assert max_abs(prod.to_complex() - direct.to_complex()) < 1e-12
+    assert max_abs(np.abs(prod - direct)) < 1e-12
     # realify inverts complexify
     assert max_abs(realify(ma, t) - a) < 1e-12
 
 
 def test_complex_matrix_adjoint_matches_transpose():
+    # the complex matrix of a^T is the adjoint of the complex matrix of a
     rng = np.random.default_rng(SEED)
-    m = ComplexMatrix.from_complex(rng.standard_normal((3, 3))
-                                   + 1j * rng.standard_normal((3, 3)))
-    adj = m.adjoint().to_complex()
-    assert max_abs(np.abs(adj - m.to_complex().conj().T)) == 0.0
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    s = ComplexStructure.standard(3)
+    a = realify(m, s)
+    assert max_abs(np.abs(complexify(a.T, s) - m.conj().T)) == 0.0
+    t = nonstandard_structure(3)
+    b = realify(m, t)
+    assert max_abs(np.abs(complexify(b.T, t) - m.conj().T)) < 1e-12
+
+
+def test_conjugation_matrix_round_trip_and_refusal():
+    # a Lagrangian symmetry is v -> C conj(v); one matrix or a stack
+    rng = np.random.default_rng(SEED + 2)
+    for structure in (ComplexStructure.standard(3), nonstandard_structure(3)):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u, _ = np.linalg.qr(g)
+        c = u @ u.T  # symmetric unitary
+        eps = realify_conjugation(c, structure)
+        assert max_abs(eps - eps.T) < 1e-14
+        assert max_abs(eps @ eps - np.eye(6)) < 1e-13
+        assert anticommutes_with_structure(eps, structure)
+        assert max_abs(np.abs(conjugation_matrix(eps, structure) - c)) < 1e-13
+        stack = np.stack([eps, -eps])
+        back = conjugation_matrix(stack, structure)
+        assert back.shape == (2, 3, 3)
+        assert max_abs(np.abs(back - np.stack([c, -c]))) < 1e-13
+        assert max_abs(realify_conjugation(back, structure) - stack) < 1e-13
+        with pytest.raises(InvariantViolation):
+            conjugation_matrix(np.stack([eps, np.eye(6)]), structure)
 
 
 def test_multiplication_by_j_is_multiplication_by_i():
@@ -152,8 +178,8 @@ def test_multiplication_by_j_is_multiplication_by_i():
     p = np.array([[0.0, 0.4], [-0.4, 0.0]])
     q = np.array([[0.9, 0.1], [0.1, 0.3]])
     a = np.block([[p, -q], [q, p]])
-    lhs = complexify(s.matrix @ a, s).to_complex()
-    rhs = 1j * complexify(a, s).to_complex()
+    lhs = complexify(s.matrix @ a, s)
+    rhs = 1j * complexify(a, s)
     assert max_abs(np.abs(lhs - rhs)) < 1e-14
 
 

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.errors import InvariantViolation
-from lagrass.geodesics import Geodesic, GeodesicGenerator, connect, evaluate, sample
+from lagrass.geodesics import (
+    Geodesic,
+    GeodesicGenerator,
+    connect,
+    evaluate,
+    exponential_map,
+    sample,
+)
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.sampling import (
@@ -141,6 +148,8 @@ def test_perturbed_curve_refuses_directions_that_do_not_commute_with_j():
 
 def test_curves_refuse_a_base_that_is_not_lagrangian():
     structure = ComplexStructure.standard(1)
-    gen = GeodesicGenerator(np.zeros((2, 2)), Symmetry(np.diag([1.0, 1.0])), structure)
-    with pytest.raises(InvariantViolation):
-        sample(Geodesic(gen), TS)
+    not_lagrangian = Symmetry(np.diag([1.0, 1.0]))
+    with pytest.raises(InvariantViolation, match="base"):
+        GeodesicGenerator(np.zeros((2, 2)), not_lagrangian, structure)
+    with pytest.raises(InvariantViolation, match="base"):
+        exponential_map(not_lagrangian, np.zeros((2, 2)), structure)

@@ -312,6 +312,9 @@ def test_multiplicity_infinite_two_flip_planes():
     assert rep.minus_one_dim_complex == 2
     alts = alternate_generators(gen)
     assert len(alts) == 4
+    # the list shares one pi-plane search; each entry is its sign pattern's flip
+    for alt, pattern in zip(alts, [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        assert np.array_equal(alt.z, alternate_generator(gen, pattern).z)
     target = e_e.matrix
     for alt in alts:
         endpoint = expm_antisymmetric(2 * alt.z, validate=False) @ e_i.matrix

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import ComplexStructure, conjugation_matrix
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
 from lagrass.geodesics import Geodesic, evaluate
 from lagrass.graphs import (
@@ -28,6 +30,7 @@ from lagrass.sampling import random_complex_rotation, random_symmetric
 from lagrass.subspaces import (
     Subspace,
     projection_from_subspace,
+    subspace_from_symmetry,
     vertical_symmetry,
 )
 
@@ -38,6 +41,16 @@ def rotated_diag(values, seed=SEED):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
     return q @ np.diag(np.asarray(values, dtype=float)) @ q.T
+
+
+def near_edge_block(n, seed=0):
+    """y = Q diag(mu0, mu0, mu_rest...) Q^T with mu0 = -pi/4 + 3e-7."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mu0 = -math.pi / 4.0 + 3e-7
+    mu = np.concatenate([[mu0, mu0], rng.uniform(-0.5, 0.5, n - 2)])
+    y = (q * mu) @ q.T
+    return (y + y.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +260,10 @@ def test_gap_distance_triangle_inequality():
 def test_cayley_transform_frozen_values():
     ct0 = cayley_transform(np.zeros((2, 2)))
     assert np.allclose(ct0.eigenphases, math.pi)
-    assert max_abs(np.abs(ct0.matrix.to_complex() + np.eye(2))) < 1e-14
+    assert max_abs(np.abs(ct0.matrix + np.eye(2))) < 1e-14
     ct1 = cayley_transform(np.eye(2))
     assert np.allclose(ct1.eigenphases, -math.pi / 2)
-    assert max_abs(np.abs(ct1.matrix.to_complex() + 1j * np.eye(2))) < 1e-14
+    assert max_abs(np.abs(ct1.matrix + 1j * np.eye(2))) < 1e-14
 
 
 def test_cayley_transform_scalar_identity():
@@ -301,6 +314,36 @@ def test_cayley_curve_names_first_failing_time():
                                graph_symmetry(np.eye(1)))
     with pytest.raises(NotAGraphError, match="t = 1"):
         cayley_curve(gen, [0.0, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), scale=st.floats(0.1, 10.0), rotated=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cayley_image_and_chart_edge_read_off_the_conjugation_matrix(n, scale, rotated, seed):
+    # for L = graph(f): (f - i)(f + i)^(-1) = -C, and the top block of an
+    # orthonormal basis of L has singular values |1 + spec C| / 2
+    rng = np.random.default_rng(seed)
+    lam = scale * rng.uniform(-1.0, 1.0, n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0] if rotated else np.eye(n)
+    f = (q * lam) @ q.T
+    f = (f + f.T) / 2.0
+    eps = graph_symmetry(f)
+    c = conjugation_matrix(eps.matrix, ComplexStructure.standard(n))
+    assert max_abs(np.abs(cayley_transform(f).matrix + c)) <= 1e-12
+    top = subspace_from_symmetry(eps).basis[:n]
+    sigma_min = np.linalg.svd(top, compute_uv=False)[-1]
+    assert abs(sigma_min - np.min(np.abs(1.0 + np.linalg.eigvals(c))) / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_cayley_curve_near_the_chart_edge(n):
+    # a double eigenvalue 3e-7 inside -pi/4 in a rotated eigenbasis: the node
+    # at t = 1 is inside the chart by 3e-7 and its graph operator is ~1e6
+    y = near_edge_block(n)
+    gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
+    res = cayley_curve(gen, [0.0, 0.5, 1.0])
+    assert res.closed_form_max_error <= 1e-12
+    assert len(res.samples) == 3
 
 
 def test_cayley_curve_requires_identity_graph_base():
