@@ -438,20 +438,26 @@ def _schatten_order(text: str):
             f"Schatten order must be an integer or inf, got {text!r}") from None
 
 
-def _angle_tolerance(text: str) -> float:
-    """Parse --tol-angle: a finite angle in (0, pi/4).
+def _open_interval(high: float, label: str, what: str):
+    """An argparse type: a finite float in (0, high); label names high."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not 0.0 < value < high:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {what} in (0, {label}), got {text!r}")
+        return value
+    return parse
 
-    The value is both the coincident and the right-angle bucket width, so at
-    pi/4 or above the two buckets overlap.
-    """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < math.pi / 4.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite angle in (0, pi/4), got {text!r}")
-    return value
+
+# --tol-angle is both the coincident and the right-angle bucket width, so at
+# pi/4 or above the two buckets overlap
+_angle_tolerance = _open_interval(math.pi / 4.0, "pi/4", "angle")
+# --tol-rank is compared with top-block singular values of an orthonormal
+# basis, which lie in [0, 1]
+_rank_tolerance = _open_interval(1.0, "1", "value")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -463,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="symmetry/invariant tolerance (relative)")
     parser.add_argument("--tol-angle", type=_angle_tolerance, default=ANGLE_ZERO_TOL,
                         help="principal-angle bucketing tolerance")
-    parser.add_argument("--tol-rank", type=float, default=RANK_RTOL,
+    parser.add_argument("--tol-rank", type=_rank_tolerance, default=RANK_RTOL,
                         help="rank cutoff for graph detection")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -38,6 +38,7 @@ from .subspaces import (
     Subspace,
     Symmetry,
     _as_symmetry,
+    _require_symmetries,
     subspace_from_symmetry,
 )
 from .tolerances import (
@@ -115,13 +116,21 @@ def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
 # recognizing graphs and recovering operators
 
 
+def _require_rank_cutoff(rank_rtol: float, name: str) -> None:
+    """Top-block singular values of an orthonormal basis lie in [0, 1], so a
+    rank cutoff outside (0, 1) accepts a non-graph or refuses every graph."""
+    if not 0.0 < rank_rtol < 1.0:
+        raise InvariantViolation(f"{name}: rank cutoff must lie in (0, 1), got {rank_rtol!r}")
+
+
 def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     """True iff the subspace is the graph of some operator on the half-space.
 
     Equivalent to the top-half block of an orthonormal basis having full
     column rank; the subspace must have dimension exactly half the ambient
-    one to qualify.
+    one to qualify. rank_rtol must lie in (0, 1).
     """
+    _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
     if eps.ambient_dim % 2:
         raise InvariantViolation("is_graph: ambient dimension must be even")
@@ -141,8 +150,9 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     Solves b (top block) = (bottom block) on an orthonormal basis. Rejects
     non-graphs, rejects a nonsymmetric solution (the subspace was not
     Lagrangian), and verifies that the closed-form projection of b reproduces
-    the subspace projection.
+    the subspace projection. rank_rtol must lie in (0, 1).
     """
+    _require_rank_cutoff(rank_rtol, "recover_operator")
     eps = _as_symmetry(s)
     if eps.ambient_dim % 2:
         raise InvariantViolation("recover_operator: ambient dimension must be even")
@@ -198,7 +208,7 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
 
     u has the block form [[x, y], [-y, x]]; the image is a graph exactly when
     x + y a is invertible, and the ground-truth operator comes from basis
-    recovery of the rotated graph.
+    recovery of the rotated graph, which raises NotAGraphError otherwise.
     """
     arr_u = require_square(u, "rotation")
     n = arr_u.shape[0] // 2
@@ -213,12 +223,7 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
     x = arr_u[:n, :n]
     y = arr_u[:n, n:]
 
-    image = Subspace(arr_u @ graph_basis(arr_a))
-    if not is_graph(image):
-        raise NotAGraphError(
-            "transformed_graph_operator: the rotated subspace is not a graph"
-        )
-    b = recover_operator(image)
+    b = recover_operator(Subspace(arr_u @ graph_basis(arr_a)))
     den = x + y @ arr_a
 
     first = _right_quotient(-y + x @ arr_a, den)
@@ -236,17 +241,16 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     """Conjugation matrices C_t and the chart mask of the flow e^{2tz} eps0.
 
     The flow is sampled once; evaluate(geo, t) is the symmetry of e^{tz}(S),
-    the same parameter t. Every node is validated as a Symmetry and read in
-    the standard split, the chart's own split, which refuses a node that is
-    not Lagrangian for the standard J (InvariantViolation). A node lies in
+    the same parameter t. The nodes are validated in one stacked check with
+    the Symmetry tolerances and read in the standard split, the chart's own
+    split, which refuses a node that is not Lagrangian for the standard J
+    (InvariantViolation). A node lies in
     the graph chart iff dist(-1, spec C_t) / 2, the smallest singular value
     of the top block of an orthonormal basis that `is_graph` tests, exceeds
     rank_rtol; C_t is normal, so that distance is the smallest singular value
     of I + C_t.
     """
-    stack = sample(Geodesic(gen), ts)
-    for node in stack:
-        Symmetry(node)
+    stack = _require_symmetries(sample(Geodesic(gen), ts))
     n = gen.structure.n
     c = conjugation_matrix(stack, ComplexStructure.standard(n))
     sigma = np.linalg.svd(np.eye(n) + c, compute_uv=False)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ComputationError, InvariantViolation
 from .tolerances import (
@@ -201,7 +200,14 @@ def logm_special_orthogonal(g) -> np.ndarray:
     construction and satisfies expm_antisymmetric(2 z) = g. Any rotation angle
     within EIGENVALUE_GAP_TOL of pi (eigenvalue at -1) is refused: the principal log is
     not defined there.
+
+    No production path calls it: it is the tests' log reference for `connect`.
+    Its real Schur form is the package's only non-numpy dependency, so that
+    import is deferred to the first call and `import lagrass` loads numpy
+    alone.
     """
+    import scipy.linalg
+
     arr = require_orthogonal(g, "logm input")
     n = arr.shape[0]
     if np.linalg.det(arr) < 0.0:

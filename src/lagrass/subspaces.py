@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .complex_structure import ComplexStructure, anticommutes_with_structure
 from .errors import ComputationError, InvariantViolation
@@ -95,11 +94,7 @@ class Symmetry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        e = require_symmetric(self.matrix, "symmetry")
-        n = e.shape[0]
-        tol = SYM_RTOL * max(n, 1) * max(max_abs(e), 1e-300)
-        if max_abs(e @ e - np.eye(n)) > max(tol, SYM_RTOL * max(n, 1)):
-            raise InvariantViolation("symmetry: eps^2 != I within tolerance")
+        e = _require_symmetries(as_matrix(self.matrix, "symmetry"))
         object.__setattr__(self, "matrix", e)
 
     @property
@@ -111,6 +106,36 @@ class Symmetry:
         """Dimension of the +1 eigenspace, from the trace."""
         n = self.ambient_dim
         return int(round((n + float(np.trace(self.matrix))) / 2.0))
+
+
+def _require_symmetries(stack) -> np.ndarray:
+    """Validate one symmetry or a stack of them (..., n, n) in one pass.
+
+    Each matrix e is held to its own scale s = max|e|: entries finite,
+    max|e - e^T| <= SYM_RTOL n s and max|e e - I| <= SYM_RTOL n max(s, 1).
+    `Symmetry` validates through this check, so a stack passes iff every
+    node would pass as a `Symmetry`. The first failing matrix of a stack is
+    named. Returns the float array.
+    """
+    arr = np.asarray(stack, dtype=float)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise InvariantViolation(f"symmetry: expected square matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation("symmetry: entries must be finite")
+    n = arr.shape[-1]
+    rtol = SYM_RTOL * max(n, 1)
+    scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)), axis=(-2, -1), initial=0.0)
+    square = np.max(np.abs(np.matmul(arr, arr) - np.eye(n)), axis=(-2, -1), initial=0.0)
+    for dev, tol, what in ((asym, rtol * scale, "not symmetric"),
+                           (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")):
+        bad = np.flatnonzero(dev > tol)
+        if bad.size:
+            i = bad[0]
+            where = f" at matrix {i} of the stack" if arr.ndim > 2 else ""
+            raise InvariantViolation(f"symmetry: {what}{where} (deviation "
+                                     f"{dev.flat[i]:.3e} > tolerance {tol.flat[i]:.3e})")
+    return arr
 
 
 def projection_from_subspace(s: Subspace) -> Projection:
@@ -261,7 +286,11 @@ def _pair_frames(eps0: Symmetry, eps1: Symmetry,
     elif collected.shape[1] >= dim:
         both_minus = np.zeros((dim, 0))
     else:
-        both_minus = scipy.linalg.null_space(collected.T)
+        # null space of collected^T: the rows of V^T past the numerical rank,
+        # counted above sigma_max * eps * max(shape)
+        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
+        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
+        both_minus = vt[rank:].T
 
     return PairFrames(
         both_plus=both_plus,

@@ -6,8 +6,10 @@ checked cheaply; one subprocess test confirms the installed entry point.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +322,19 @@ def test_graph_recover_residuals(tmp_path, capsys):
     assert payload["residual_identity_chart"] < 1e-9
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf", "abc"])
+def test_tol_rank_outside_unit_interval_exits_2(tmp_path, capsys, value):
+    # the plane of x2 and y1 is not a graph; --tol-rank -1 or nan used to
+    # end in a LinAlgError traceback, 0, 1 and inf in exit 4
+    path = write_problem(tmp_path / "half.json", {
+        "dim": 4,
+        "subspace": {"symmetry": np.diag([-1.0, 1.0, 1.0, -1.0]).tolist()},
+    })
+    code, out = run_cli(capsys, ["--tol-rank", value, "graph-recover", path])
+    assert code == 2
+    assert out == ""
+
+
 def test_spectral_curve_outputs(tmp_path, capsys):
     y = [[0.3, 0.0], [0.0, -0.2]]
     path = write_problem(tmp_path / "y.json", {"matrix": y})
@@ -410,6 +425,22 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lagrangian"] is True
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only run-time import; scipy is for the log reference alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import lagrass\n"
+            "print(scipy_modules())\n"
+            "import lagrass.cli\n"
+            "print(scipy_modules())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagrass.graphs
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
 from lagrass.geodesics import Geodesic, evaluate
@@ -29,6 +30,7 @@ from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.sampling import random_complex_rotation, random_symmetric
 from lagrass.subspaces import (
     Subspace,
+    Symmetry,
     projection_from_subspace,
     subspace_from_symmetry,
     vertical_symmetry,
@@ -130,6 +132,17 @@ def test_recover_operator_rejects_vertical_and_nonsymmetric():
         recover_operator(sub)
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, 1.0, math.nan, math.inf])
+def test_rank_cutoff_outside_unit_interval_refused(cutoff):
+    # the plane of x2 and y1: Lagrangian, not a graph; at -1 is_graph said
+    # True and recover_operator hit a singular solve
+    half = Symmetry(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(InvariantViolation, match="rank cutoff"):
+        is_graph(half, rank_rtol=cutoff)
+    with pytest.raises(InvariantViolation, match="rank cutoff"):
+        recover_operator(half, rank_rtol=cutoff)
+
+
 def test_recover_from_vertical_chart_flow():
     # flow from the vertical subspace with block x lands on the graph of
     # cos(x) sin(x)^(-1)
@@ -186,6 +199,22 @@ def test_transformed_graph_not_a_graph():
     u = expm_antisymmetric((math.pi / 2) * structure.matrix)
     with pytest.raises(NotAGraphError):
         transformed_graph_operator(u, np.zeros((n, n)))
+
+
+def test_transformed_graph_recovers_the_image_once(monkeypatch):
+    calls = []
+    original = lagrass.graphs.subspace_from_symmetry
+
+    def counting(eps):
+        calls.append(eps)
+        return original(eps)
+
+    monkeypatch.setattr(lagrass.graphs, "subspace_from_symmetry", counting)
+    rng = np.random.default_rng(SEED + 4)
+    structure = ComplexStructure.standard(3)
+    u = random_complex_rotation(structure, rng, spread=0.5)
+    transformed_graph_operator(u, random_symmetric(3, rng))
+    assert len(calls) == 1
 
 
 def test_transformed_graph_rejects_non_unitary():

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lagrass.complex_structure import ComplexStructure
 from lagrass.errors import InvariantViolation
+from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
-from lagrass.sampling import random_lagrangian_pair, random_symmetric
+from lagrass.sampling import random_lagrangian, random_lagrangian_pair, random_symmetric
 from lagrass.subspaces import (
     Projection,
     Subspace,
     Symmetry,
+    _require_symmetries,
     check_tangent,
     covariant_derivative,
     five_way_decompose,
@@ -28,6 +31,7 @@ from lagrass.subspaces import (
     tangent_project_offdiagonal,
     vertical_symmetry,
 )
+from lagrass.tolerances import SYM_RTOL
 
 SEED = 91125
 
@@ -164,6 +168,111 @@ def test_five_way_j_swaps_buckets_for_lagrangian_pairs():
     if pm.shape[1]:
         proj = mp @ mp.T
         assert max_abs(proj @ (j @ pm) - j @ pm) < 1e-9
+
+
+def _reference_pairs():
+    """Symmetry pairs for the null-space reference comparison."""
+    rng = np.random.default_rng(SEED + 7)
+    for n in (1, 3, 8):
+        # graphs of a and b meet in ker(a - b), planted with dimension k, so
+        # the both-minus block J(ker) is not empty; Q carries the standard J
+        # to a rotated one
+        k = max(1, n // 2)
+        a = random_symmetric(n, rng)
+        v = rng.standard_normal((n, n - k))
+        pair = (graph_symmetry(a), graph_symmetry(a + (v * rng.uniform(0.5, 2.0, n - k)) @ v.T))
+        q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+        for label, g in (("standard", np.eye(2 * n)), ("rotated", q)):
+            e0, e1 = (Symmetry(g @ e.matrix @ g.T) for e in pair)
+            yield pytest.param(e0, e1, id=f"planted {label} J n={n}")
+            rotated = ComplexStructure(g @ ComplexStructure.standard(n).matrix @ g.T)
+            yield pytest.param(random_lagrangian(rotated, rng), random_lagrangian(rotated, rng),
+                               id=f"random {label} J n={n}")
+    # the coincident, swapped and half-space pairs of the frozen cases above
+    yield pytest.param(vertical_symmetry(2), vertical_symmetry(2), id="coincident")
+    e12 = symmetry_from_subspace(Subspace(np.eye(4)[:, :2]))
+    yield pytest.param(e12, symmetry_from_subspace(Subspace(np.eye(4)[:, [0, 3]])),
+                       id="swapped")
+    b1 = np.zeros((4, 2))
+    b1[0, 0] = 1.0
+    b1[1, 1], b1[3, 1] = math.cos(0.5), math.sin(0.5)
+    yield pytest.param(e12, symmetry_from_subspace(Subspace(b1)), id="half-space")
+    # edge branches: no collected column (both subspaces {0}), and collected
+    # columns filling the space (both the whole space; two swapped lines)
+    yield pytest.param(Symmetry(-np.eye(4)), Symmetry(-np.eye(4)), id="both zero")
+    yield pytest.param(Symmetry(np.eye(4)), Symmetry(np.eye(4)), id="both whole")
+    yield pytest.param(line(0.0), line(math.pi / 2), id="swapped lines")
+
+
+@pytest.mark.parametrize("e0, e1", list(_reference_pairs()))
+def test_five_way_both_minus_matches_null_space_reference(e0, e1):
+    # the both-minus block is the orthogonal complement of the other four;
+    # scipy's null_space of their columns is the reference
+    dec = five_way_decompose(e0, e1)
+    others = np.hstack([dec.both_plus.basis, dec.plus_minus.basis,
+                        dec.minus_plus.basis, dec.generic.basis])
+    ref = scipy.linalg.null_space(others.T)
+    got = dec.both_minus.basis
+    assert got.shape[1] == ref.shape[1]
+    assert max_abs(got @ got.T - ref @ ref.T) <= 1e-12
+
+
+def _random_symmetry(n, rng):
+    """Q diag(signs) Q^T with both signs present, and a unit vector of each
+    eigenspace."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signs = np.where(np.arange(n) % 2, 1.0, -1.0)
+    e = (q * signs) @ q.T
+    return (e + e.T) / 2.0, q[:, 1], q[:, 0]
+
+
+def _symmetry_verdict(node):
+    try:
+        Symmetry(node)
+    except InvariantViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("kind", ["asymmetry", "square"])
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_stacked_symmetry_check_matches_per_node(n, kind, factor, accepted):
+    # one node of a stack is moved to `factor` times one of its tolerances,
+    # max|e - e^T| <= SYM_RTOL n max|e| or max|e e - I| <= SYM_RTOL n max(max|e|, 1),
+    # while the other stays met
+    rng = np.random.default_rng(SEED + n)
+    nodes = [_random_symmetry(n, rng) for _ in range(6)]
+    k = int(rng.integers(6))
+    node, plus, minus = nodes[k]
+    rtol = SYM_RTOL * n
+    if kind == "asymmetry":
+        # plus minus^T anticommutes with e and squares to 0: e e stays I
+        step = np.outer(plus, minus)
+        node = node + factor * rtol * max_abs(node) / max_abs(step - step.T) * step
+    else:
+        # (1 + d) e stays symmetric and moves e e - I by about 2 d
+        node = node * (1.0 + factor * rtol * max(max_abs(node), 1.0) / 2.0)
+    stack = np.stack([e for e, _, _ in nodes])
+    stack[k] = node
+    per_node = all(_symmetry_verdict(m) for m in stack)
+    try:
+        _require_symmetries(stack)
+        stacked = True
+    except InvariantViolation as exc:
+        stacked = False
+        assert f"matrix {k} of the stack" in str(exc)
+    assert stacked == per_node == accepted
+
+
+def test_stacked_symmetry_check_refuses_non_finite_and_non_square():
+    stack = np.stack([vertical_symmetry(2).matrix] * 3)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(InvariantViolation):
+        _require_symmetries(stack)
+    with pytest.raises(InvariantViolation):
+        _require_symmetries(np.zeros((3, 2, 4)))
+    assert _require_symmetries(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
 
 def test_tangent_projection_formulas_agree():
