@@ -29,6 +29,7 @@ from .geodesics import (
     alternate_generators,
     classify_multiplicity,
     connect,
+    length,
     sample,
 )
 from .graphs import (
@@ -159,7 +160,7 @@ def _fmt(x: float) -> str:
 def _provenance(args, seed=None) -> dict:
     prov = {
         "tolerances": {
-            "sym": args.tol_sym,
+            "sym": SYM_RTOL,
             "angle": args.tol_angle,
             "rank": args.tol_rank,
         }
@@ -179,7 +180,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _csv_header(args, command: str, extra: str = "") -> str:
-    line = (f"# lagrass {command} tol-sym={args.tol_sym:g} "
+    line = (f"# lagrass {command} tol-sym={SYM_RTOL:g} "
             f"tol-angle={args.tol_angle:g} tol-rank={args.tol_rank:g}")
     if extra:
         line += " " + extra
@@ -222,10 +223,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_connect(args) -> int:
     structure, e0, e1 = _load_pair(args)
-    gen, endpoint = _connect(e0, e1, structure, args.tol_angle, args.tol_angle)
+    gen, endpoint = _connect(e0, e1, structure)
     z = gen.z
     j = structure.matrix
-    sigma = np.linalg.svd(2.0 * z, compute_uv=False)[None, :]
+    geo = Geodesic(gen)
     payload = {
         "z": z.tolist(),
         "norm_op": gen.norm,
@@ -235,7 +236,7 @@ def _cmd_connect(args) -> int:
             "anticommutator_with_base": max_abs(z @ e0.matrix + e0.matrix @ z),
             "endpoint": endpoint,
         },
-        "norm_k": {key: float(_speed_norms(sigma, k)[0])
+        "norm_k": {key: length(geo, k)
                    for key, k in (("1", 1), ("2", 2), ("inf", math.inf))},
         "provenance": _provenance(args),
     }
@@ -245,8 +246,7 @@ def _cmd_connect(args) -> int:
 
 def _cmd_distance(args) -> int:
     structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure,
-                  zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    gen = connect(e0, e1, structure)
     d = 2.0 * gen.norm
     p0 = projection_from_symmetry(e0).matrix
     p1 = projection_from_symmetry(e1).matrix
@@ -265,10 +265,9 @@ def _cmd_sample(args) -> int:
     if args.grid < 3:
         raise ParseFailure("sample: --grid must be >= 3")
     structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure,
-                  zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    geo = Geodesic(connect(e0, e1, structure))
     ts = np.linspace(0.0, 1.0, args.grid)
-    stack = sample(Geodesic(gen), ts)
+    stack = sample(geo, ts)
     dim = structure.dim
     deriv = np.gradient(stack, float(ts[1] - ts[0]), axis=0, edge_order=2)
     speeds = _speed_norms(np.abs(np.linalg.eigvalsh(deriv)), args.k)
@@ -285,7 +284,7 @@ def _cmd_sample(args) -> int:
                ([t, speeds[idx]] for idx, t in enumerate(ts)))
     sys.stdout.write(json.dumps({
         "files": [args.out_prefix + "_curve.csv", args.out_prefix + "_speed.csv"],
-        "closed_form_speed": schatten_norm(2.0 * gen.z, args.k),
+        "closed_form_speed": length(geo, args.k),
     }, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -313,8 +312,7 @@ def _cmd_multiplicity(args) -> int:
     if args.limit < 1:
         raise ParseFailure("multiplicity: --limit must be >= 1")
     structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure,
-                  zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    gen = connect(e0, e1, structure)
     report = classify_multiplicity(gen)
     payload = {
         "classification": report.classification.value,
@@ -337,16 +335,14 @@ def _cmd_graph_recover(args) -> int:
     n = structure.n
 
     # residual against the vertical-chart closed form b sin(x) = cos(x)
-    gen_v = connect(vertical_symmetry(n), eps, structure,
-                    zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    gen_v = connect(vertical_symmetry(n), eps, structure)
     x = gen_v.z[:n, n:]
     dec_x = spectral_decompose((x + x.T) / 2.0)
     res_vertical = max_abs(b @ apply_function(dec_x, math.sin)
                            - apply_function(dec_x, math.cos))
 
     # residual against the identity-chart form b (cos y + sin y) = cos y - sin y
-    gen_i = connect(graph_symmetry(np.eye(n)), eps, structure,
-                    zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    gen_i = connect(graph_symmetry(np.eye(n)), eps, structure)
     y = gen_i.z[:n, n:]
     dec_y = spectral_decompose((y + y.T) / 2.0)
     cos_y = apply_function(dec_y, math.cos)
@@ -465,10 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lagrass",
         description="Minimal geodesics and graph charts of Lagrangian subspaces.",
     )
-    parser.add_argument("--tol-sym", type=float, default=SYM_RTOL,
-                        help="symmetry/invariant tolerance (relative)")
     parser.add_argument("--tol-angle", type=_angle_tolerance, default=ANGLE_ZERO_TOL,
-                        help="principal-angle bucketing tolerance")
+                        help="principal-angle bucketing tolerance of decompose")
     parser.add_argument("--tol-rank", type=_rank_tolerance, default=RANK_RTOL,
                         help="rank cutoff for graph detection")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,18 +8,20 @@ have an n x n complex matrix (`complexify`, `realify`). Operators
 anticommuting with J, among them the symmetry of every Lagrangian, are
 conjugate-linear: v -> C conj(v) with an n x n complex matrix C
 (`conjugation_matrix`, `realify_conjugation`). All of these are plain numpy
-complex arrays.
+complex arrays. A symmetric unitary C, the matrix of a Lagrangian symmetry,
+is O diag(e^{i phi}) O^T with O real orthogonal (`_real_eigenbasis`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ComputationError, InvariantViolation
 from .linalg import max_abs, require_square
-from .tolerances import SYM_RTOL
+from .tolerances import RECON_RTOL, SYM_RTOL
 
 
 def standard_form(n: int) -> np.ndarray:
@@ -167,10 +169,18 @@ def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> np.nda
     tol = rtol * max(arr.shape[0], 1) * max(max_abs(arr), 1e-300)
     if _commutation_defect(arr, structure.matrix) > tol:
         raise InvariantViolation("complexify: operator does not commute with J")
-    r = structure.to_standard
-    std = r.T @ arr @ r
+    return _complex_block(arr, structure)
+
+
+def _complex_block(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
+    """a[:n, :n] + i a[n:, :n] in standard coordinates, for one matrix or a stack,
+    unchecked: x + i y for a = [[x, -y], [y, x]], C for a = [[Re C, Im C],
+    [Im C, -Re C]]."""
+    if not structure.is_standard():
+        r = structure.to_standard
+        a = r.T @ a @ r
     n = structure.n
-    return std[:n, :n] + 1j * std[n:, :n]
+    return a[..., :n, :n] + 1j * a[..., n:, :n]
 
 
 def realify(m, structure: ComplexStructure) -> np.ndarray:
@@ -179,6 +189,8 @@ def realify(m, structure: ComplexStructure) -> np.ndarray:
     if m.shape != (structure.n, structure.n):
         raise InvariantViolation("realify: dimension mismatch")
     std = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    if structure.is_standard():
+        return std
     r = structure.to_standard
     return r @ std @ r.T
 
@@ -201,11 +213,7 @@ def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
     scale = np.maximum(np.max(np.abs(arr), axis=(-2, -1), initial=0.0), 1e-300)
     if np.any(defect > SYM_RTOL * max(dim, 1) * scale):
         raise InvariantViolation("conjugation matrix: operator does not anticommute with J")
-    if not structure.is_standard():
-        r = structure.to_standard
-        arr = r.T @ arr @ r
-    n = structure.n
-    return arr[..., :n, :n] + 1j * arr[..., n:, :n]
+    return _complex_block(arr, structure)
 
 
 def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarray:
@@ -223,3 +231,49 @@ def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarra
         r = structure.to_standard
         out = r @ out @ r.T
     return out
+
+
+# Re C + _GAMMA Im C separates the phases of a symmetric unitary C (an
+# irrational weight: no structured input ties two phases in it), except
+# within clusters of its eigenvalues narrower than _CLUSTER_GAP
+_GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
+_CLUSTER_GAP = 1e-3
+
+
+def _real_eigenbasis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(O, phi), O real orthogonal, phi in (-pi, pi]: C = O diag(e^{i phi}) O^T.
+
+    C is a symmetric unitary up to the slack its symmetry was validated with;
+    one Newton-Schulz step C (3I - C^H C) / 2 takes it to the nearest one to
+    second order, since eigenvectors of the combination below would amplify
+    a unitarity defect by the inverse of its eigenvalue gaps. Then Re C and
+    Im C are commuting real symmetric matrices and one eigh of
+    Re C + gamma Im C diagonalises both, but for mixing where
+    cos(phi) + gamma sin(phi) clusters within _CLUSTER_GAP. A cluster's phases
+    lie near at most two points of the circle; its Cayley transform
+    i (I - D)(I + D)^(-1), D = e^{-i alpha} C restricted, with the pole
+    -e^{i alpha} away from both, is real symmetric with eigenvalues
+    tan((phi - alpha) / 2), which no two distinct phases share. Phases are
+    Rayleigh quotients; reassembly is held to RECON_RTOL * n (ComputationError).
+    """
+    n = c.shape[0]
+    c = (c + c.T) / 2.0
+    c = c @ (3.0 * np.eye(n) - c.conj().T @ c) / 2.0
+    c = (c + c.T) / 2.0
+    a, b = c.real, c.imag
+    lam, o = np.linalg.eigh(a + _GAMMA * b)
+    toward = complex(1.0, -_GAMMA) / math.hypot(1.0, _GAMMA)
+    for block in np.split(np.arange(n), np.flatnonzero(np.diff(lam) >= _CLUSTER_GAP) + 1):
+        if block.size > 1:
+            q = o[:, block]
+            d = math.copysign(1.0, lam[block].mean()) * toward * (q.T @ c @ q)
+            eye = np.eye(block.size)
+            t = (1j * np.linalg.solve(eye + d, eye - d)).real
+            o[:, block] = q @ np.linalg.eigh((t + t.T) / 2.0)[1]
+    phi = np.arctan2(np.einsum("ij,ij->j", o, b @ o), np.einsum("ij,ij->j", o, a @ o))
+    phi[phi == -math.pi] = math.pi
+    resid = max(max_abs((o * np.cos(phi)) @ o.T - a), max_abs((o * np.sin(phi)) @ o.T - b))
+    if resid > RECON_RTOL * max(n, 1):
+        raise ComputationError(f"symmetric unitary eigenbasis: reassembly residual "
+                               f"{resid:.3e} beyond {RECON_RTOL * max(n, 1):.3e}")
+    return o, phi

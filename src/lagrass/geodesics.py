@@ -6,9 +6,10 @@ at most pi/2. Any two Lagrangians are joined by such a curve; it is unique iff
 the endpoints have no common pi/2 principal angle, and it is length-minimizing
 for every Schatten k-norm.
 
-`connect` builds the generator blockwise from the principal angles of the
-endpoint pair: the swapped blocks carry (pi/2) J, each generic 2-plane carries
-its angle as a plane rotation, and the coincident blocks carry 0.
+In the complex picture a Lagrangian symmetry is v -> C conj(v) with C
+symmetric unitary, and a generator at eps0 is z = i U diag(theta) U^H with
+C0 = U U^T (the Souriau coordinate). Every generator carries this record, and
+its norm, lengths, samples and pi-rotation planes are read off it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .complex_structure import (
     ComplexStructure,
+    _complex_block,
+    _real_eigenbasis,
     anticommutes_with_structure,
-    complexify,
-    conjugation_matrix,
     realify,
     realify_conjugation,
 )
@@ -34,22 +34,14 @@ from .linalg import (
     expm_antisymmetric,
     max_abs,
     require_antisymmetric,
-    schatten_norm,
 )
 from .subspaces import (
     Symmetry,
     _as_symmetry,
-    _pair_frames,
     check_tangent,
     is_lagrangian,
 )
-from .tolerances import (
-    ANGLE_RIGHT_TOL,
-    ANGLE_ZERO_TOL,
-    ENDPOINT_RTOL,
-    GENERATOR_ATOL,
-    PI_PLANE_TOL,
-)
+from .tolerances import ENDPOINT_RTOL, GENERATOR_ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +53,20 @@ class GeodesicGenerator:
     """A validated geodesic velocity seed z at a base Lagrangian.
 
     Invariants: eps0 J = -J eps0 (the base is Lagrangian), z antisymmetric,
-    z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2. norm is the operator norm
-    ||z||, computed once by the validation.
+    z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2.
+
+    The spectral record (u, theta) has z = realify(i U diag(theta) U^H) and
+    C0 = U U^T for the conjugation matrix C0 of the base: theta are the signed
+    principal angles and norm = max|theta| = ||z||. Validation reads it off
+    the part of z that anticommutes with the base (z within the slack).
     """
 
     z: np.ndarray
     base: Symmetry
     structure: ComplexStructure
     norm: float = field(init=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = require_antisymmetric(self.z, "generator")
@@ -83,11 +81,37 @@ class GeodesicGenerator:
         e = self.base.matrix
         if max_abs(z @ e + e @ z) > GENERATOR_ATOL * scale:
             raise InvariantViolation("generator: does not anticommute with the base")
-        norm = schatten_norm(z, math.inf)
-        if norm > math.pi / 2.0 + GENERATOR_ATOL:
+        # z = iH; in a real form W of the base, W^H H W is real symmetric
+        w = _real_form(_complex_block(e, self.structure))
+        k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
+        theta, o = np.linalg.eigh((k + k.T) / 2.0)
+        self._record(z, w @ o, theta)
+        if self.norm > math.pi / 2.0 + GENERATOR_ATOL:
             raise InvariantViolation("generator: operator norm exceeds pi/2")
+
+    def _record(self, z: np.ndarray, u: np.ndarray, theta: np.ndarray) -> None:
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "norm", float(np.max(np.abs(theta), initial=0.0)))
+
+    @classmethod
+    def _from_record(cls, base: Symmetry, structure: ComplexStructure, u: np.ndarray,
+                     theta: np.ndarray) -> "GeodesicGenerator":
+        """The generator of a record, unvalidated: it satisfies the invariants."""
+        h = (u * theta) @ u.conj().T
+        z = realify(1j * (h + h.conj().T) / 2.0, structure)
+        gen = object.__new__(cls)
+        object.__setattr__(gen, "base", base)
+        object.__setattr__(gen, "structure", structure)
+        gen._record((z - z.T) / 2.0, u, theta)
+        return gen
+
+
+def _real_form(c: np.ndarray) -> np.ndarray:
+    """Unitary W with C = W W^T for a symmetric unitary C: W = O e^{i phi / 2}."""
+    o, phi = _real_eigenbasis(c)
+    return o * np.exp(0.5j * phi)
 
 
 @dataclass(frozen=True)
@@ -99,14 +123,6 @@ class Geodesic:
     @property
     def base(self) -> Symmetry:
         return self.generator.base
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, U, U^H C) with z = i U diag(mu) U^H: one eigh per curve,
-        shared by every `sample` and `evaluate` call on it."""
-        g = self.generator
-        mu, u = np.linalg.eigh(-1j * complexify(g.z, g.structure))
-        return mu, u, u.conj().T @ conjugation_matrix(g.base.matrix, g.structure)
 
 
 def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
@@ -128,13 +144,13 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
 def sample(geo: Geodesic, ts) -> np.ndarray:
     """Stack of symmetries e^{2tz} eps0 over a grid, shape (len(ts), 2n, 2n).
 
-    z is fixed, so one n x n Hermitian eigh z = iH, H = U diag(mu) U^H,
-    serves the whole grid and every later call on geo: each node is then a
-    phase multiply and one n x n complex matrix product (see `_curve_points`).
+    The generator's record z = iU diag(theta) U^H with C0 = U U^T serves the
+    whole grid: U^H C0 = U^T, so each node is a phase multiply and one n x n
+    complex matrix product (see `_curve_points`).
     """
     t = np.asarray(ts, dtype=float).reshape(-1)
-    mu, u, right = geo._spectrum
-    return _curve_points(geo.generator, 2.0 * t[:, None] * mu, u, right)
+    gen = geo.generator
+    return _curve_points(gen, 2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -176,41 +192,20 @@ def _curve_points(gen: GeodesicGenerator, angles: np.ndarray, u: np.ndarray,
 # connecting two Lagrangians
 
 
-def _transversal_block(frames, structure: ComplexStructure) -> np.ndarray:
-    """(pi/2) J restricted to the two swapped blocks; zero if they are absent."""
-    p_cols = np.hstack([frames.plus_minus, frames.minus_plus])
-    if p_cols.shape[1] == 0:
-        return np.zeros((structure.dim, structure.dim))
-    p = p_cols @ p_cols.T
-    return (math.pi / 2.0) * (p @ structure.matrix @ p)
-
-
-def _generic_block(frames) -> np.ndarray:
-    """The angle operator x as a rotation of each generic 2-plane.
-
-    Each plane is spanned by a left frame vector and its orthogonal partner,
-    and the generator turns the first toward the second by the plane's angle.
-    """
-    x = frames.generic_angles
-    left, ortho = frames.generic_left, frames.generic_ortho
-    return (ortho * x) @ left.T - (left * x) @ ortho.T
-
-
-def connect(eps0, eps1, structure: ComplexStructure,
-            zero_tol: float = ANGLE_ZERO_TOL,
-            right_tol: float = ANGLE_RIGHT_TOL) -> GeodesicGenerator:
+def connect(eps0, eps1, structure: ComplexStructure) -> GeodesicGenerator:
     """Generator of a minimal geodesic from eps0 to eps1: e^{2z} eps0 = eps1.
 
-    The generator is assembled from the principal angles of the pair: (pi/2) J
-    on the swapped blocks and the angle operator on the generic 2-planes.
-    Identical endpoints short-circuit to z = 0. The endpoint residual is
-    verified before returning.
+    With the conjugation matrices C0 = W W^T and C1 of the endpoints,
+    S = W^H C1 conj(W) is a symmetric unitary O diag(e^{2i theta}) O^T with O
+    real orthogonal and theta in (-pi/2, pi/2] the signed principal angles;
+    the generator's record is U = W O and theta, as measured (no angle is
+    snapped to 0 or pi/2). Identical endpoints short-circuit to z = 0. The
+    endpoint residual is verified before returning.
     """
-    return _connect(eps0, eps1, structure, zero_tol, right_tol)[0]
+    return _connect(eps0, eps1, structure)[0]
 
 
-def _connect(eps0, eps1, structure: ComplexStructure, zero_tol: float,
-             right_tol: float) -> tuple[GeodesicGenerator, float]:
+def _connect(eps0, eps1, structure: ComplexStructure) -> tuple[GeodesicGenerator, float]:
     """`connect` together with the endpoint residual max|e^{2z} eps0 - eps1| it
     verified."""
     e0 = _as_symmetry(eps0)
@@ -223,20 +218,11 @@ def _connect(eps0, eps1, structure: ComplexStructure, zero_tol: float,
     if gap <= 1e-13:
         return GeodesicGenerator(np.zeros((dim, dim)), e0, structure), gap
 
-    frames = _pair_frames(e0, e1, zero_tol, right_tol)
-    if frames.plus_minus.shape[1] != frames.minus_plus.shape[1]:
-        raise ComputationError("connect: swapped blocks differ in dimension")
-
-    z = _transversal_block(frames, structure) + _generic_block(frames)
-    z = (z - z.T) / 2.0
-    # exact projections onto the J-commuting and base-anticommuting parts;
-    # they commute and strip conditioning noise from near-critical angles
-    j = structure.matrix
-    z = (z + j @ z @ j.T) / 2.0
-    z = (z - e0.matrix @ z @ e0.matrix) / 2.0
-
-    gen = GeodesicGenerator(z, e0, structure)
-    endpoint = expm_antisymmetric(2.0 * z, validate=False) @ e0.matrix
+    w = _real_form(_complex_block(e0.matrix, structure))
+    c1 = _complex_block(e1.matrix, structure)
+    o, phi = _real_eigenbasis(w.conj().T @ c1 @ w.conj())
+    gen = GeodesicGenerator._from_record(e0, structure, w @ o, phi / 2.0)
+    endpoint = expm_antisymmetric(2.0 * gen.z, validate=False) @ e0.matrix
     resid = max_abs(endpoint - e1.matrix)
     if resid > ENDPOINT_RTOL * dim:
         raise ComputationError(
@@ -259,9 +245,10 @@ def length(geo: Geodesic, k=math.inf, t0: float = 0.0, t1: float = 1.0) -> float
     """Length of the geodesic over [t0, t1] in the Schatten k-norm.
 
     The speed ||2z||_k is constant along the curve, so the closed form is
-    |t1 - t0| * ||2z||_k.
+    |t1 - t0| * ||2z||_k; the singular values of 2z are |2 theta_j|, each twice.
     """
-    return abs(float(t1) - float(t0)) * schatten_norm(2.0 * geo.generator.z, k)
+    values = np.repeat(2.0 * np.abs(geo.generator.theta), 2)[None, :]
+    return abs(float(t1) - float(t0)) * float(_speed_norms(values, k)[0])
 
 
 def _speed_norms(values: np.ndarray, k) -> np.ndarray:
@@ -329,71 +316,11 @@ class MultiplicityReport:
     norm_gap: float
 
 
-@dataclass(frozen=True)
-class _PiPlanes:
-    """Complexified data of the pi-rotation planes of e^{2z}.
-
-    hermitian is Y with complexify(z) = iY; mus/vectors list the eigenvalues
-    within tolerance of +-pi/2 together with orthonormal eigenvectors fixed by
-    the (conjugate-linear) action of the base symmetry. Each such vector spans
-    a J-complex plane on which the sign of z may be flipped without moving the
-    endpoint e^{2z} eps0.
-    """
-
-    hermitian: np.ndarray
-    mus: np.ndarray
-    vectors: np.ndarray
-    max_abs_mu: float
-
-
-def _real_form_basis(cols: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {w : c conj(w) = w} inside span(cols).
-
-    w -> c conj(w) is an antiunitary involution preserving the span; the fixed
-    set is a real form of complex dimension equal to the span's. Candidates
-    w + c conj(w) and i(w - c conj(w)) are fixed; a Gram-Schmidt sweep keeps an
-    orthonormal subset of the right size.
-    """
-    m = cols.shape[1]
-    kept: list[np.ndarray] = []
-    for i in range(m):
-        v = cols[:, i]
-        cv = c @ v.conj()
-        for cand in (v + cv, 1j * (v - cv)):
-            if len(kept) == m:
-                break
-            w = cand.astype(complex)
-            for u in kept:
-                w = w - u * np.vdot(u, w)
-            norm = float(np.linalg.norm(w))
-            if norm > 1e-6:
-                kept.append(w / norm)
-    if len(kept) != m:
-        raise ComputationError("pi-plane real form extraction failed")
-    return np.column_stack(kept) if kept else np.zeros((cols.shape[0], 0), dtype=complex)
-
-
-def _pi_planes(gen: GeodesicGenerator) -> _PiPlanes:
-    structure = gen.structure
-    n = structure.n
-    y = -1j * complexify(gen.z, structure)
-    if max_abs(np.abs(y - y.conj().T)) > 1e-9 * max(1.0, max_abs(np.abs(y))):
-        raise ComputationError("complexified generator is not anti-hermitian")
-    y = (y + y.conj().T) / 2.0
-    mu, vec = np.linalg.eigh(y)
-    c = conjugation_matrix(gen.base.matrix, structure)
-    mus: list[float] = []
-    vecs: list[np.ndarray] = []
-    for sign in (1.0, -1.0):
-        mask = np.abs(mu - sign * math.pi / 2.0) <= PI_PLANE_TOL / 2.0
-        if np.any(mask):
-            basis = _real_form_basis(vec[:, mask], c)
-            for i in range(basis.shape[1]):
-                mus.append(sign * math.pi / 2.0)
-                vecs.append(basis[:, i])
-    vectors = np.column_stack(vecs) if vecs else np.zeros((n, 0), dtype=complex)
-    top = float(np.max(np.abs(mu))) if mu.size else 0.0
-    return _PiPlanes(y, np.asarray(mus), vectors, top)
+def _pi_planes(gen: GeodesicGenerator) -> np.ndarray:
+    """Record columns on which e^{2z} rotates by pi: |theta| >= pi/2 within the
+    norm slack, so that the sign flip theta -> theta - pi sign(theta), which
+    keeps the endpoint e^{2z} eps0, also keeps the norm bound."""
+    return np.flatnonzero(math.pi - np.abs(gen.theta) <= math.pi / 2.0 + GENERATOR_ATOL)
 
 
 def classify_multiplicity(gen: GeodesicGenerator) -> MultiplicityReport:
@@ -403,15 +330,14 @@ def classify_multiplicity(gen: GeodesicGenerator) -> MultiplicityReport:
     infinitely many. norm_gap = pi/2 - ||z|| measures distance to the
     non-unique regime.
     """
-    planes = _pi_planes(gen)
-    d = planes.mus.shape[0]
+    d = _pi_planes(gen).size
     if d == 0:
         cls = Multiplicity.UNIQUE
     elif d == 1:
         cls = Multiplicity.EXACTLY_TWO
     else:
         cls = Multiplicity.INFINITE
-    return MultiplicityReport(cls, d, math.pi / 2.0 - planes.max_abs_mu)
+    return MultiplicityReport(cls, d, math.pi / 2.0 - gen.norm)
 
 
 def alternate_generator(gen: GeodesicGenerator, signs) -> GeodesicGenerator:
@@ -423,7 +349,7 @@ def alternate_generator(gen: GeodesicGenerator, signs) -> GeodesicGenerator:
     no plane to flip).
     """
     planes = _pi_planes(gen)
-    d = planes.mus.shape[0]
+    d = planes.size
     if d == 0:
         raise InvariantViolation(
             "alternate generator: operator norm below pi/2, no pi-rotation plane"
@@ -436,16 +362,14 @@ def alternate_generator(gen: GeodesicGenerator, signs) -> GeodesicGenerator:
     return _flipped(gen, planes, sign_arr)
 
 
-def _flipped(gen: GeodesicGenerator, planes: _PiPlanes, signs) -> GeodesicGenerator:
+def _flipped(gen: GeodesicGenerator, planes: np.ndarray, signs) -> GeodesicGenerator:
     """The generator with z negated on the planes whose sign is -1."""
-    y = planes.hermitian.copy()
-    for i, sign in enumerate(signs):
-        if sign < 0:
-            w = planes.vectors[:, i]
-            y = y - 2.0 * planes.mus[i] * np.outer(w, w.conj())
-    z_new = realify(1j * y, gen.structure)
-    z_new = (z_new - z_new.T) / 2.0
-    return GeodesicGenerator(z_new, gen.base, gen.structure)
+    flip = planes[np.asarray(signs) < 0]
+    if flip.size == 0:
+        return gen
+    theta = gen.theta.copy()
+    theta[flip] -= math.pi * np.sign(theta[flip])
+    return GeodesicGenerator._from_record(gen.base, gen.structure, gen.u, theta)
 
 
 def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[GeodesicGenerator]:
@@ -457,7 +381,7 @@ def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[Geodes
     if limit < 1:
         raise InvariantViolation(f"alternate generators: limit must be >= 1, got {limit!r}")
     planes = _pi_planes(gen)
-    d = planes.mus.shape[0]
+    d = planes.size
     if d == 0:
         return [gen]
     patterns = itertools.islice(itertools.product((1, -1), repeat=d), limit)

@@ -6,9 +6,9 @@ canonical internal representation: Lagrangian subspaces are exactly the
 symmetries anticommuting with J, and the geodesic machinery conjugates them.
 
 The five-way decomposition splits the ambient space, for a pair of
-symmetries, into both-fixed, both-negated, swapped (two ways) and generic
-parts; it is the single numerical primitive behind geodesic construction,
-distances and multiplicity classification.
+symmetries of any subspaces, into both-fixed, both-negated, swapped (two
+ways) and generic parts. Geodesics between Lagrangians do not use it: they
+read the principal angles in the complex picture (see `geodesics`).
 """
 
 from __future__ import annotations
@@ -127,15 +127,21 @@ def _require_symmetries(stack) -> np.ndarray:
     scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
     asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)), axis=(-2, -1), initial=0.0)
     square = np.max(np.abs(np.matmul(arr, arr) - np.eye(n)), axis=(-2, -1), initial=0.0)
-    for dev, tol, what in ((asym, rtol * scale, "not symmetric"),
-                           (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")):
+    _first_failure("symmetry", " at matrix {} of the stack" if arr.ndim > 2 else "",
+                   ((asym, rtol * scale, "not symmetric"),
+                    (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")))
+    return arr
+
+
+def _first_failure(name: str, where: str, checks) -> None:
+    """Raise for the first matrix of a stack whose deviation exceeds its
+    tolerance, check by check; `where` formats the matrix's index."""
+    for dev, tol, what in checks:
         bad = np.flatnonzero(dev > tol)
         if bad.size:
             i = bad[0]
-            where = f" at matrix {i} of the stack" if arr.ndim > 2 else ""
-            raise InvariantViolation(f"symmetry: {what}{where} (deviation "
+            raise InvariantViolation(f"{name}: {what}{where.format(i)} (deviation "
                                      f"{dev.flat[i]:.3e} > tolerance {tol.flat[i]:.3e})")
-    return arr
 
 
 def projection_from_subspace(s: Subspace) -> Projection:
@@ -408,6 +414,21 @@ def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
     return q @ arr @ comp + comp @ arr @ q
 
 
+def _require_tangents(eps_stack: np.ndarray, x_stack: np.ndarray) -> None:
+    """`check_tangent` without J at every node of a stack, in one pass: node i
+    passes iff check_tangent(Symmetry(eps_stack[i]), x_stack[i]) would. The
+    first failing node is named."""
+    rtol = SYM_RTOL * max(x_stack.shape[-1], 1)
+    scale = np.max(np.abs(x_stack), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(x_stack - np.swapaxes(x_stack, -1, -2)), axis=(-2, -1), initial=0.0)
+    anti = np.max(np.abs(np.matmul(x_stack, eps_stack) + np.matmul(eps_stack, x_stack)),
+                  axis=(-2, -1), initial=0.0)
+    _first_failure("tangent vector", " at node {}",
+                   ((asym, rtol * scale, "not symmetric"),
+                    (anti, rtol * np.maximum(scale, 1e-300),
+                     "does not anticommute with the base symmetry")))
+
+
 def covariant_derivative(ts, curve, field) -> np.ndarray:
     """Covariant derivative of a tangent field along a sampled curve.
 
@@ -430,8 +451,8 @@ def covariant_derivative(ts, curve, field) -> np.ndarray:
     x_stack = np.stack([as_matrix(x, "field sample") for x in field])
     if eps_stack.shape != x_stack.shape or eps_stack.shape[0] != t.size:
         raise InvariantViolation("covariant derivative: sample counts or shapes differ")
-    for i in range(t.size):
-        check_tangent(Symmetry(eps_stack[i]), x_stack[i])
+    _require_symmetries(eps_stack)
+    _require_tangents(eps_stack, x_stack)
     xdot = np.gradient(x_stack, steps[0], axis=0, edge_order=2)
     out = (xdot - np.matmul(np.matmul(eps_stack, xdot), eps_stack)) / 2.0
     return out

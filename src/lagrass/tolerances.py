@@ -2,7 +2,8 @@
 
 Shared across modules so every operation that buckets angles, tests ranks or
 validates algebraic identities does it with one set of knobs. The CLI exposes
-the first three as flags.
+the angle buckets (one flag, `--tol-angle`, read by `decompose`) and the rank
+cutoff (`--tol-rank`) as flags.
 """
 
 # symmetry / antisymmetry / commutation checks: max|a - a^T| <= SYM_RTOL * n * max|a|
@@ -25,16 +26,14 @@ RANK_RTOL = 1e-8
 # principal log guard: rotation angle within this of pi is refused
 EIGENVALUE_GAP_TOL = 1e-8
 
-# rotation angle of e^{2z} within this of pi -> counted as a pi-rotation plane
-PI_PLANE_TOL = 1e-7
-
 # spectral-curve verdict: min eigenphase gap to -1 above this -> trivial flow
 PHASE_GAP_TOL = 1e-6
 
 # geodesic endpoint residual allowance, scaled by ambient dimension
 ENDPOINT_RTOL = 1e-9
 
-# slack for generator invariant checks (norm bound, commutations)
+# slack for generator invariant checks (norm bound, commutations); a principal
+# angle within it of pi/2 is a pi-rotation plane of e^{2z}
 GENERATOR_ATOL = 1e-8
 
 # graph recovery: projection-reconstruction residual, scaled by operator size

@@ -19,6 +19,7 @@ from lagrass.complex_structure import ComplexStructure
 from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.linalg import max_abs
 from lagrass.subspaces import Symmetry
+from lagrass.tolerances import SYM_RTOL
 
 from test_graphs import near_edge_block
 
@@ -65,7 +66,7 @@ def test_validate_reports_invariants(tmp_path, capsys):
                 "symmetry_asymmetry", "symmetry_square_minus_identity",
                 "anticommutator_with_j"):
         assert payload[key] < 1e-12
-    assert payload["provenance"]["tolerances"]["sym"] == 1e-10
+    assert payload["provenance"]["tolerances"]["sym"] == SYM_RTOL
 
 
 def test_validate_accepts_graph_encoding(tmp_path, capsys):
@@ -165,10 +166,11 @@ def test_connect_angle_just_inside_tight_right_tolerance(tmp_path, capsys):
     assert code == 0
     assert abs(json.loads(out)["norm_op"] - theta) < 1e-12
 
+    # connect builds z from the measured angles, so the default tolerance
+    # carries the same angle
     s = ComplexStructure.standard(1)
     gen = connect(Symmetry(np.array(line_symmetry(0.0))),
-                  Symmetry(np.array(line_symmetry(theta))), s,
-                  zero_tol=1e-10, right_tol=1e-10)
+                  Symmetry(np.array(line_symmetry(theta))), s)
     assert abs(gen.norm - theta) < 1e-12
 
     # the flag is both bucket widths, so it must be a finite angle in (0, pi/4)
@@ -176,6 +178,22 @@ def test_connect_angle_just_inside_tight_right_tolerance(tmp_path, capsys):
     for bad in ("1", "0.7853981633974483", "0", "-0.001", "nan", "inf", "abc"):
         code, out = run_cli(capsys, ["--tol-angle", bad, "connect", first, other])
         assert code == 2 and out == "", bad
+
+
+def test_tol_angle_leaves_connect_alone(tmp_path, capsys):
+    # a wide bucket puts the pair in the swapped blocks of decompose, while
+    # connect carries the measured angle and reaches the endpoint
+    theta = math.pi / 2 - 1e-4
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, theta, "b.json")
+    code, out = run_cli(capsys, ["--tol-angle", "1e-3", "connect", first, second])
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["norm_op"] - theta) <= 1e-12
+    assert payload["residuals"]["endpoint"] <= 1e-12
+    code, out = run_cli(capsys, ["--tol-angle", "1e-3", "decompose", first, second])
+    assert code == 0
+    assert json.loads(out)["dims"]["plus_minus"] == 1
 
 
 def test_distance_payload(tmp_path, capsys):
@@ -226,6 +244,21 @@ def test_multiplicity_with_alternates(tmp_path, capsys):
     assert payload["classification"] == "ExactlyTwo"
     assert payload["minus_one_dim_complex"] == 1
     assert len(payload["alternates"]) == 2
+
+
+@pytest.mark.parametrize("delta, classification, count",
+                         [(5e-9, "ExactlyTwo", 2), (3e-8, "Unique", 1)])
+def test_multiplicity_alternates_near_a_right_angle(tmp_path, capsys, delta,
+                                                    classification, count):
+    # the flip-plane band is the generator's norm slack, so every plane the
+    # classification counts can be flipped
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, math.pi / 2 - delta, "b.json")
+    code, out = run_cli(capsys, ["multiplicity", first, second, "--alternates"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == classification
+    assert len(payload["alternates"]) == count
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])
@@ -412,9 +445,13 @@ def test_random_pair_reproducible(tmp_path, capsys):
 
 def test_tolerance_flags_recorded(tmp_path, capsys):
     path = line_file(tmp_path, 0.3, "sub.json")
-    code, out = run_cli(capsys, ["--tol-sym", "1e-8", "validate", path])
+    code, out = run_cli(capsys, ["--tol-angle", "1e-3", "--tol-rank", "1e-6", "validate", path])
     assert code == 0
-    assert json.loads(out)["provenance"]["tolerances"]["sym"] == 1e-8
+    # the symmetry tolerance is not a flag; provenance records the value applied
+    assert json.loads(out)["provenance"]["tolerances"] == {
+        "sym": SYM_RTOL, "angle": 1e-3, "rank": 1e-6}
+    code, out = run_cli(capsys, ["--tol-sym", "1e-8", "validate", path])
+    assert code == 2 and out == ""
 
 
 def test_installed_entry_point(tmp_path):

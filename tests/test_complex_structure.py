@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrass.complex_structure import (
+    _CLUSTER_GAP,
+    _GAMMA,
     ComplexStructure,
+    _real_eigenbasis,
     anticommutes_with_structure,
     commutes_with_structure,
     complex_inner_product,
@@ -20,6 +25,7 @@ from lagrass.complex_structure import (
 )
 from lagrass.errors import InvariantViolation
 from lagrass.linalg import expm_antisymmetric, max_abs
+from lagrass.tolerances import RECON_RTOL
 
 SEED = 424242
 
@@ -181,6 +187,55 @@ def test_multiplication_by_j_is_multiplication_by_i():
     lhs = complexify(s.matrix @ a, s)
     rhs = 1j * complexify(a, s)
     assert max_abs(np.abs(lhs - rhs)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# real eigenbasis of a symmetric unitary
+
+
+def _mirror(phi, shift=0.0):
+    """A phase whose cos + gamma sin equals that of phi (shift 0) or differs
+    from it by about shift, wrapped into (-pi, pi]."""
+    centre = math.atan(_GAMMA)
+    slope = math.hypot(1.0, _GAMMA) * abs(math.sin(phi - centre))
+    value = 2.0 * centre - phi + shift / slope
+    return math.pi - (math.pi - value) % (2.0 * math.pi)
+
+
+PLANTED_PHASES = {
+    "collision": lambda p: (p, _mirror(p)),
+    "inside-cluster": lambda p: (p, _mirror(p, 0.5 * _CLUSTER_GAP)),
+    "outside-cluster": lambda p: (p, _mirror(p, 1.01 * _CLUSTER_GAP)),
+    "repeated": lambda p: (p, p, p),
+    # equal Im C, Re C closer than the cluster gap
+    "mirrored-about-i": lambda p: (math.pi / 2 - 1e-5 * p, math.pi / 2 + 1e-5 * p),
+    "repeated-poles": lambda p: (0.0, 0.0, math.pi, math.pi),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 64), offset=st.floats(0.1, 1.4),
+       kind=st.sampled_from(sorted(PLANTED_PHASES)))
+def test_real_eigenbasis_separates_planted_phases(seed, n, offset, kind):
+    # phases that tie or nearly tie in Re C + gamma Im C, and repeated ones,
+    # must come out on a real orthogonal O with C = O e^{i phi} O^T
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-math.pi, math.pi, n)
+    planted = PLANTED_PHASES[kind](offset + math.atan(_GAMMA))
+    phi[:len(planted)] = planted
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c = (q * np.exp(1j * phi)) @ q.T
+    o, got = _real_eigenbasis(c)
+    # a near tie just outside a cluster mixes by up to 2 eps / _CLUSTER_GAP,
+    # inside the routine's own reassembly bound RECON_RTOL * n
+    assert max_abs(o.T @ o - np.eye(n)) <= 1e-13 * n
+    assert max_abs(np.abs((o * np.exp(1j * got)) @ o.T - c)) <= RECON_RTOL * n
+    assert np.all((got > -math.pi) & (got <= math.pi))
+    # the same eigenvalues, matched one by one on the unit circle
+    want = list(np.exp(1j * phi))
+    for value in np.exp(1j * got):
+        k = int(np.argmin(np.abs(np.array(want) - value)))
+        assert abs(want.pop(k) - value) <= RECON_RTOL * n
 
 
 if __name__ == "__main__":

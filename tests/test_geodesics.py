@@ -4,13 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import (
+    _CLUSTER_GAP,
+    _GAMMA,
+    ComplexStructure,
+    conjugation_matrix,
+    realify,
+    realify_conjugation,
+    standard_form,
+)
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import (
     Geodesic,
     GeodesicGenerator,
     Multiplicity,
+    _connect,
     alternate_generator,
     alternate_generators,
     classify_multiplicity,
@@ -33,6 +44,7 @@ from lagrass.linalg import (
 from lagrass.sampling import (
     perturbed_curve,
     random_horizontal,
+    random_lagrangian,
     random_lagrangian_pair,
 )
 from lagrass.subspaces import (
@@ -42,6 +54,7 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
+from lagrass.tolerances import ANGLE_RIGHT_TOL, ANGLE_ZERO_TOL, GENERATOR_ATOL
 
 SEED = 77001
 N_RANDOM_PAIRS = 25
@@ -341,6 +354,216 @@ def test_alternate_generators_cap():
     for limit in (0, -1):
         with pytest.raises(InvariantViolation):
             alternate_generators(gen, limit=limit)
+
+
+# ---------------------------------------------------------------------------
+# angles at the bucketing thresholds and the pi-plane band
+
+
+def rotated_structure(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    return ComplexStructure(q @ standard_form(n) @ q.T)
+
+
+def planted_graph_pair(angles, rng):
+    """graph(I) and a graph whose principal angles to it are `angles`: the
+    graph of tan(beta) is the line at angle beta, graph(I) the line at pi/4."""
+    n = len(angles)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = (q * np.tan(np.asarray(angles) + math.pi / 4)) @ q.T
+    return graph_symmetry(np.eye(n)), graph_symmetry((b + b.T) / 2.0)
+
+
+def assert_reaches(gen, e1, tol):
+    endpoint = expm_antisymmetric(2 * gen.z, validate=False) @ gen.base.matrix
+    assert max_abs(endpoint - e1.matrix) <= tol
+    assert max_abs(sample(Geodesic(gen), [1.0])[0] - e1.matrix) <= tol
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2 - 5e-9, math.pi / 2 - ANGLE_RIGHT_TOL / 2,
+                                   ANGLE_ZERO_TOL / 2])
+def test_connect_carries_angles_inside_the_default_buckets(theta):
+    # the generator is built from the measured angle, never a snapped one,
+    # so an angle the buckets would round to 0 or pi/2 still reaches e1
+    s = ComplexStructure.standard(1)
+    gen, resid = _connect(line(0.0), line(theta), s)
+    assert resid <= 1e-15
+    assert abs(gen.norm - theta) <= 1e-15
+    assert_reaches(gen, line(theta), 1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("target", [math.pi / 2 - ANGLE_RIGHT_TOL / 2, ANGLE_ZERO_TOL / 2],
+                         ids=["right", "zero"])
+def test_connect_planted_threshold_angles(n, target):
+    rng = np.random.default_rng([SEED + 10, n])
+    structure = ComplexStructure.standard(n)
+    for _ in range(30):
+        angles = rng.uniform(0.1, 1.4, n)
+        angles[0] = target
+        e0, e1 = planted_graph_pair(angles, rng)
+        gen = connect(e0, e1, structure)
+        assert np.allclose(np.sort(np.abs(gen.theta)), np.sort(angles), rtol=0.0, atol=1e-12)
+        assert_reaches(gen, e1, 1e-12)
+
+
+def near_right_cases():
+    for delta in (5e-9, 3e-8):
+        yield delta, 1, line(0.0), line(math.pi / 2 - delta)
+        rng = np.random.default_rng([SEED + 11, int(delta * 1e10)])
+        angles = np.array([math.pi / 2 - delta, 0.3, 0.8, 1.2])
+        yield (delta, 4) + planted_graph_pair(angles, rng)
+
+
+@pytest.mark.parametrize("delta, n, e0, e1", list(near_right_cases()),
+                         ids=["5e-9-n1", "5e-9-n4", "3e-8-n1", "3e-8-n4"])
+def test_multiplicity_and_alternates_agree_near_the_cut_locus(delta, n, e0, e1):
+    # an angle within GENERATOR_ATOL of pi/2 is a flip plane, and its flip
+    # keeps the norm bound; one further away is not a flip plane at all
+    gen = connect(e0, e1, ComplexStructure.standard(n))
+    rep = classify_multiplicity(gen)
+    d = 1 if delta <= GENERATOR_ATOL else 0
+    assert rep.minus_one_dim_complex == d
+    assert rep.classification is (Multiplicity.EXACTLY_TWO if d else Multiplicity.UNIQUE)
+    alts = alternate_generators(gen)
+    assert len(alts) == 2 ** d
+    for alt in alts:
+        assert alt.norm <= math.pi / 2 + GENERATOR_ATOL
+        assert_reaches(alt, e1, 1e-9)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard-J", "rotated-J"])
+@pytest.mark.parametrize("n", [1, 4, 16, 64, 128])
+def test_connect_endpoint_accuracy_up_to_n128(n, rotated):
+    rng = np.random.default_rng([SEED + 12, n, rotated])
+    structure = rotated_structure(n, rng) if rotated else ComplexStructure.standard(n)
+    e0 = random_lagrangian(structure, rng)
+    e1 = random_lagrangian(structure, rng)
+    gen, resid = _connect(e0, e1, structure)
+    assert resid <= 1e-12
+    assert max_abs(sample(Geodesic(gen), [1.0])[0] - e1.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_connect_accepts_endpoints_inside_the_validation_slack(n):
+    # a symmetry off by 1e-11 passes validation, so its conjugation matrix is
+    # unitary only to that level; the generator must still reach the endpoint
+    # and revalidate at the inexact base
+    rng = np.random.default_rng([SEED + 14, n])
+    structure = ComplexStructure.standard(n)
+
+    def inexact():
+        e = random_lagrangian(structure, rng).matrix
+        a = rng.standard_normal(e.shape)
+        return Symmetry(e + 1e-11 * (a + a.T))
+
+    e0, e1 = inexact(), inexact()
+    gen, resid = _connect(e0, e1, structure)
+    assert resid <= 1e-9
+    again = GeodesicGenerator(gen.z, e0, structure)
+    assert abs(again.norm - gen.norm) <= 1e-9
+    assert max_abs(sample(Geodesic(again), [1.0])[0] - e1.matrix) <= 1e-9
+
+
+def test_generator_record_describes_z():
+    # the public constructor's record: C0 = U U^T, z = realify(i U diag(theta) U^H),
+    # and norm = max|theta| is the operator norm
+    rng = np.random.default_rng(SEED + 13)
+    for n in (1, 3, 6):
+        structure = rotated_structure(n, rng)
+        e0 = random_lagrangian(structure, rng)
+        z = random_horizontal(structure, e0, rng, norm=1.3)
+        gen = GeodesicGenerator(z, e0, structure)
+        u = gen.u
+        assert max_abs(np.abs(u @ u.T - conjugation_matrix(e0.matrix, structure))) <= 1e-13
+        assert max_abs(realify(1j * (u * gen.theta) @ u.conj().T, structure) - z) <= 1e-13
+        assert abs(gen.norm - schatten_norm(z, math.inf)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# planted Souriau records: repeated angles, collisions of Re S + gamma Im S
+
+
+def souriau_pair(structure, theta, rng):
+    """Lagrangians with C0 = W W^T and C1 = U diag(e^{2i theta}) U^T, U = W O,
+    for a random unitary W and a random orthogonal O."""
+    n = theta.size
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    u = w @ o
+    e0 = realify_conjugation(w @ w.T, structure)
+    e1 = realify_conjugation((u * np.exp(2j * theta)) @ u.T, structure)
+    return Symmetry((e0 + e0.T) / 2.0), Symmetry((e1 + e1.T) / 2.0)
+
+
+def _wrap(theta):
+    """The angle with the same e^{2i theta} in (-pi/2, pi/2]."""
+    return math.pi / 2 - (math.pi / 2 - theta) % math.pi
+
+
+def _partner(theta, shift=0.0):
+    """An angle whose value cos 2t + gamma sin 2t equals that of theta (shift 0),
+    or differs from it by about shift."""
+    mirror = math.atan(_GAMMA) - theta
+    slope = 2.0 * math.hypot(1.0, _GAMMA) * abs(math.sin(2.0 * theta - 2.0 * math.atan(_GAMMA)))
+    return _wrap(mirror + shift / slope)
+
+
+PLANTS = {
+    "repeated-zero": lambda t: [0.0, 0.0, 0.0],
+    "repeated-right": lambda t: [math.pi / 2, math.pi / 2],
+    "repeated-generic": lambda t: [t, t, t],
+    "near-right": lambda t: [math.pi / 2 - ANGLE_RIGHT_TOL / 2, -math.pi / 2 + 5e-9],
+    "near-zero": lambda t: [ANGLE_ZERO_TOL / 2, -ANGLE_ZERO_TOL / 2],
+    "flip-band": lambda t: [math.pi / 2 - GENERATOR_ATOL / 2, math.pi / 2 - 2 * GENERATOR_ATOL],
+    "mirrored-pi/4": lambda t: [math.pi / 4 - t * 1e-4, math.pi / 4 + t * 1e-4],
+    "collision": lambda t: [t, _partner(t)],
+    "near-collision-inside": lambda t: [t, _partner(t, 0.5 * _CLUSTER_GAP)],
+    "near-collision-outside": lambda t: [t, _partner(t, 1.01 * _CLUSTER_GAP)],
+    "near-collision-far": lambda t: [t, _partner(t, 3.0 * _CLUSTER_GAP)],
+}
+
+
+@st.composite
+def planted_records(draw):
+    n = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    theta = np.random.default_rng(seed).uniform(-math.pi / 2, math.pi / 2, n)
+    slot = 0
+    for name in draw(st.lists(st.sampled_from(sorted(PLANTS)), max_size=4)):
+        # t stays clear of the self-colliding angles atan(gamma) mod pi/2
+        t = draw(st.floats(0.05, 0.5)) + math.atan(_GAMMA)
+        for value in PLANTS[name](t):
+            if slot < n:
+                theta[slot] = _wrap(value)
+                slot += 1
+    return seed, draw(st.booleans()), theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_records())
+def test_connect_contract_on_planted_records(case):
+    # every planted pair is a valid Lagrangian pair, so a typed refusal
+    # would be a defect too: the contract must hold on each one
+    seed, rotated, theta = case
+    rng = np.random.default_rng([seed, 1])
+    n = theta.size
+    structure = rotated_structure(n, rng) if rotated else ComplexStructure.standard(n)
+    e0, e1 = souriau_pair(structure, theta, rng)
+    gen = connect(e0, e1, structure)
+    z, j = gen.z, structure.matrix
+    assert gen.norm <= math.pi / 2
+    assert max_abs(z + z.T) <= 1e-12
+    assert max_abs(z @ j - j @ z) <= 1e-10
+    assert max_abs(z @ e0.matrix + e0.matrix @ z) <= 1e-10
+    assert_reaches(gen, e1, 1e-10)
+    assert np.allclose(np.sort(np.abs(gen.theta)), np.sort(np.abs(theta)), rtol=0.0, atol=1e-10)
+    if np.max(np.abs(theta)) < math.pi / 2 - 1e-6:
+        # below the cut locus the minimal generator is unique
+        z_ref = logm_special_orthogonal(e1.matrix @ e0.matrix)
+        assert max_abs(z - z_ref) <= 1e-8
+    again = GeodesicGenerator(z, e0, structure)
+    assert abs(again.norm - gen.norm) <= 1e-12
 
 
 def test_generator_constructor_rejects_bad_inputs():

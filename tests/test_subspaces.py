@@ -8,6 +8,7 @@ import scipy.linalg
 
 from lagrass.complex_structure import ComplexStructure
 from lagrass.errors import InvariantViolation
+from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
 from lagrass.sampling import random_lagrangian, random_lagrangian_pair, random_symmetric
@@ -306,6 +307,69 @@ def test_covariant_derivative_zero_for_constant_tangent_field():
     field = np.repeat(v[None, :, :], len(ts), axis=0)
     dv = covariant_derivative(ts, curve, field)
     assert max_abs(dv) < 1e-12
+
+
+def _tangent_verdict(eps, x):
+    try:
+        check_tangent(Symmetry(eps), x)
+    except InvariantViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("kind", ["asymmetry", "anticommutation"])
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_covariant_derivative_stacked_check_matches_per_node(n, kind, factor, accepted):
+    # one field node is moved to `factor` times one of check_tangent's
+    # tolerances, max|x - x^T| <= SYM_RTOL n max|x| or
+    # max|x e + e x| <= SYM_RTOL n max|x|, while the other stays met
+    rng = np.random.default_rng(SEED + 7 * n)
+    nodes = [_random_symmetry(n, rng) for _ in range(6)]
+    curve = np.stack([e for e, _, _ in nodes])
+    field = np.stack([tangent_project(Symmetry(e), random_symmetric(n, rng))
+                      for e in curve])
+    k = int(rng.integers(6))
+    x, (_, plus, minus) = field[k], nodes[k]
+    rtol = SYM_RTOL * n
+    if kind == "asymmetry":
+        # plus minus^T anticommutes with e, so only the symmetry test moves
+        step = np.outer(plus, minus)
+        field[k] = x + factor * rtol * max_abs(x) / max_abs(step - step.T) * step
+    else:
+        # plus plus^T is symmetric and commutes with e: x e + e x gains 2 d plus plus^T
+        step = np.outer(plus, plus)
+        field[k] = x + factor * rtol * max_abs(x) / (2.0 * max_abs(step)) * step
+    per_node = all(_tangent_verdict(e, v) for e, v in zip(curve, field))
+    ts = np.linspace(0.0, 1.0, 6)
+    try:
+        covariant_derivative(ts, curve, field)
+        stacked = True
+    except InvariantViolation as exc:
+        stacked = False
+        assert f"at node {k} " in str(exc)
+    assert stacked == per_node == accepted
+
+
+def test_covariant_derivative_names_a_bad_curve_node():
+    rng = np.random.default_rng(SEED + 8)
+    curve = np.stack([_random_symmetry(4, rng)[0] for _ in range(5)])
+    curve[3] *= 1.01
+    with pytest.raises(InvariantViolation, match="matrix 3 of the stack"):
+        covariant_derivative(np.linspace(0.0, 1.0, 5), curve, np.zeros((5, 4, 4)))
+
+
+def test_covariant_derivative_output_is_the_projected_stencil():
+    # criterion 7's setting: the velocity field of a geodesic; the stacked
+    # validation leaves the value of the derivative bit for bit as it was
+    structure, e0, e1 = random_lagrangian_pair(3, np.random.default_rng(SEED + 9))
+    gen = connect(e0, e1, structure)
+    ts = np.linspace(0.0, 1.0, 101)
+    curve = sample(Geodesic(gen), ts)
+    velocity = 2.0 * np.matmul(gen.z[None, :, :], curve)
+    xdot = np.gradient(velocity, ts[1] - ts[0], axis=0, edge_order=2)
+    want = (xdot - np.matmul(np.matmul(curve, xdot), curve)) / 2.0
+    assert np.array_equal(covariant_derivative(ts, curve, velocity), want)
 
 
 def test_covariant_derivative_needs_uniform_grid():
