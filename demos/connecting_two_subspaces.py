@@ -18,6 +18,7 @@ from lagrass import (
     is_lagrangian,
     max_abs,
     random_lagrangian_pair,
+    realify_conjugation,
     sample,
 )
 
@@ -45,7 +46,8 @@ print("endpoint residual:      ", f"{max_abs(endpoint.matrix - second.matrix):.2
 print()
 print("walking the curve, every symmetry along the way stays Lagrangian:")
 ts = np.linspace(0.0, 1.0, 5)
-for t, frame in zip(ts, sample(geo, ts)):
+# sample returns the n x n conjugation matrices C_t; realify them to symmetries
+for t, frame in zip(ts, realify_conjugation(sample(geo, ts), structure)):
     print(f"  t = {t:.2f}  lagrangian = {is_lagrangian(Symmetry(frame), structure)}")
 
 d = distance(first, second, structure)

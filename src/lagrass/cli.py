@@ -20,12 +20,12 @@ import sys
 
 import numpy as np
 
-from .complex_structure import ComplexStructure
+from .complex_structure import ComplexStructure, realify_conjugation
 from .errors import ComputationError, InvariantViolation
 from .geodesics import (
     Geodesic,
     _connect,
-    _speed_norms,
+    _node_speeds,
     alternate_generators,
     classify_multiplicity,
     connect,
@@ -262,15 +262,15 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.grid < 3:
-        raise ParseFailure("sample: --grid must be >= 3")
+    if args.grid < 5:
+        raise ParseFailure("sample: --grid must be >= 5")
     structure, e0, e1 = _load_pair(args)
     geo = Geodesic(connect(e0, e1, structure))
     ts = np.linspace(0.0, 1.0, args.grid)
-    stack = sample(geo, ts)
+    c = sample(geo, ts)
+    speeds = _node_speeds(c, float(ts[1] - ts[0]), [args.k])[args.k]
+    stack = realify_conjugation(c, structure)
     dim = structure.dim
-    deriv = np.gradient(stack, float(ts[1] - ts[0]), axis=0, edge_order=2)
-    speeds = _speed_norms(np.abs(np.linalg.eigvalsh(deriv)), args.k)
 
     curve_cols = ["t"] + [f"eps_{i}_{j}" for i in range(dim) for j in range(dim)]
     curve_rows = ([t] + list(stack[idx].reshape(-1)) for idx, t in enumerate(ts))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
+from .complex_structure import ComplexStructure, is_complex_unitary
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, sample
 from .linalg import (
@@ -38,7 +38,7 @@ from .subspaces import (
     Subspace,
     Symmetry,
     _as_symmetry,
-    _require_symmetries,
+    _require_conjugation_symmetries,
     subspace_from_symmetry,
 )
 from .tolerances import (
@@ -241,18 +241,19 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     """Conjugation matrices C_t and the chart mask of the flow e^{2tz} eps0.
 
     The flow is sampled once; evaluate(geo, t) is the symmetry of e^{tz}(S),
-    the same parameter t. The nodes are validated in one stacked check with
-    the Symmetry tolerances and read in the standard split, the chart's own
-    split, which refuses a node that is not Lagrangian for the standard J
-    (InvariantViolation). A node lies in
-    the graph chart iff dist(-1, spec C_t) / 2, the smallest singular value
-    of the top block of an orthonormal basis that `is_graph` tests, exceeds
-    rank_rtol; C_t is normal, so that distance is the smallest singular value
-    of I + C_t.
+    the same parameter t. `sample` reads C_t in the standard split, which is
+    the chart's own split only for the standard J, so a generator on any other
+    J is refused (InvariantViolation), as in `cayley_curve`. The nodes are
+    validated in one stacked check as symmetric unitaries, with the Symmetry
+    tolerances of their real forms. A node lies in the graph chart iff
+    dist(-1, spec C_t) / 2, the smallest singular value of the top block of
+    an orthonormal basis that `is_graph` tests, exceeds rank_rtol; C_t is
+    normal, so that distance is the smallest singular value of I + C_t.
     """
-    stack = _require_symmetries(sample(Geodesic(gen), ts))
+    if not gen.structure.is_standard():
+        raise InvariantViolation("graph chart: requires the standard complex structure")
+    c = _require_conjugation_symmetries(sample(Geodesic(gen), ts))
     n = gen.structure.n
-    c = conjugation_matrix(stack, ComplexStructure.standard(n))
     sigma = np.linalg.svd(np.eye(n) + c, compute_uv=False)
     return c, sigma[:, -1] / 2.0 > rank_rtol
 

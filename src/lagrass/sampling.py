@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, complexify, conjugation_matrix
+from .complex_structure import ComplexStructure, _complex_block, complexify
 from .errors import InvariantViolation
-from .geodesics import GeodesicGenerator, _curve_points, _stack_times
+from .geodesics import GeodesicGenerator, _curve_steps, _stack_times
 from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
 from .subspaces import Symmetry, tangent_project, vertical_symmetry
 
@@ -126,20 +126,22 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     """Competitor curve e^{2t(z + rho(t) w)} eps0 with rho(t) = amplitude sin(pi t).
 
     Shares both endpoints with the geodesic of gen since rho vanishes at
-    t = 0, 1. Returns a stack of symmetric matrices over the grid.
+    t = 0, 1. Returns the complex stack of conjugation matrices C_t, shape
+    (len(ts), n, n) in the standard split, as `sample` does; C0 is read off
+    the base's blocks and returned bit for bit wherever the exponent vanishes.
 
     w must be an antisymmetric 2n x 2n matrix commuting with J
     (InvariantViolation otherwise), so every node stays Lagrangian. With
-    z = iH_z and w = iH_w, one stacked n x n Hermitian eigh of
-    2t(H_z + rho(t) H_w) gives all nodes through the complexified kernel that
-    `sample` uses.
+    w = iH_w and z = iH_z, H_z = U diag(theta) U^H read off the generator's
+    record, one stacked n x n Hermitian eigh of 2t(H_z + rho(t) H_w) gives
+    all nodes through the complexified kernel that `sample` uses.
     """
     structure = gen.structure
     h_w = -1j * complexify(require_antisymmetric(w, "perturbation"), structure)
-    h_z = -1j * complexify(gen.z, structure)
+    h_z = (gen.u * gen.theta) @ gen.u.conj().T
     t = np.asarray(ts, dtype=float).reshape(-1)
     rho = amplitude * np.sin(math.pi * t)
     mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
-    c = conjugation_matrix(gen.base.matrix, structure)
-    right = _stack_times(np.swapaxes(u.conj(), -1, -2), c)
-    return _curve_points(gen, mu, u, right)
+    c0 = _complex_block(gen.base.matrix, structure)
+    right = _stack_times(np.swapaxes(u.conj(), -1, -2), c0)
+    return c0 + _curve_steps(mu, u, right)

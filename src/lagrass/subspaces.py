@@ -133,6 +133,33 @@ def _require_symmetries(stack) -> np.ndarray:
     return arr
 
 
+def _require_conjugation_symmetries(c: np.ndarray) -> np.ndarray:
+    """`_require_symmetries` in n x n form, for a stack of conjugation matrices.
+
+    In the standard split eps = [[Re C, Im C], [Im C, -Re C]]: the entries of
+    eps are those of Re C and Im C, eps - eps^T has those of C - C^T, and
+    eps^2 - I is the realified C conj(C) - I. Measuring each with the larger
+    of its real and imaginary parts, C passes iff its real symmetry would pass
+    as a `Symmetry`: a symmetric unitary within the same tolerances.
+    """
+    if not np.all(np.isfinite(c)):
+        raise InvariantViolation("symmetry: entries must be finite")
+    n = c.shape[-1]
+    rtol = SYM_RTOL * max(2 * n, 1)
+
+    def parts_max(a):
+        return np.maximum(np.max(np.abs(a.real), axis=(-2, -1), initial=0.0),
+                          np.max(np.abs(a.imag), axis=(-2, -1), initial=0.0))
+
+    scale = parts_max(c)
+    asym = parts_max(c - np.swapaxes(c, -1, -2))
+    square = parts_max(np.matmul(c, c.conj()) - np.eye(n))
+    _first_failure("symmetry", " at matrix {} of the stack" if c.ndim > 2 else "",
+                   ((asym, rtol * scale, "not symmetric"),
+                    (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")))
+    return c
+
+
 def _first_failure(name: str, where: str, checks) -> None:
     """Raise for the first matrix of a stack whose deviation exceeds its
     tolerance, check by check; `where` formats the matrix's index."""

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import ComplexStructure, realify_conjugation
 from lagrass.geodesics import (
     Geodesic,
     Multiplicity,
@@ -275,7 +275,7 @@ def test_criterion_7_tangent_projection_and_parallel_velocity():
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
         ts = np.linspace(0.0, 1.0, round(1.0 / h) + 1)
-        curve = sample(geo, ts)
+        curve = realify_conjugation(sample(geo, ts), structure)
         velocity = 2.0 * np.matmul(gen.z[None, :, :], curve)
         deriv = covariant_derivative(ts, curve, velocity)
         errors.append(max_abs(deriv))

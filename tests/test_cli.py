@@ -329,6 +329,7 @@ def test_sample_large_k_speed_stays_finite(tmp_path, capsys):
     (["--k", "abc"], 2),
     (["--k", "0"], 3),
     (["--grid", "2"], 2),
+    (["--grid", "4"], 2),
 ])
 def test_sample_rejects_bad_options(tmp_path, capsys, argv, want):
     first = line_file(tmp_path, 0.0, "a.json")

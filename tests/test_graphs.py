@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagrass.graphs
-from lagrass.complex_structure import ComplexStructure, conjugation_matrix
+from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
-from lagrass.geodesics import Geodesic, evaluate
+from lagrass.geodesics import Geodesic, connect, evaluate
 from lagrass.graphs import (
+    _chart_grid,
     cayley_curve,
     cayley_transform,
     codiagonal_generator,
@@ -27,7 +28,7 @@ from lagrass.graphs import (
     transformed_graph_operator,
 )
 from lagrass.linalg import expm_antisymmetric, max_abs
-from lagrass.sampling import random_complex_rotation, random_symmetric
+from lagrass.sampling import random_complex_rotation, random_lagrangian, random_symmetric
 from lagrass.subspaces import (
     Subspace,
     Symmetry,
@@ -35,6 +36,7 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
+from lagrass.tolerances import RANK_RTOL
 
 SEED = 550
 
@@ -240,6 +242,18 @@ def test_graph_window_margins():
     verdict = graph_window(np.diag([-0.5, 0.25]))
     assert abs(verdict.lower_margin - (math.pi / 4 - 0.5)) < 1e-12
     assert abs(verdict.upper_margin - (math.pi / 2 - 0.25)) < 1e-12
+
+
+def test_chart_grid_refuses_a_non_standard_structure():
+    # the grid reads C_t in the standard split, the chart's split only for
+    # the standard J
+    rng = np.random.default_rng(SEED + 9)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    structure = ComplexStructure(q @ standard_form(2) @ q.T)
+    e0 = random_lagrangian(structure, rng)
+    gen = connect(e0, random_lagrangian(structure, rng), structure)
+    with pytest.raises(InvariantViolation, match="standard complex structure"):
+        _chart_grid(gen, np.linspace(0.0, 1.0, 5), RANK_RTOL)
 
 
 def test_graph_safe_radius_values():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import ComplexStructure, realify_conjugation
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
@@ -16,6 +16,7 @@ from lagrass.subspaces import (
     Projection,
     Subspace,
     Symmetry,
+    _require_conjugation_symmetries,
     _require_symmetries,
     check_tangent,
     covariant_derivative,
@@ -266,6 +267,48 @@ def test_stacked_symmetry_check_matches_per_node(n, kind, factor, accepted):
     assert stacked == per_node == accepted
 
 
+def _symmetric_unitary(n, rng):
+    """C = W W^T for a random unitary W, and W."""
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return w @ w.T, w
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("kind", ["asymmetry", "square"])
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_conjugation_matrix_check_matches_the_symmetry_check(n, kind, factor, accepted):
+    # the n x n check of a stack of conjugation matrices C passes iff every
+    # realified node passes as a Symmetry; one node is moved to `factor` times
+    # one of the real tolerances while the other stays met
+    rng = np.random.default_rng(SEED + 20 + n)
+    nodes = [_symmetric_unitary(n, rng) for _ in range(6)]
+    k = int(rng.integers(6))
+    node, w = nodes[k]
+    rtol = SYM_RTOL * 2 * n
+
+    def parts_max(a):
+        return max(max_abs(a.real), max_abs(a.imag))
+
+    if kind == "asymmetry":
+        # C + d W (iR) W^T, R real antisymmetric: C conj(C) moves by O(d^2)
+        r = rng.standard_normal((n, n))
+        step = w @ (1j * (r - r.T)) @ w.T
+        node = node + factor * rtol * parts_max(node) / parts_max(step - step.T) * step
+    else:
+        node = node * (1.0 + factor * rtol * max(parts_max(node), 1.0) / 2.0)
+    stack = np.stack([c for c, _ in nodes])
+    stack[k] = node
+    structure = ComplexStructure.standard(n)
+    per_node = all(_symmetry_verdict(e) for e in realify_conjugation(stack, structure))
+    try:
+        _require_conjugation_symmetries(stack)
+        stacked = True
+    except InvariantViolation as exc:
+        stacked = False
+        assert f"matrix {k} of the stack" in str(exc)
+    assert stacked == per_node == accepted
+
+
 def test_stacked_symmetry_check_refuses_non_finite_and_non_square():
     stack = np.stack([vertical_symmetry(2).matrix] * 3)
     stack[1, 0, 0] = np.nan
@@ -365,7 +408,7 @@ def test_covariant_derivative_output_is_the_projected_stencil():
     structure, e0, e1 = random_lagrangian_pair(3, np.random.default_rng(SEED + 9))
     gen = connect(e0, e1, structure)
     ts = np.linspace(0.0, 1.0, 101)
-    curve = sample(Geodesic(gen), ts)
+    curve = realify_conjugation(sample(Geodesic(gen), ts), structure)
     velocity = 2.0 * np.matmul(gen.z[None, :, :], curve)
     xdot = np.gradient(velocity, ts[1] - ts[0], axis=0, edge_order=2)
     want = (xdot - np.matmul(np.matmul(curve, xdot), curve)) / 2.0
