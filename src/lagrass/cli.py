@@ -35,6 +35,7 @@ from .geodesics import (
 from .graphs import (
     _cayley_result,
     _chart_grid,
+    _identity_graph,
     codiagonal_generator,
     graph_symmetry,
     recover_operator,
@@ -342,7 +343,7 @@ def _cmd_graph_recover(args) -> int:
                            - apply_function(dec_x, math.cos))
 
     # residual against the identity-chart form b (cos y + sin y) = cos y - sin y
-    gen_i = connect(graph_symmetry(np.eye(n)), eps, structure)
+    gen_i = connect(Symmetry(_identity_graph(n)), eps, structure)
     y = gen_i.z[:n, n:]
     dec_y = spectral_decompose((y + y.T) / 2.0)
     cos_y = apply_function(dec_y, math.cos)
@@ -365,7 +366,7 @@ def _cmd_spectral_curve(args) -> int:
     if y.shape[0] != y.shape[1]:
         raise ParseFailure(f"{args.operator}: 'matrix' must be square")
     n = y.shape[0]
-    gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
+    gen = codiagonal_generator(y, Symmetry(_identity_graph(n)))
     ts = np.linspace(-1.0, 1.0, args.grid)
     c, in_chart = _chart_grid(gen, ts, args.tol_rank)
     if not np.any(in_chart):

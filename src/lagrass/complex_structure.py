@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InvariantViolation
-from .linalg import max_abs, require_square
+from .linalg import _as_2d, _check, max_abs, require_square
 from .tolerances import RECON_RTOL, SYM_RTOL
 
 
@@ -32,14 +32,6 @@ def standard_form(n: int) -> np.ndarray:
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
     return j
-
-
-def _commutation_defect(a: np.ndarray, j: np.ndarray) -> float:
-    return max_abs(a @ j - j @ a)
-
-
-def _anticommutation_defect(a: np.ndarray, j: np.ndarray) -> float:
-    return max_abs(a @ j + j @ a)
 
 
 @dataclass(frozen=True)
@@ -135,26 +127,28 @@ def complex_inner_product(structure: ComplexStructure, xi, eta) -> complex:
 
 def commutes_with_structure(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
     """True iff a J = J a within rtol * dim * max|a| (complex-linear operators)."""
-    arr = require_square(a, "operator")
-    tol = rtol * max(arr.shape[0], 1) * max(max_abs(arr), 1e-300)
-    return bool(_commutation_defect(arr, structure.matrix) <= tol)
+    return _structure_verdict(a, structure, rtol, "commutes_with_structure", "commutes")
 
 
 def anticommutes_with_structure(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
     """True iff a J = -J a within tolerance (conjugate-linear operators)."""
-    arr = require_square(a, "operator")
-    tol = rtol * max(arr.shape[0], 1) * max(max_abs(arr), 1e-300)
-    return bool(_anticommutation_defect(arr, structure.matrix) <= tol)
+    return _structure_verdict(a, structure, rtol, "anticommutes_with_structure", "anticommutes")
 
 
 def is_complex_unitary(u, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
     """True iff u is orthogonal and commutes with J (unitary on (C^n, <.,.>_J))."""
-    arr = require_square(u, "operator")
-    n = arr.shape[0]
-    tol = rtol * max(n, 1) * max(max_abs(arr), 1e-300)
-    if max_abs(arr.T @ arr - np.eye(n)) > tol:
-        return False
-    return commutes_with_structure(arr, structure, rtol)
+    return _structure_verdict(u, structure, rtol, "is_complex_unitary", "orthonormal", "commutes")
+
+
+def _structure_verdict(a, structure: ComplexStructure, rtol: float, name: str, *kinds) -> bool:
+    """Whether a satisfies each identity ("commutes" and "anticommutes" taken
+    with J) within rtol * dim * max(max|a|, 1e-300)."""
+    arr = _as_2d(a, "operator", square=True)
+    if arr.shape[0] != structure.dim:
+        raise InvariantViolation(f"{name}: dimension mismatch")
+    tol = rtol * max(arr.shape[0], 1)
+    checks = [(k if k == "orthonormal" else (k, structure.matrix), tol, 1e-300, "") for k in kinds]
+    return _check(arr, "operator", checks, verdict=True)
 
 
 def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> np.ndarray:
@@ -163,11 +157,8 @@ def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> np.nda
     In standard coordinates a = [[x, -y], [y, x]] and the matrix is x + i y.
     Refuses operators that do not commute with J.
     """
-    arr = require_square(a, "operator")
-    if arr.shape[0] != structure.dim:
-        raise InvariantViolation("complexify: dimension mismatch")
-    tol = rtol * max(arr.shape[0], 1) * max(max_abs(arr), 1e-300)
-    if _commutation_defect(arr, structure.matrix) > tol:
+    arr = _as_2d(a, "operator", square=True)
+    if not _structure_verdict(arr, structure, rtol, "complexify", "commutes"):
         raise InvariantViolation("complexify: operator does not commute with J")
     return _complex_block(arr, structure)
 
@@ -208,11 +199,9 @@ def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
     dim = structure.dim
     if arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
         raise InvariantViolation("conjugation matrix: dimension mismatch")
-    j = structure.matrix
-    defect = np.max(np.abs(arr @ j + j @ arr), axis=(-2, -1), initial=0.0)
-    scale = np.maximum(np.max(np.abs(arr), axis=(-2, -1), initial=0.0), 1e-300)
-    if np.any(defect > SYM_RTOL * max(dim, 1) * scale):
-        raise InvariantViolation("conjugation matrix: operator does not anticommute with J")
+    _check(arr, "conjugation matrix", [(("anticommutes", structure.matrix),
+                                        SYM_RTOL * max(dim, 1), 1e-300,
+                                        "operator does not anticommute with J")])
     return _complex_block(arr, structure)
 
 

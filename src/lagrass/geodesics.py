@@ -30,18 +30,14 @@ from .complex_structure import (
     realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
-from .linalg import (
-    expm_antisymmetric,
-    max_abs,
-    require_antisymmetric,
-)
+from .linalg import _EXCEEDS, _as_2d, _check, expm_antisymmetric, max_abs
 from .subspaces import (
     Symmetry,
     _as_symmetry,
     check_tangent,
     is_lagrangian,
 )
-from .tolerances import ENDPOINT_RTOL, GENERATOR_ATOL
+from .tolerances import ENDPOINT_RTOL, GENERATOR_ATOL, SYM_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +65,16 @@ class GeodesicGenerator:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = require_antisymmetric(self.z, "generator")
+        z = _as_2d(self.z, "generator", square=True)
         if z.shape[0] != self.structure.dim or z.shape[0] != self.base.ambient_dim:
             raise InvariantViolation("generator: dimension mismatch")
         if not anticommutes_with_structure(self.base.matrix, self.structure):
             raise InvariantViolation("generator: base symmetry does not anticommute with J")
-        scale = max(1.0, max_abs(z))
-        j = self.structure.matrix
-        if max_abs(z @ j - j @ z) > GENERATOR_ATOL * scale:
-            raise InvariantViolation("generator: does not commute with J")
         e = self.base.matrix
-        if max_abs(z @ e + e @ z) > GENERATOR_ATOL * scale:
-            raise InvariantViolation("generator: does not anticommute with the base")
+        _check(z, "generator", [
+            ("antisymmetric", SYM_RTOL * max(z.shape[0], 1), 0.0, "not antisymmetric" + _EXCEEDS),
+            (("commutes", self.structure.matrix), GENERATOR_ATOL, 1.0, "does not commute with J"),
+            (("anticommutes", e), GENERATOR_ATOL, 1.0, "does not anticommute with the base")])
         # z = iH; in a real form W of the base, W^H H W is real symmetric
         w = _real_form(_complex_block(e, self.structure))
         k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
@@ -162,6 +156,8 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
 def _geodesic_steps(gen: GeodesicGenerator, ts) -> np.ndarray:
     """C_t - C0 along the geodesic of gen, one n x n step per node."""
     t = np.asarray(ts, dtype=float).reshape(-1)
+    if not np.isfinite(t).all():
+        raise InvariantViolation("sample: grid times must be finite")
     return _curve_steps(2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
 
 
@@ -257,6 +253,8 @@ def length(geo: Geodesic, k=math.inf, t0: float = 0.0, t1: float = 1.0) -> float
     The speed ||2z||_k is constant along the curve, so the closed form is
     |t1 - t0| * ||2z||_k; the singular values of 2z are |2 theta_j|, each twice.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InvariantViolation("length: t0 and t1 must be finite")
     values = np.repeat(2.0 * np.abs(geo.generator.theta), 2)[None, :]
     return abs(float(t1) - float(t0)) * float(_speed_norms(values, k)[0])
 
@@ -291,8 +289,8 @@ def _node_speeds(samples, dt: float, ks) -> dict:
             "(conjugation_matrix of each real symmetry), got a real stack")
     if stack.ndim != 3 or stack.shape[0] < 5 or stack.shape[1] != stack.shape[2]:
         raise InvariantViolation("sampled length: need a stack of at least 5 square matrices")
-    if dt <= 0.0:
-        raise InvariantViolation("sampled length: dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InvariantViolation("sampled length: dt must be positive and finite")
     deriv = np.empty_like(stack)
     deriv[2:-2] = stack[:-4] - stack[4:] + 8.0 * (stack[3:-1] - stack[1:-3])
     deriv[:2] = np.tensordot(_EDGE_STENCILS, stack[:5], axes=1)

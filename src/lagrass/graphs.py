@@ -98,6 +98,11 @@ def graph_symmetry(a) -> Symmetry:
     return Symmetry(2.0 * graph_projection(a).matrix - np.eye(2 * np.asarray(a).shape[0]))
 
 
+def _identity_graph(n: int) -> np.ndarray:
+    """[[0, I], [I, 0]], the identity graph's symmetry: graph_symmetry(np.eye(n)) bitwise."""
+    return np.eye(2 * n, k=n) + np.eye(2 * n, k=-n)
+
+
 def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
     """Generator [[0, y], [-y, 0]] (y symmetric) at a compatible base point.
 
@@ -299,7 +304,7 @@ def graph_window(y) -> GraphWindowVerdict:
     verified = False
     if ok:
         n = arr.shape[0]
-        gen = codiagonal_generator(arr, graph_symmetry(np.eye(n)))
+        gen = codiagonal_generator(arr, Symmetry(_identity_graph(n)))
         ts = np.linspace(0.0, 1.0, _CHECK_GRID)
         exits = ts[~_chart_grid(gen, ts, RANK_RTOL)[1]]
         if exits.size:
@@ -321,9 +326,7 @@ def graph_safe_radius(gen: GeodesicGenerator) -> float:
     if norm == 0.0:
         return math.inf
     radius = math.pi / (4.0 * norm)
-    n = gen.structure.n
-    base_identity = graph_symmetry(np.eye(n)).matrix
-    if max_abs(gen.base.matrix - base_identity) <= 1e-10:
+    if max_abs(gen.base.matrix - _identity_graph(gen.structure.n)) <= 1e-10:
         ts = np.linspace(0.0, radius * (1.0 - 1e-3), _CHECK_GRID)
         exits = ts[~_chart_grid(gen, ts, RANK_RTOL)[1]]
         if exits.size:
@@ -432,7 +435,7 @@ def cayley_curve(gen: GeodesicGenerator, ts) -> CayleyCurveResult:
     if not structure.is_standard():
         raise InvariantViolation("cayley_curve: requires the standard complex structure")
     n = structure.n
-    if max_abs(gen.base.matrix - graph_symmetry(np.eye(n)).matrix) > 1e-10:
+    if max_abs(gen.base.matrix - _identity_graph(n)) > 1e-10:
         raise InvariantViolation("cayley_curve: base point must be the identity graph")
     t_arr = np.asarray(ts, dtype=float).reshape(-1)
     if t_arr.size == 0:

@@ -24,71 +24,110 @@ from .tolerances import (
 # ---------------------------------------------------------------------------
 # validation helpers
 
+# message tail of a failed comparison in `_check`
+_EXCEEDS = "{where} (deviation {dev:.3e} > tolerance {tol:.3e})"
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-d array, rejecting anything else."""
+
+def _check(arr: np.ndarray, name: str, checks=(), where: str = " at matrix {} of the stack",
+           verdict: bool = False):
+    """Validate one matrix or a stack (..., r, c) in one pass; returns arr.
+
+    Each matrix has its own scale s = max|a|, NaN or inf exactly when an
+    entry is not finite ("name: entries must be finite"). A check (identity,
+    rtol, floor, message) holds the residual d of an identity of `_deviation`
+    to rtol * max(s, floor), or to rtol for floor None. The first failure
+    raises InvariantViolation "name: message" with {dev}, {tol} and {where}
+    (`where` names the matrix of a stack) filled in, or with verdict=True
+    returns False (True on success)."""
+    if not arr.size:                    # no entries: every identity holds
+        return True if verdict else arr
+    scale = _amax(arr)
+    if not np.isfinite(scale).all():
+        raise InvariantViolation(f"{name}: entries must be finite")
+    for identity, rtol, floor, message in checks:
+        dev = _amax(_deviation(identity, arr))
+        tol = rtol if floor is None else rtol * (np.maximum(scale, floor) if floor else scale)
+        bad = dev > tol
+        if np.count_nonzero(bad):
+            if verdict:
+                return False
+            i = int(np.flatnonzero(bad)[0])
+            raise InvariantViolation(f"{name}: " + message.format(
+                where=where.format(i) if arr.ndim > 2 else "",
+                dev=dev.flat[i], tol=np.broadcast_to(tol, dev.shape).flat[i]))
+    return True if verdict else arr
+
+
+def _amax(x: np.ndarray) -> np.ndarray:
+    """max|x| per matrix, a complex entry counting with its larger part."""
+    m = np.maximum(np.abs(x.real), np.abs(x.imag)) if x.dtype.kind == "c" else np.abs(x)
+    return m.max(axis=(-2, -1), initial=0.0)
+
+
+def _deviation(identity, a: np.ndarray) -> np.ndarray:
+    """Residual at a of "symmetric" a = a^T, "antisymmetric" a = -a^T,
+    "orthonormal" a^T a = I, "involutive" a conj(a) = I, "idempotent"
+    a a = a, ("commutes", b) a b = b a or ("anticommutes", b) a b = -b a."""
+    kind, b = identity if isinstance(identity, tuple) else (identity, None)
+    if b is not None:
+        return a @ b - b @ a if kind == "commutes" else a @ b + b @ a
+    at = a.swapaxes(-1, -2)
+    if kind in ("symmetric", "antisymmetric"):
+        return a - at if kind == "symmetric" else a + at
+    if kind == "idempotent":
+        return a @ a - a
+    p = at @ a if kind == "orthonormal" else a @ a.conj()
+    k = p.shape[-1]     # p is a fresh product: the reshape is a view, p - I lands in p
+    p.reshape(p.shape[:-2] + (k * k,))[..., :: k + 1] -= 1.0
+    return p
+
+
+def _as_2d(a, name: str, square: bool = False) -> np.ndarray:
+    """Coerce to a float64 2-d array (square if asked), unchecked entries."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise InvariantViolation(f"{name}: expected a 2-d array, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InvariantViolation(f"{name}: entries must be finite")
-    return arr
-
-
-def require_square(a, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(a, name)
-    if arr.shape[0] != arr.shape[1]:
+    if square and arr.shape[0] != arr.shape[1]:
         raise InvariantViolation(f"{name}: expected square, got shape {arr.shape}")
     return arr
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite float64 2-d array, rejecting anything else."""
+    return _check(_as_2d(a, name), name)
+
+
+def require_square(a, name: str = "matrix") -> np.ndarray:
+    return _check(_as_2d(a, name, square=True), name)
+
+
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max(initial=0.0))
 
 
 def require_symmetric(a, name: str = "operator", rtol: float = SYM_RTOL) -> np.ndarray:
     """Validate symmetry within rtol * n * max|a|. The input is returned as-is."""
-    arr = require_square(a, name)
-    tol = rtol * max(arr.shape[0], 1) * max_abs(arr)
-    dev = max_abs(arr - arr.T)
-    if dev > tol:
-        raise InvariantViolation(
-            f"{name}: not symmetric (deviation {dev:.3e} > tolerance {tol:.3e})"
-        )
-    return arr
+    arr = _as_2d(a, name, square=True)
+    return _check(arr, name, [("symmetric", rtol * max(arr.shape[0], 1), 0.0,
+                               "not symmetric" + _EXCEEDS)])
 
 
 def require_antisymmetric(a, name: str = "operator", rtol: float = SYM_RTOL) -> np.ndarray:
-    arr = require_square(a, name)
-    tol = rtol * max(arr.shape[0], 1) * max_abs(arr)
-    dev = max_abs(arr + arr.T)
-    if dev > tol:
-        raise InvariantViolation(
-            f"{name}: not antisymmetric (deviation {dev:.3e} > tolerance {tol:.3e})"
-        )
-    return arr
+    arr = _as_2d(a, name, square=True)
+    return _check(arr, name, [("antisymmetric", rtol * max(arr.shape[0], 1), 0.0,
+                               "not antisymmetric" + _EXCEEDS)])
 
 
 def require_orthonormal_columns(q, name: str = "basis", rtol: float = ORTH_RTOL) -> np.ndarray:
-    arr = as_matrix(q, name)
-    k = arr.shape[1]
-    if k == 0:
-        return arr
-    gram = arr.T @ arr
-    dev = max_abs(gram - np.eye(k))
-    if dev > rtol * max(arr.shape[0], 1):
-        raise InvariantViolation(
-            f"{name}: columns not orthonormal (deviation {dev:.3e})"
-        )
-    return arr
+    arr = _as_2d(q, name)
+    return _check(arr, name, [("orthonormal", rtol * max(arr.shape[0], 1), None,
+                               "columns not orthonormal (deviation {dev:.3e})")])
 
 
 def require_orthogonal(g, name: str = "matrix", rtol: float = ORTH_RTOL) -> np.ndarray:
-    arr = require_square(g, name)
-    dev = max_abs(arr.T @ arr - np.eye(arr.shape[0]))
-    if dev > rtol * max(arr.shape[0], 1):
-        raise InvariantViolation(f"{name}: not orthogonal (deviation {dev:.3e})")
-    return arr
+    arr = _as_2d(g, name, square=True)
+    return _check(arr, name, [("orthonormal", rtol * max(arr.shape[0], 1), None,
+                               "not orthogonal (deviation {dev:.3e})")])
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +143,11 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        vec = as_matrix(self.eigenvectors, "eigenvectors")
+        vec = require_orthonormal_columns(self.eigenvectors, "eigenvectors", rtol=1e-12)
         if lam.ndim != 1 or vec.shape != (vec.shape[0], lam.shape[0]):
             raise InvariantViolation("spectral decomposition: inconsistent shapes")
-        scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-        if lam.size > 1 and np.any(np.diff(lam) < -1e-12 * max(1.0, scale)):
+        if np.count_nonzero(np.diff(lam) < -1e-12 * max(1.0, max_abs(lam))):
             raise InvariantViolation("spectral decomposition: eigenvalues not ascending")
-        require_orthonormal_columns(vec, "eigenvectors", rtol=1e-12)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
 
@@ -128,8 +165,7 @@ def spectral_decompose(a) -> SpectralDecomposition:
     arr = require_symmetric(a)
     lam, vec = np.linalg.eigh(arr)
     resid = max_abs(vec @ (lam[:, None] * vec.T) - arr)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = RECON_RTOL * max(arr.shape[0], 1) * scale
+    tol = RECON_RTOL * max(arr.shape[0], 1) * max_abs(lam)
     if resid > max(tol, 1e-300):
         raise ComputationError(
             f"eigen-reassembly residual {resid:.3e} beyond tolerance {tol:.3e}"

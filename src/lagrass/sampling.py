@@ -130,8 +130,9 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     (len(ts), n, n) in the standard split, as `sample` does; C0 is read off
     the base's blocks and returned bit for bit wherever the exponent vanishes.
 
-    w must be an antisymmetric 2n x 2n matrix commuting with J
-    (InvariantViolation otherwise), so every node stays Lagrangian. With
+    w must be an antisymmetric 2n x 2n matrix commuting with J, so every
+    node stays Lagrangian, and amplitude and ts finite (InvariantViolation
+    otherwise). With
     w = iH_w and z = iH_z, H_z = U diag(theta) U^H read off the generator's
     record, one stacked n x n Hermitian eigh of 2t(H_z + rho(t) H_w) gives
     all nodes through the complexified kernel that `sample` uses.
@@ -140,6 +141,8 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     h_w = -1j * complexify(require_antisymmetric(w, "perturbation"), structure)
     h_z = (gen.u * gen.theta) @ gen.u.conj().T
     t = np.asarray(ts, dtype=float).reshape(-1)
+    if not (math.isfinite(amplitude) and np.isfinite(t).all()):
+        raise InvariantViolation("perturbed curve: amplitude and grid times must be finite")
     rho = amplitude * np.sin(math.pi * t)
     mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
     c0 = _complex_block(gen.base.matrix, structure)

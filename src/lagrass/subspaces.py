@@ -21,12 +21,14 @@ import numpy as np
 from .complex_structure import ComplexStructure, anticommutes_with_structure
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
+    _EXCEEDS,
+    _as_2d,
+    _check,
+    _refined_angles,
     as_matrix,
     max_abs,
     require_orthonormal_columns,
     require_square,
-    require_symmetric,
-    _refined_angles,
 )
 from .tolerances import ANGLE_RIGHT_TOL, ANGLE_ZERO_TOL, SYM_RTOL
 
@@ -76,10 +78,10 @@ class Projection:
     matrix: np.ndarray
 
     def __post_init__(self):
-        p = require_symmetric(self.matrix, "projection")
-        tol = SYM_RTOL * max(p.shape[0], 1) * max(max_abs(p), 1e-300)
-        if max_abs(p @ p - p) > tol:
-            raise InvariantViolation("projection: not idempotent within tolerance")
+        p = _as_2d(self.matrix, "projection", square=True)
+        rtol = SYM_RTOL * max(p.shape[0], 1)
+        _check(p, "projection", [("symmetric", rtol, 0.0, "not symmetric" + _EXCEEDS),
+                                 ("idempotent", rtol, 1e-300, "not idempotent within tolerance")])
         object.__setattr__(self, "matrix", p)
 
     @property
@@ -94,7 +96,7 @@ class Symmetry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        e = _require_symmetries(as_matrix(self.matrix, "symmetry"))
+        e = _require_symmetries(_as_2d(self.matrix, "symmetry"))
         object.__setattr__(self, "matrix", e)
 
     @property
@@ -120,17 +122,7 @@ def _require_symmetries(stack) -> np.ndarray:
     arr = np.asarray(stack, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise InvariantViolation(f"symmetry: expected square matrices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation("symmetry: entries must be finite")
-    n = arr.shape[-1]
-    rtol = SYM_RTOL * max(n, 1)
-    scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
-    asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)), axis=(-2, -1), initial=0.0)
-    square = np.max(np.abs(np.matmul(arr, arr) - np.eye(n)), axis=(-2, -1), initial=0.0)
-    _first_failure("symmetry", " at matrix {} of the stack" if arr.ndim > 2 else "",
-                   ((asym, rtol * scale, "not symmetric"),
-                    (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")))
-    return arr
+    return _check(arr, "symmetry", _symmetry_checks(SYM_RTOL * max(arr.shape[-1], 1)))
 
 
 def _require_conjugation_symmetries(c: np.ndarray) -> np.ndarray:
@@ -142,33 +134,12 @@ def _require_conjugation_symmetries(c: np.ndarray) -> np.ndarray:
     of its real and imaginary parts, C passes iff its real symmetry would pass
     as a `Symmetry`: a symmetric unitary within the same tolerances.
     """
-    if not np.all(np.isfinite(c)):
-        raise InvariantViolation("symmetry: entries must be finite")
-    n = c.shape[-1]
-    rtol = SYM_RTOL * max(2 * n, 1)
-
-    def parts_max(a):
-        return np.maximum(np.max(np.abs(a.real), axis=(-2, -1), initial=0.0),
-                          np.max(np.abs(a.imag), axis=(-2, -1), initial=0.0))
-
-    scale = parts_max(c)
-    asym = parts_max(c - np.swapaxes(c, -1, -2))
-    square = parts_max(np.matmul(c, c.conj()) - np.eye(n))
-    _first_failure("symmetry", " at matrix {} of the stack" if c.ndim > 2 else "",
-                   ((asym, rtol * scale, "not symmetric"),
-                    (square, rtol * np.maximum(scale, 1.0), "eps^2 != I")))
-    return c
+    return _check(c, "symmetry", _symmetry_checks(SYM_RTOL * max(2 * c.shape[-1], 1)))
 
 
-def _first_failure(name: str, where: str, checks) -> None:
-    """Raise for the first matrix of a stack whose deviation exceeds its
-    tolerance, check by check; `where` formats the matrix's index."""
-    for dev, tol, what in checks:
-        bad = np.flatnonzero(dev > tol)
-        if bad.size:
-            i = bad[0]
-            raise InvariantViolation(f"{name}: {what}{where.format(i)} (deviation "
-                                     f"{dev.flat[i]:.3e} > tolerance {tol.flat[i]:.3e})")
+def _symmetry_checks(rtol: float) -> tuple:
+    return (("symmetric", rtol, 0.0, "not symmetric" + _EXCEEDS),
+            ("involutive", rtol, 1.0, "eps^2 != I" + _EXCEEDS))
 
 
 def projection_from_subspace(s: Subspace) -> Projection:
@@ -190,7 +161,7 @@ def symmetry_from_subspace(s: Subspace) -> Symmetry:
 def subspace_from_symmetry(eps: Symmetry) -> Subspace:
     """Orthonormal basis of the +1 eigenspace; eigenvalues must sit near +-1."""
     lam, vec = np.linalg.eigh(eps.matrix)
-    if lam.size and np.any(np.abs(np.abs(lam) - 1.0) > 1e-8):
+    if np.count_nonzero(np.abs(np.abs(lam) - 1.0) > 1e-8):
         raise InvariantViolation("symmetry: eigenvalues not at +-1")
     return Subspace(vec[:, lam > 0.0])
 
@@ -401,16 +372,18 @@ def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None,
                   rtol: float = SYM_RTOL) -> np.ndarray:
     """Validate a tangent vector at eps: symmetric, anticommutes with eps,
     and (when J is supplied) anticommutes with J. Returns v unchanged."""
-    arr = require_symmetric(v, "tangent vector", rtol=rtol)
-    if arr.shape[0] != eps.ambient_dim:
+    arr = _as_2d(v, "tangent vector", square=True)
+    n = arr.shape[0]
+    if n != eps.ambient_dim or (structure is not None and n != structure.dim):
         raise InvariantViolation("tangent vector: dimension mismatch")
-    tol = rtol * max(arr.shape[0], 1) * max(max_abs(arr), 1e-300)
-    if max_abs(arr @ eps.matrix + eps.matrix @ arr) > tol:
-        raise InvariantViolation("tangent vector: does not anticommute with the base symmetry")
+    tol = rtol * max(n, 1)
+    checks = [("symmetric", tol, 0.0, "not symmetric" + _EXCEEDS),
+              (("anticommutes", eps.matrix), tol, 1e-300,
+               "does not anticommute with the base symmetry")]
     if structure is not None:
-        if max_abs(arr @ structure.matrix + structure.matrix @ arr) > tol:
-            raise InvariantViolation("tangent vector: does not anticommute with J")
-    return arr
+        checks.append((("anticommutes", structure.matrix), tol, 1e-300,
+                       "does not anticommute with J"))
+    return _check(arr, "tangent vector", checks)
 
 
 def tangent_project(eps: Symmetry, a) -> np.ndarray:
@@ -446,14 +419,10 @@ def _require_tangents(eps_stack: np.ndarray, x_stack: np.ndarray) -> None:
     passes iff check_tangent(Symmetry(eps_stack[i]), x_stack[i]) would. The
     first failing node is named."""
     rtol = SYM_RTOL * max(x_stack.shape[-1], 1)
-    scale = np.max(np.abs(x_stack), axis=(-2, -1), initial=0.0)
-    asym = np.max(np.abs(x_stack - np.swapaxes(x_stack, -1, -2)), axis=(-2, -1), initial=0.0)
-    anti = np.max(np.abs(np.matmul(x_stack, eps_stack) + np.matmul(eps_stack, x_stack)),
-                  axis=(-2, -1), initial=0.0)
-    _first_failure("tangent vector", " at node {}",
-                   ((asym, rtol * scale, "not symmetric"),
-                    (anti, rtol * np.maximum(scale, 1e-300),
-                     "does not anticommute with the base symmetry")))
+    _check(x_stack, "tangent vector",
+           (("symmetric", rtol, 0.0, "not symmetric" + _EXCEEDS),
+            (("anticommutes", eps_stack), rtol, 1e-300,
+             "does not anticommute with the base symmetry" + _EXCEEDS)), " at node {}")
 
 
 def covariant_derivative(ts, curve, field) -> np.ndarray:

@@ -4,15 +4,19 @@ Commands run in-process through main(argv) so exit codes and stdout can be
 checked cheaply; one subprocess test confirms the installed entry point.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
@@ -22,6 +26,7 @@ from lagrass.subspaces import Symmetry
 from lagrass.tolerances import SYM_RTOL
 
 from test_graphs import near_edge_block
+from test_subspaces import THRESHOLD_CASES, threshold_case
 
 SEED = 90210
 
@@ -479,6 +484,23 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(**THRESHOLD_CASES)
+def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
+    # the contract: the planted dimensions, or a typed error (exit 3 or 4)
+    (e0, e1), dims = threshold_case(seed, tol, zero_side, right_side, generic)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_problem(Path(tmp) / f"{i}.json",
+                               {"dim": e.ambient_dim, "subspace": {"symmetry": e.matrix.tolist()}})
+                 for i, e in enumerate((e0, e1))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--tol-angle", repr(tol), "decompose", *paths])
+    assert code in (0, 3, 4)
+    if code == 0:
+        assert json.loads(out.getvalue())["dims"] == dims
 
 
 if __name__ == "__main__":

@@ -104,6 +104,13 @@ def test_commutation_predicates():
     assert not is_complex_unitary(np.diag([1.0, 1.0, 1.0, -1.0]), s)
 
 
+@pytest.mark.parametrize("predicate", [commutes_with_structure, anticommutes_with_structure,
+                                       is_complex_unitary])
+def test_structure_predicates_refuse_a_size_mismatch(predicate):
+    with pytest.raises(InvariantViolation, match=f"{predicate.__name__}: dimension mismatch"):
+        predicate(np.eye(4), ComplexStructure.standard(1))
+
+
 def test_complexify_realify_round_trip_standard():
     s = ComplexStructure.standard(2)
     p = np.array([[0.0, 0.7], [-0.7, 0.0]])

@@ -30,6 +30,7 @@ from lagrass.geodesics import (
     connect,
     evaluate,
     exponential_map,
+    length,
     sample,
     sampled_lengths,
 )
@@ -265,3 +266,52 @@ def test_length_race_stays_half_size(monkeypatch, rotated):
     sampled_lengths(perturbed_curve(gen, w, 0.4, ts), dt, ks)
     assert realified == []
     assert sizes and set(sizes) == {n}
+
+
+# ---------------------------------------------------------------------------
+# curve parameters must be finite: a NaN or infinite one would come out as NaN
+
+
+NONFINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+
+
+def _curve_case():
+    rng = np.random.default_rng(SEED + 40)
+    structure = ComplexStructure.standard(2)
+    e0 = random_lagrangian(structure, rng)
+    gen = connect(e0, random_lagrangian(structure, rng), structure)
+    return gen, random_complex_antisymmetric(structure, rng)
+
+
+@NONFINITE
+def test_sampled_lengths_refuses_a_non_finite_step(bad):
+    gen, _ = _curve_case()
+    stack = sample(Geodesic(gen), np.linspace(0.0, 1.0, 9))
+    with pytest.raises(InvariantViolation, match="dt must be positive and finite"):
+        sampled_lengths(stack, bad, [math.inf, 2])
+
+
+@NONFINITE
+def test_sample_and_evaluate_refuse_a_non_finite_time(bad):
+    gen, _ = _curve_case()
+    with pytest.raises(InvariantViolation, match="grid times must be finite"):
+        sample(Geodesic(gen), [0.0, bad])
+    with pytest.raises(InvariantViolation, match="grid times must be finite"):
+        evaluate(Geodesic(gen), bad)
+
+
+@NONFINITE
+def test_perturbed_curve_refuses_a_non_finite_amplitude_or_time(bad):
+    gen, w = _curve_case()
+    with pytest.raises(InvariantViolation, match="amplitude and grid times must be finite"):
+        perturbed_curve(gen, w, bad, TS)
+    with pytest.raises(InvariantViolation, match="amplitude and grid times must be finite"):
+        perturbed_curve(gen, w, 0.1, [0.0, bad, 1.0])
+
+
+@NONFINITE
+def test_length_refuses_non_finite_ends(bad):
+    gen, _ = _curve_case()
+    for t0, t1 in ((0.0, bad), (bad, 1.0)):
+        with pytest.raises(InvariantViolation, match="t0 and t1 must be finite"):
+            length(Geodesic(gen), 2, t0, t1)

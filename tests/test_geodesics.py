@@ -520,11 +520,12 @@ def test_multiplicity_and_alternates_agree_near_the_cut_locus(delta, n, e0, e1):
 def test_connect_endpoint_accuracy_up_to_n128(n, rotated):
     rng = np.random.default_rng([SEED + 12, n, rotated])
     structure = rotated_structure(n, rng) if rotated else ComplexStructure.standard(n)
-    e0 = random_lagrangian(structure, rng)
-    e1 = random_lagrangian(structure, rng)
-    gen, resid = _connect(e0, e1, structure)
-    assert resid <= 1e-12
-    assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
+    for _ in range(3 if n >= 64 else 8):
+        e0 = random_lagrangian(structure, rng)
+        e1 = random_lagrangian(structure, rng)
+        gen, resid = _connect(e0, e1, structure)
+        assert resid <= 1e-12
+        assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])

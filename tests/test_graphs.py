@@ -41,6 +41,14 @@ from lagrass.tolerances import RANK_RTOL
 SEED = 550
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+def test_identity_graph_closed_form_is_bitwise_graph_symmetry(n):
+    closed = lagrass.graphs._identity_graph(n)
+    spectral = graph_symmetry(np.eye(n)).matrix
+    assert np.array_equal(closed, spectral)
+    assert np.array_equal(np.signbit(closed), np.signbit(spectral))
+
+
 def rotated_diag(values, seed=SEED):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrass.complex_structure import ComplexStructure, realify_conjugation
-from lagrass.errors import InvariantViolation
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
@@ -340,6 +342,14 @@ def test_check_tangent_rejects():
         check_tangent(e0, np.diag([1.0, 1.0]))     # commutes instead
 
 
+def test_check_tangent_refuses_a_structure_of_another_size():
+    v = np.zeros((4, 4))
+    v[:2, 2:] = v[2:, :2] = np.eye(2)          # tangent at the vertical symmetry
+    check_tangent(vertical_symmetry(2), v, ComplexStructure.standard(2))
+    with pytest.raises(InvariantViolation, match="tangent vector: dimension mismatch"):
+        check_tangent(vertical_symmetry(2), v, ComplexStructure.standard(1))
+
+
 def test_covariant_derivative_zero_for_constant_tangent_field():
     # along a constant curve, the covariant derivative is the plain derivative
     e0 = vertical_symmetry(2)
@@ -421,6 +431,54 @@ def test_covariant_derivative_needs_uniform_grid():
     field = np.zeros((4, 2, 2))
     with pytest.raises(InvariantViolation):
         covariant_derivative(np.array([0.0, 0.1, 0.3, 0.6]), curve, field)
+
+
+# ---------------------------------------------------------------------------
+# the angle buckets at their thresholds, for several bucket widths
+
+BUCKET_TOLS = [1e-10, 1e-8, 1e-4, 0.5]
+
+
+def planted_angle_pair(angles, rng):
+    """Lagrangians at principal angles `angles`: R^n x 0 and the span of
+    cos(a_j) e_j + sin(a_j) e_{n+j}, both moved by one random unitary of C^n."""
+    n = len(angles)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    r = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    q1 = r @ np.vstack([np.diag(np.cos(angles)), np.diag(np.sin(angles))])
+    return (Symmetry(2.0 * r[:, :n] @ r[:, :n].T - np.eye(2 * n)),
+            Symmetry(2.0 * q1 @ q1.T - np.eye(2 * n)))
+
+
+def threshold_case(seed, tol, zero_side, right_side, generic):
+    """A planted pair with one angle at tol * zero_side, one at
+    pi/2 - tol * right_side and `generic` angles in [0.6, 0.95], with the
+    bucket dimensions the widths tol must give."""
+    rng = np.random.default_rng(seed)
+    angles = np.concatenate([[tol * zero_side, math.pi / 2 - tol * right_side],
+                             rng.uniform(0.6, 0.95, generic)])
+    zero, right = int(zero_side < 1.0), int(right_side < 1.0)
+    dims = {"both_plus": zero, "both_minus": zero, "plus_minus": right, "minus_plus": right,
+            "generic": 2 * (generic + 2 - zero - right)}
+    return planted_angle_pair(angles, rng), dims
+
+
+THRESHOLD_CASES = dict(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from(BUCKET_TOLS),
+                       zero_side=st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]),
+                       right_side=st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]),
+                       generic=st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**THRESHOLD_CASES)
+def test_five_way_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
+    # the contract: the planted dimensions, or a typed error
+    (e0, e1), dims = threshold_case(seed, tol, zero_side, right_side, generic)
+    try:
+        dec = five_way_decompose(e0, e1, zero_tol=tol, right_tol=tol)
+    except (InvariantViolation, ComputationError):
+        return
+    assert dec.dims() == dims
 
 
 if __name__ == "__main__":
