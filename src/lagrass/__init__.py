@@ -82,7 +82,6 @@ from .sampling import (
     random_lagrangian,
     random_lagrangian_pair,
     random_symmetric,
-    random_tangent,
 )
 from .subspaces import (
     FiveWayDecomposition,

@@ -58,7 +58,7 @@ from .subspaces import (
     symmetry_from_subspace,
     vertical_symmetry,
 )
-from .tolerances import ANGLE_ZERO_TOL, RANK_RTOL, SYM_RTOL
+from .tolerances import ANGLE_TOL, RANK_RTOL, SYM_RTOL
 
 
 class ParseFailure(Exception):
@@ -292,7 +292,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_decompose(args) -> int:
     structure, e0, e1 = _load_pair(args)
-    dec = five_way_decompose(e0, e1, zero_tol=args.tol_angle, right_tol=args.tol_angle)
+    dec = five_way_decompose(e0, e1, args.tol_angle)
     payload = {
         "dims": dec.dims(),
         "bases": {
@@ -449,7 +449,7 @@ def _open_interval(high: float, label: str, what: str):
     return parse
 
 
-# --tol-angle is both the coincident and the right-angle bucket width, so at
+# --tol-angle is the one bucket width, at 0 and at pi/2, so at
 # pi/4 or above the two buckets overlap
 _angle_tolerance = _open_interval(math.pi / 4.0, "pi/4", "angle")
 # --tol-rank is compared with top-block singular values of an orthonormal
@@ -462,8 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lagrass",
         description="Minimal geodesics and graph charts of Lagrangian subspaces.",
     )
-    parser.add_argument("--tol-angle", type=_angle_tolerance, default=ANGLE_ZERO_TOL,
-                        help="principal-angle bucketing tolerance of decompose")
+    parser.add_argument("--tol-angle", type=_angle_tolerance, default=ANGLE_TOL,
+                        help="principal-angle bucket width of decompose: an angle within "
+                             "it of 0 or of pi/2 counts as 0 or pi/2")
     parser.add_argument("--tol-rank", type=_rank_tolerance, default=RANK_RTOL,
                         help="rank cutoff for graph detection")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,7 +30,7 @@ from .complex_structure import (
     realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
-from .linalg import _EXCEEDS, _as_2d, _check, expm_antisymmetric, max_abs
+from .linalg import _EXCEEDS, _as_2d, _check, _speed_norms, expm_antisymmetric, max_abs
 from .subspaces import (
     Symmetry,
     _as_symmetry,
@@ -257,20 +257,6 @@ def length(geo: Geodesic, k=math.inf, t0: float = 0.0, t1: float = 1.0) -> float
         raise InvariantViolation("length: t0 and t1 must be finite")
     values = np.repeat(2.0 * np.abs(geo.generator.theta), 2)[None, :]
     return abs(float(t1) - float(t0)) * float(_speed_norms(values, k)[0])
-
-
-def _speed_norms(values: np.ndarray, k) -> np.ndarray:
-    """Schatten k-norms per row of an array of singular values."""
-    if k == math.inf:
-        return values.max(axis=1)
-    if isinstance(k, float) and k.is_integer():
-        k = int(k)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvariantViolation(f"Schatten order must be an integer >= 1 or inf, got {k!r}")
-    top = values.max(axis=1)
-    safe = np.where(top > 0.0, top, 1.0)
-    sums = np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
-    return np.where(top > 0.0, safe * sums, 0.0)
 
 
 # five-point one-sided first-derivative stencils (times 12 h) at the first two

@@ -202,15 +202,15 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
 
     Uses spectral pairing: with M = -z@z symmetric PSD and theta = sqrt(eig M),
     e^z = cos(sqrt(M)) + z sinc(sqrt(M)). The result lies in SO(n); the public
-    2-d path verifies orthogonality and det +1.
+    2-d path verifies orthogonality and det +1. Each matrix of a stack is
+    held to its own scale, and the first non-antisymmetric one is named.
     """
     arr = np.asarray(z, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise InvariantViolation("expm: expected square matrix or stack of them")
     if validate:
-        dev = max_abs(arr + np.swapaxes(arr, -1, -2))
-        if dev > SYM_RTOL * arr.shape[-1] * max(max_abs(arr), 0.0) and arr.size:
-            raise InvariantViolation(f"expm: input not antisymmetric (deviation {dev:.3e})")
+        _check(arr, "expm", [("antisymmetric", SYM_RTOL * arr.shape[-1], 0.0,
+                              "input not antisymmetric{where} (deviation {dev:.3e})")])
     m = -np.matmul(arr, arr)
     lam, q = np.linalg.eigh(m)
     theta = np.sqrt(np.clip(lam, 0.0, None))
@@ -290,31 +290,20 @@ class PrincipalAngles:
     """Principal angles between two subspaces, ascending, with paired vectors.
 
     angles[i] is the angle between left[:, i] (in the first subspace) and
-    right[:, i] (in the second). The five-way decomposition buckets them: an
-    angle at most zero_tol counts as a coincident direction, an angle within
-    right_tol of pi/2 as an orthogonal one, anything else as generic.
+    right[:, i] (in the second). When the dimensions differ, the columns of
+    the larger subspace left over by the pairing are orthogonal to the
+    other subspace: left_unpaired (first) or right_unpaired (second); the
+    other of the two has no columns. The five-way decomposition buckets the
+    angles with one width: at most the width counts as a coincident
+    direction, within it of pi/2 as an orthogonal one, anything else as
+    generic.
     """
 
     angles: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-
-def _refined_angles(sigma: np.ndarray, q0: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Angles from cosines, with a sine-based refinement for small angles.
-
-    arccos of a singular value loses half the digits near angle 0; for angles
-    below pi/4 the length of (I - P0) right is the sine and is computed stably.
-    """
-    sigma = np.clip(sigma, 0.0, 1.0)
-    angles = np.arccos(sigma)
-    small = sigma > math.cos(math.pi / 4.0)
-    if np.any(small):
-        resid = right[:, small] - q0 @ (q0.T @ right[:, small])
-        sines = np.clip(np.linalg.norm(resid, axis=0), 0.0, 1.0)
-        angles = angles.copy()
-        angles[small] = np.arcsin(sines)
-    return angles
+    left_unpaired: np.ndarray
+    right_unpaired: np.ndarray
 
 
 def principal_angles(q0, q1) -> PrincipalAngles:
@@ -322,21 +311,33 @@ def principal_angles(q0, q1) -> PrincipalAngles:
 
     Cosines come from the SVD of q0^T q1; angles below pi/4 are refined through
     the sine route for full accuracy near zero. Returns min(k0, k1) angles in
-    ascending order with paired principal vectors.
+    ascending order with paired principal vectors, and the unpaired columns.
     """
     b0 = require_orthonormal_columns(q0, "first basis")
     b1 = require_orthonormal_columns(q1, "second basis")
     if b0.shape[0] != b1.shape[0]:
         raise InvariantViolation("principal angles: ambient dimensions differ")
-    m = min(b0.shape[1], b1.shape[1])
-    if m == 0:
-        rows = b0.shape[0]
-        return PrincipalAngles(np.zeros(0), np.zeros((rows, 0)), np.zeros((rows, 0)))
-    u, s, vt = np.linalg.svd(b0.T @ b1, full_matrices=False)
-    left = b0 @ u
-    right = b1 @ vt.T
-    angles = _refined_angles(s, b0, right)
-    return PrincipalAngles(angles, left, right)
+    return _principal_angles(b0, b1)
+
+
+def _principal_angles(q0: np.ndarray, q1: np.ndarray) -> PrincipalAngles:
+    """`principal_angles` for bases already known to be orthonormal.
+
+    arccos of a singular value loses half the digits near angle 0; for angles
+    below pi/4 the length of (I - P0) right is the sine and is computed stably.
+    """
+    m = min(q0.shape[1], q1.shape[1])
+    u, s, vt = np.linalg.svd(q0.T @ q1, full_matrices=True)
+    left = q0 @ u
+    right = q1 @ vt.T
+    sigma = np.clip(s, 0.0, 1.0)
+    angles = np.arccos(sigma)
+    small = sigma > math.cos(math.pi / 4.0)
+    if np.count_nonzero(small):
+        near = right[:, :m][:, small]
+        angles[small] = np.arcsin(np.clip(np.linalg.norm(near - q0 @ (q0.T @ near), axis=0),
+                                          0.0, 1.0))
+    return PrincipalAngles(angles, left[:, :m], right[:, :m], left[:, m:], right[:, m:])
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +357,19 @@ def schatten_norm(a, k=math.inf) -> float:
     arr = as_matrix(a, "operator")
     if arr.size == 0:
         return 0.0
-    sigma = np.linalg.svd(arr, compute_uv=False)
+    return float(_speed_norms(np.linalg.svd(arr, compute_uv=False)[None, :], k)[0])
+
+
+def _speed_norms(values: np.ndarray, k) -> np.ndarray:
+    """Schatten k-norms per row of an array of singular values."""
     if k == math.inf:
-        return float(sigma[0]) if sigma.size else 0.0
+        return values.max(axis=1)
     if isinstance(k, float) and k.is_integer():
         k = int(k)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvariantViolation(f"Schatten order must be an integer >= 1 or inf, got {k!r}")
     # rescale by the largest singular value to avoid overflow for large k
-    top = float(sigma[0])
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((sigma / top) ** k) ** (1.0 / k))
+    top = values.max(axis=1)
+    safe = np.where(top > 0.0, top, 1.0)
+    sums = np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
+    return np.where(top > 0.0, safe * sums, 0.0)

@@ -16,7 +16,7 @@ from .complex_structure import ComplexStructure, _complex_block, complexify
 from .errors import InvariantViolation
 from .geodesics import GeodesicGenerator, _curve_steps, _stack_times
 from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
-from .subspaces import Symmetry, tangent_project, vertical_symmetry
+from .subspaces import Symmetry, vertical_symmetry
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -105,20 +105,6 @@ def random_horizontal(structure: ComplexStructure, eps: Symmetry, rng=None,
     if top == 0.0:
         raise InvariantViolation("random horizontal direction degenerated to zero")
     return w * (norm / top)
-
-
-def random_tangent(structure: ComplexStructure, eps: Symmetry, rng=None,
-                   norm: float = 1.0) -> np.ndarray:
-    """Random tangent vector at eps: symmetric, anticommuting with eps and J."""
-    v = random_symmetric(structure.dim, rng)
-    v = tangent_project(eps, v)
-    j = structure.matrix
-    v = (v - j @ v @ j.T) / 2.0          # remove the J-commuting part
-    v = (v + v.T) / 2.0
-    top = schatten_norm(v, math.inf)
-    if top == 0.0:
-        raise InvariantViolation("random tangent vector degenerated to zero")
-    return v * (norm / top)
 
 
 def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,

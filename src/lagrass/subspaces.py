@@ -24,13 +24,13 @@ from .linalg import (
     _EXCEEDS,
     _as_2d,
     _check,
-    _refined_angles,
+    _principal_angles,
     as_matrix,
     max_abs,
     require_orthonormal_columns,
     require_square,
 )
-from .tolerances import ANGLE_RIGHT_TOL, ANGLE_ZERO_TOL, SYM_RTOL
+from .tolerances import ANGLE_TOL, SYM_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -213,98 +213,7 @@ def is_lagrangian(s, structure: ComplexStructure) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pair analysis: aligned frames and the five-way decomposition
-
-
-@dataclass(frozen=True)
-class PairFrames:
-    """Aligned orthonormal data for a pair of symmetries.
-
-    Basis columns for the four intersection blocks, plus paired frames for the
-    generic part: generic_angles[i] is the angle between generic_left[:, i]
-    (in S0) and its partner in S1, whose component orthogonal to S0 is
-    generic_ortho[:, i]. The generic 2-planes span{left_i, ortho_i} reduce
-    both symmetries jointly.
-    """
-
-    both_plus: np.ndarray      # basis of S0 ^ S1
-    both_minus: np.ndarray     # basis of S0-perp ^ S1-perp
-    plus_minus: np.ndarray     # basis of S0 ^ S1-perp
-    minus_plus: np.ndarray     # basis of S0-perp ^ S1
-    generic_angles: np.ndarray
-    generic_left: np.ndarray
-    generic_ortho: np.ndarray
-
-
-def _pair_frames(eps0: Symmetry, eps1: Symmetry,
-                 zero_tol: float = ANGLE_ZERO_TOL,
-                 right_tol: float = ANGLE_RIGHT_TOL) -> PairFrames:
-    if eps0.ambient_dim != eps1.ambient_dim:
-        raise InvariantViolation("pair decomposition: ambient dimensions differ")
-    dim = eps0.ambient_dim
-    q0 = subspace_from_symmetry(eps0).basis
-    q1 = subspace_from_symmetry(eps1).basis
-    k0, k1 = q0.shape[1], q1.shape[1]
-    m = min(k0, k1)
-
-    if m > 0:
-        u, s, vt = np.linalg.svd(q0.T @ q1, full_matrices=True)
-        a = q0 @ u                      # aligned basis of S0, k0 columns
-        b = q1 @ vt.T                   # aligned basis of S1, k1 columns
-        angles = _refined_angles(s, q0, b[:, :m])
-    else:
-        a = q0.copy()
-        b = q1.copy()
-        angles = np.zeros(0)
-
-    zero_mask = angles <= zero_tol
-    right_mask = angles >= math.pi / 2.0 - right_tol
-    generic_mask = ~(zero_mask | right_mask)
-
-    both_plus = a[:, :m][:, zero_mask]
-    pm_cols = [a[:, :m][:, right_mask]]
-    mp_cols = [b[:, :m][:, right_mask]]
-    if k0 > m:
-        pm_cols.append(a[:, m:])        # unpaired S0 directions, orthogonal to S1
-    if k1 > m:
-        mp_cols.append(b[:, m:])
-    plus_minus = np.hstack(pm_cols) if pm_cols else np.zeros((dim, 0))
-    minus_plus = np.hstack(mp_cols) if mp_cols else np.zeros((dim, 0))
-
-    gen_left = a[:, :m][:, generic_mask]
-    gen_right = b[:, :m][:, generic_mask]
-    gen_angles = angles[generic_mask]
-    if gen_left.shape[1]:
-        overlap = np.sum(gen_left * gen_right, axis=0)
-        ortho = gen_right - gen_left * overlap
-        norms = np.linalg.norm(ortho, axis=0)
-        if np.any(norms <= 0.0):
-            raise ComputationError("pair decomposition: degenerate generic plane")
-        gen_ortho = ortho / norms
-    else:
-        gen_ortho = np.zeros((dim, 0))
-
-    collected = np.hstack([both_plus, plus_minus, minus_plus, gen_left, gen_ortho])
-    if collected.shape[1] == 0:
-        both_minus = np.eye(dim)
-    elif collected.shape[1] >= dim:
-        both_minus = np.zeros((dim, 0))
-    else:
-        # null space of collected^T: the rows of V^T past the numerical rank,
-        # counted above sigma_max * eps * max(shape)
-        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
-        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
-        both_minus = vt[rank:].T
-
-    return PairFrames(
-        both_plus=both_plus,
-        both_minus=both_minus,
-        plus_minus=plus_minus,
-        minus_plus=minus_plus,
-        generic_angles=gen_angles,
-        generic_left=gen_left,
-        generic_ortho=gen_ortho,
-    )
+# the five-way decomposition of a pair
 
 
 @dataclass(frozen=True)
@@ -337,25 +246,53 @@ class FiveWayDecomposition:
 
 
 def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
-                       zero_tol: float = ANGLE_ZERO_TOL,
-                       right_tol: float = ANGLE_RIGHT_TOL) -> FiveWayDecomposition:
+                       angle_tol: float = ANGLE_TOL) -> FiveWayDecomposition:
     """Split the ambient space into the five jointly invariant blocks.
 
-    Intersections are found through principal angles and the two bucketing
-    thresholds, never through rank decisions on sums of projections. For equal
-    subspace dimensions the two swapped blocks match in dimension.
+    The blocks are read off the principal angles of S0 and S1, bucketed with
+    the one width angle_tol: an angle at most angle_tol is a common
+    direction, one within angle_tol of pi/2 a swapped one, and so is a
+    column the pairing leaves over when the dimensions differ. The generic
+    basis is the S0 principal vectors of the other angles followed by their
+    S1 partners projected off S0 and the swapped S1 columns, orthonormal by
+    one QR. both_minus is the rest of the space. Intersections are never
+    rank decisions on sums of projections.
     """
-    frames = _pair_frames(eps0, eps1, zero_tol, right_tol)
+    if eps0.ambient_dim != eps1.ambient_dim:
+        raise InvariantViolation("pair decomposition: ambient dimensions differ")
     dim = eps0.ambient_dim
-    gen = np.hstack([frames.generic_left, frames.generic_ortho])
-    dec = FiveWayDecomposition(
-        both_plus=Subspace(frames.both_plus),
-        both_minus=Subspace(frames.both_minus),
-        plus_minus=Subspace(frames.plus_minus),
-        minus_plus=Subspace(frames.minus_plus),
-        generic=Subspace(gen) if gen.size else Subspace.trivial(dim),
-        generic_angles=frames.generic_angles,
-    )
+    pa = _principal_angles(subspace_from_symmetry(eps0).basis, subspace_from_symmetry(eps1).basis)
+    zero = pa.angles <= angle_tol
+    right = pa.angles >= math.pi / 2.0 - angle_tol
+    generic = ~(zero | right)
+
+    blocks = [pa.left[:, zero], np.hstack([pa.left[:, right], pa.left_unpaired]),
+              np.hstack([pa.right[:, right], pa.right_unpaired]), pa.left[:, generic]]
+    g = blocks[3].shape[1]
+    if g:
+        # the S1 partners, orthonormal to all of S0 and the swapped S1 columns
+        # by construction: their rounding error, about eps / sin(angle), is
+        # left only inside the generic and both_minus blocks, so a tiny
+        # generic angle keeps every block orthonormal and invariant
+        q, r = np.linalg.qr(np.hstack(blocks + [pa.right[:, generic]]))
+        blocks[3] = np.hstack([blocks[3], q[:, -g:] * np.copysign(1.0, np.diagonal(r)[-g:])])
+
+    collected = np.hstack(blocks)
+    if collected.shape[1] == 0:
+        both_minus = np.eye(dim)
+    elif collected.shape[1] >= dim:
+        both_minus = np.zeros((dim, 0))
+    else:
+        # null space of collected^T: the rows of V^T past the numerical rank,
+        # counted above sigma_max * eps * max(shape)
+        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
+        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
+        both_minus = vt[rank:].T
+
+    both_plus, plus_minus, minus_plus, gen = (Subspace(b) for b in blocks)
+    dec = FiveWayDecomposition(both_plus=both_plus, both_minus=Subspace(both_minus),
+                               plus_minus=plus_minus, minus_plus=minus_plus, generic=gen,
+                               generic_angles=pa.angles[generic])
     total = sum(dec.dims().values())
     if total != dim:
         raise ComputationError(

@@ -2,8 +2,8 @@
 
 Shared across modules so every operation that buckets angles, tests ranks or
 validates algebraic identities does it with one set of knobs. The CLI exposes
-the angle buckets (one flag, `--tol-angle`, read by `decompose`) and the rank
-cutoff (`--tol-rank`) as flags.
+the angle bucket width (`--tol-angle`, read by `decompose`, the same width
+at 0 and at pi/2) and the rank cutoff (`--tol-rank`) as flags.
 """
 
 # symmetry / antisymmetry / commutation checks: max|a - a^T| <= SYM_RTOL * n * max|a|
@@ -15,10 +15,9 @@ ORTH_RTOL = 1e-10
 # eigen-reassembly residual of a spectral decomposition, relative to max|eigenvalue|
 RECON_RTOL = 1e-12
 
-# principal angle <= ANGLE_ZERO_TOL  -> coincident direction
-# principal angle >= pi/2 - ANGLE_RIGHT_TOL -> orthogonal direction
-ANGLE_ZERO_TOL = 1e-8
-ANGLE_RIGHT_TOL = 1e-8
+# principal angle <= ANGLE_TOL -> coincident direction;
+# principal angle >= pi/2 - ANGLE_TOL -> orthogonal direction
+ANGLE_TOL = 1e-8
 
 # smallest singular value <= RANK_RTOL * largest  -> block treated as singular
 RANK_RTOL = 1e-8

@@ -161,7 +161,7 @@ def test_connect_emits_valid_generator(tmp_path, capsys):
     )
 
 
-def test_connect_angle_just_inside_tight_right_tolerance(tmp_path, capsys):
+def test_connect_angle_just_inside_a_tight_angle_width(tmp_path, capsys):
     # with --tol-angle 1e-10 an angle 2e-9 short of pi/2 stays generic; the
     # generator must carry it exactly instead of failing near the pi rotation
     theta = math.pi / 2 - 2e-9
@@ -234,6 +234,24 @@ def test_decompose_payload(tmp_path, capsys):
     assert payload["dims"] == {"both_plus": 1, "both_minus": 1, "plus_minus": 0,
                                "minus_plus": 0, "generic": 2}
     assert abs(payload["generic_angles"][0] - theta) < 1e-10
+
+
+def test_decompose_unequal_dimensions(tmp_path, capsys):
+    # a line tilted by arccos 0.6 against a plane of R^4: the plane's
+    # direction the pairing leaves over is a swapped (minus_plus) block
+    first = write_problem(tmp_path / "a.json", {
+        "dim": 4, "subspace": {"basis": [[0.6], [0.0], [0.8], [0.0]]},
+    })
+    second = write_problem(tmp_path / "b.json", {
+        "dim": 4, "subspace": {"basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]},
+    })
+    code, out = run_cli(capsys, ["decompose", first, second])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == {"both_plus": 0, "both_minus": 1, "plus_minus": 0,
+                               "minus_plus": 1, "generic": 2}
+    assert abs(payload["generic_angles"][0] - math.acos(0.6)) <= 1e-15
+    assert abs(abs(payload["bases"]["minus_plus"][1][0]) - 1.0) <= 1e-15
 
 
 def test_multiplicity_with_alternates(tmp_path, capsys):
@@ -489,7 +507,6 @@ def test_import_loads_no_scipy():
 @settings(max_examples=30, deadline=None)
 @given(**THRESHOLD_CASES)
 def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
-    # the contract: the planted dimensions, or a typed error (exit 3 or 4)
     (e0, e1), dims = threshold_case(seed, tol, zero_side, right_side, generic)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_problem(Path(tmp) / f"{i}.json",
@@ -498,9 +515,8 @@ def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["--tol-angle", repr(tol), "decompose", *paths])
-    assert code in (0, 3, 4)
-    if code == 0:
-        assert json.loads(out.getvalue())["dims"] == dims
+    assert code == 0
+    assert json.loads(out.getvalue())["dims"] == dims
 
 
 if __name__ == "__main__":

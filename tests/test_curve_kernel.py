@@ -26,7 +26,6 @@ from lagrass.geodesics import (
     Geodesic,
     GeodesicGenerator,
     _node_speeds,
-    _speed_norms,
     connect,
     evaluate,
     exponential_map,
@@ -35,7 +34,7 @@ from lagrass.geodesics import (
     sampled_lengths,
 )
 from lagrass.graphs import graph_symmetry
-from lagrass.linalg import expm_antisymmetric, max_abs
+from lagrass.linalg import _speed_norms, expm_antisymmetric, max_abs
 from lagrass.sampling import (
     perturbed_curve,
     random_complex_antisymmetric,

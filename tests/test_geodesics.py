@@ -54,7 +54,7 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
-from lagrass.tolerances import ANGLE_RIGHT_TOL, ANGLE_ZERO_TOL, GENERATOR_ATOL
+from lagrass.tolerances import ANGLE_TOL, GENERATOR_ATOL
 
 SEED = 77001
 N_RANDOM_PAIRS = 25
@@ -463,8 +463,8 @@ def assert_reaches(gen, e1, tol):
     assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= tol
 
 
-@pytest.mark.parametrize("theta", [math.pi / 2 - 5e-9, math.pi / 2 - ANGLE_RIGHT_TOL / 2,
-                                   ANGLE_ZERO_TOL / 2])
+@pytest.mark.parametrize("theta", [math.pi / 2 - 5e-9, math.pi / 2 - ANGLE_TOL / 2,
+                                   ANGLE_TOL / 2])
 def test_connect_carries_angles_inside_the_default_buckets(theta):
     # the generator is built from the measured angle, never a snapped one,
     # so an angle the buckets would round to 0 or pi/2 still reaches e1
@@ -476,7 +476,7 @@ def test_connect_carries_angles_inside_the_default_buckets(theta):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("target", [math.pi / 2 - ANGLE_RIGHT_TOL / 2, ANGLE_ZERO_TOL / 2],
+@pytest.mark.parametrize("target", [math.pi / 2 - ANGLE_TOL / 2, ANGLE_TOL / 2],
                          ids=["right", "zero"])
 def test_connect_planted_threshold_angles(n, target):
     rng = np.random.default_rng([SEED + 10, n])
@@ -597,8 +597,8 @@ PLANTS = {
     "repeated-zero": lambda t: [0.0, 0.0, 0.0],
     "repeated-right": lambda t: [math.pi / 2, math.pi / 2],
     "repeated-generic": lambda t: [t, t, t],
-    "near-right": lambda t: [math.pi / 2 - ANGLE_RIGHT_TOL / 2, -math.pi / 2 + 5e-9],
-    "near-zero": lambda t: [ANGLE_ZERO_TOL / 2, -ANGLE_ZERO_TOL / 2],
+    "near-right": lambda t: [math.pi / 2 - ANGLE_TOL / 2, -math.pi / 2 + 5e-9],
+    "near-zero": lambda t: [ANGLE_TOL / 2, -ANGLE_TOL / 2],
     "flip-band": lambda t: [math.pi / 2 - GENERATOR_ATOL / 2, math.pi / 2 - 2 * GENERATOR_ATOL],
     "mirrored-pi/4": lambda t: [math.pi / 4 - t * 1e-4, math.pi / 4 + t * 1e-4],
     "collision": lambda t: [t, _partner(t)],

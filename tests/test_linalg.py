@@ -171,6 +171,37 @@ def test_principal_angles_orthogonal_planes():
     assert np.allclose(pa.angles, math.pi / 2, atol=1e-12)
 
 
+def test_principal_angles_unpaired_columns():
+    # a line tilted by arccos 0.6 against a plane: the plane's second
+    # principal vector has no partner and is orthogonal to the line
+    plane = np.eye(4)[:, :2]
+    line = np.array([[0.6], [0.0], [0.8], [0.0]])
+    for q0, q1, flip in ((plane, line, False), (line, plane, True)):
+        pa = principal_angles(q0, q1)
+        assert abs(pa.angles[0] - math.acos(0.6)) < 1e-15
+        assert pa.left.shape == pa.right.shape == (4, 1)
+        rest, empty = (pa.right_unpaired, pa.left_unpaired) if flip else (
+            pa.left_unpaired, pa.right_unpaired)
+        assert rest.shape == (4, 1) and empty.shape == (4, 0)
+        assert abs(abs(rest[1, 0]) - 1.0) < 1e-15
+    pa = principal_angles(plane, np.zeros((4, 0)))
+    assert pa.angles.shape == (0,) and pa.left_unpaired.shape == (4, 2)
+
+
+def test_expm_antisymmetric_checks_each_matrix_at_its_own_scale():
+    # held to the stack's largest entry, the small non-antisymmetric matrix
+    # would pass and its exponential would not be orthogonal
+    big = 1e8 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    bad = np.array([[0.0, 1e-3], [0.0, 0.0]])
+    with pytest.raises(InvariantViolation,
+                       match=r"^expm: input not antisymmetric at matrix 1 of the stack "
+                             r"\(deviation 1\.000e-03\)$"):
+        expm_antisymmetric(np.stack([big, bad]))
+    with pytest.raises(InvariantViolation,
+                       match=r"^expm: input not antisymmetric \(deviation 1\.000e-03\)$"):
+        expm_antisymmetric(bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
        st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))

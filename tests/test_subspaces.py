@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrass.complex_structure import ComplexStructure, realify_conjugation
-from lagrass.errors import ComputationError, InvariantViolation
+from lagrass.errors import InvariantViolation
 from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
@@ -35,7 +35,7 @@ from lagrass.subspaces import (
     tangent_project_offdiagonal,
     vertical_symmetry,
 )
-from lagrass.tolerances import SYM_RTOL
+from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
 
 SEED = 91125
 
@@ -472,13 +472,83 @@ THRESHOLD_CASES = dict(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from(BUCKE
 @settings(max_examples=60, deadline=None)
 @given(**THRESHOLD_CASES)
 def test_five_way_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
-    # the contract: the planted dimensions, or a typed error
     (e0, e1), dims = threshold_case(seed, tol, zero_side, right_side, generic)
-    try:
-        dec = five_way_decompose(e0, e1, zero_tol=tol, right_tol=tol)
-    except (InvariantViolation, ComputationError):
-        return
+    dec = five_way_decompose(e0, e1, tol)
     assert dec.dims() == dims
+    assert_blocks_invariant(dec, e0, e1, tol)
+
+
+@pytest.mark.parametrize("angle, tol", [(1.001e-8, ANGLE_TOL), (1.001e-10, 1e-10)])
+def test_five_way_keeps_a_generic_angle_just_above_the_width(angle, tol):
+    # the partner of a generic angle has a part orthogonal to S0 of length
+    # sin(angle), so its rounding error is about eps / sin(angle) relative:
+    # the generic basis must stay orthonormal and invariant all the same
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(20):
+        e0, e1 = planted_angle_pair(np.concatenate([[angle], rng.uniform(0.6, 0.95, 2)]), rng)
+        dec = five_way_decompose(e0, e1, tol)
+        assert dec.dims() == block_dims(0, 0, 0, 0, 6)
+        assert abs(dec.generic_angles[0] - angle) <= 1e-15
+        assert_blocks_invariant(dec, e0, e1, tol)
+
+
+# ---------------------------------------------------------------------------
+# every block reduces both symmetries
+
+BLOCK_SIGNS = {"both_plus": (1, 1), "both_minus": (-1, -1), "plus_minus": (1, -1),
+               "minus_plus": (-1, 1)}
+
+
+def block_dims(both_plus, both_minus, plus_minus, minus_plus, generic):
+    return {"both_plus": both_plus, "both_minus": both_minus, "plus_minus": plus_minus,
+            "minus_plus": minus_plus, "generic": generic}
+
+
+def assert_blocks_invariant(dec, e0, e1, tol):
+    """eps0 and eps1 act on the intersection blocks by their planted signs,
+    within 2 sin(tol), the distance |eps v - v| of a direction v bucketed at
+    an angle up to tol, and map the generic block into itself."""
+    slack = 2.0 * math.sin(tol) + 1e-12
+    for name, signs in BLOCK_SIGNS.items():
+        b = getattr(dec, name).basis
+        for e, sign in zip((e0, e1), signs):
+            assert np.linalg.norm(e.matrix @ b - sign * b, 2) <= slack, name
+    g = dec.generic.basis
+    for e in (e0, e1):
+        image = e.matrix @ g
+        assert np.linalg.norm(image - g @ (g.T @ image), 2) <= 1e-12
+
+
+def _unequal_pairs():
+    e = np.eye(4)
+    plane, line_ = Subspace(e[:, :2]), Subspace(e[:, 1:2])
+    tilted = Subspace(0.6 * e[:, :1] + 0.8 * e[:, 2:3])     # arccos 0.6 from the plane
+    zero = Subspace.trivial(4)
+    yield pytest.param(plane, line_, block_dims(1, 2, 1, 0, 0), [], id="plane/line")
+    yield pytest.param(line_, plane, block_dims(1, 2, 0, 1, 0), [], id="line/plane")
+    yield pytest.param(plane, zero, block_dims(0, 2, 2, 0, 0), [], id="plane/zero")
+    yield pytest.param(tilted, plane, block_dims(0, 1, 0, 1, 2), [math.acos(0.6)],
+                       id="tilted/plane")
+
+
+@pytest.mark.parametrize("s0, s1, dims, angles", list(_unequal_pairs()))
+def test_five_way_unequal_dimensions(s0, s1, dims, angles):
+    # the columns the pairing leaves over are swapped directions
+    e0, e1 = symmetry_from_subspace(s0), symmetry_from_subspace(s1)
+    dec = five_way_decompose(e0, e1)
+    assert dec.dims() == dims
+    assert np.allclose(dec.generic_angles, angles, rtol=0.0, atol=1e-15)
+    assert_blocks_invariant(dec, e0, e1, ANGLE_TOL)
+
+
+def test_five_way_blocks_invariant_on_random_pairs():
+    rng = np.random.default_rng(SEED + 13)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            _, e0, e1 = random_lagrangian_pair(n, rng)
+            dec = five_way_decompose(e0, e1)
+            assert dec.dims()["generic"] == 2 * n
+            assert_blocks_invariant(dec, e0, e1, ANGLE_TOL)
 
 
 if __name__ == "__main__":
