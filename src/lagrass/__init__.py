@@ -100,7 +100,6 @@ from .subspaces import (
     symmetry_from_projection,
     symmetry_from_subspace,
     tangent_project,
-    tangent_project_offdiagonal,
     vertical_symmetry,
 )
 

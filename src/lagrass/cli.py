@@ -361,6 +361,8 @@ def _cmd_graph_recover(args) -> int:
 
 
 def _cmd_spectral_curve(args) -> int:
+    if args.grid < 1:
+        raise ParseFailure("spectral-curve: --grid must be >= 1")
     doc = _load_json(args.operator)
     y = _matrix_from(doc, "matrix", args.operator)
     if y.shape[0] != y.shape[1]:

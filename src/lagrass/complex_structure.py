@@ -125,40 +125,40 @@ def complex_inner_product(structure: ComplexStructure, xi, eta) -> complex:
     return complex(float(x @ y), -symplectic_form(structure, x, y))
 
 
-def commutes_with_structure(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
-    """True iff a J = J a within rtol * dim * max|a| (complex-linear operators)."""
-    return _structure_verdict(a, structure, rtol, "commutes_with_structure", "commutes")
+def commutes_with_structure(a, structure: ComplexStructure) -> bool:
+    """True iff a J = J a within SYM_RTOL * dim * max|a| (complex-linear operators)."""
+    return _structure_verdict(a, structure, "commutes_with_structure", "commutes")
 
 
-def anticommutes_with_structure(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
+def anticommutes_with_structure(a, structure: ComplexStructure) -> bool:
     """True iff a J = -J a within tolerance (conjugate-linear operators)."""
-    return _structure_verdict(a, structure, rtol, "anticommutes_with_structure", "anticommutes")
+    return _structure_verdict(a, structure, "anticommutes_with_structure", "anticommutes")
 
 
-def is_complex_unitary(u, structure: ComplexStructure, rtol: float = SYM_RTOL) -> bool:
+def is_complex_unitary(u, structure: ComplexStructure) -> bool:
     """True iff u is orthogonal and commutes with J (unitary on (C^n, <.,.>_J))."""
-    return _structure_verdict(u, structure, rtol, "is_complex_unitary", "orthonormal", "commutes")
+    return _structure_verdict(u, structure, "is_complex_unitary", "orthonormal", "commutes")
 
 
-def _structure_verdict(a, structure: ComplexStructure, rtol: float, name: str, *kinds) -> bool:
+def _structure_verdict(a, structure: ComplexStructure, name: str, *kinds) -> bool:
     """Whether a satisfies each identity ("commutes" and "anticommutes" taken
-    with J) within rtol * dim * max(max|a|, 1e-300)."""
+    with J) within SYM_RTOL * dim * max(max|a|, 1e-300)."""
     arr = _as_2d(a, "operator", square=True)
     if arr.shape[0] != structure.dim:
         raise InvariantViolation(f"{name}: dimension mismatch")
-    tol = rtol * max(arr.shape[0], 1)
+    tol = SYM_RTOL * max(arr.shape[0], 1)
     checks = [(k if k == "orthonormal" else (k, structure.matrix), tol, 1e-300, "") for k in kinds]
     return _check(arr, "operator", checks, verdict=True)
 
 
-def complexify(a, structure: ComplexStructure, rtol: float = SYM_RTOL) -> np.ndarray:
+def complexify(a, structure: ComplexStructure) -> np.ndarray:
     """The n x n complex matrix of a J-commuting real operator.
 
     In standard coordinates a = [[x, -y], [y, x]] and the matrix is x + i y.
     Refuses operators that do not commute with J.
     """
     arr = _as_2d(a, "operator", square=True)
-    if not _structure_verdict(arr, structure, rtol, "complexify", "commutes"):
+    if not _structure_verdict(arr, structure, "complexify", "commutes"):
         raise InvariantViolation("complexify: operator does not commute with J")
     return _complex_block(arr, structure)
 

@@ -411,8 +411,9 @@ def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[Geodes
     With d = 0 the geodesic is unique and the list is just [gen]. The
     pi-rotation planes are found once and shared by every pattern.
     """
-    if limit < 1:
-        raise InvariantViolation(f"alternate generators: limit must be >= 1, got {limit!r}")
+    if not isinstance(limit, (int, np.integer)) or limit < 1:
+        raise InvariantViolation(
+            f"alternate generators: limit must be an integer >= 1, got {limit!r}")
     planes = _pi_planes(gen)
     d = planes.size
     if d == 0:

@@ -1,18 +1,16 @@
 """Graphs of symmetric operators as Lagrangian subspaces, and spectral curves.
 
-The ambient space is K x K with the standard complex structure. The graph of
-a symmetric operator a on K is the Lagrangian subspace {(xi, a xi)}; this
-module builds its basis, projection and symmetry in closed form, inverts the
-construction (operator recovery), measures the gap metric between graphs, and
-tracks the Cayley-transform eigenphases of the graph operators along a
-geodesic, including the window and safe-radius guarantees for staying inside
-the chart.
-
-Along a flow, each node is read through the conjugation matrix C of its
-symmetry (v -> C conj(v) in the standard split, a plain numpy complex array).
-For the graph of f, the Cayley image (f - i)(f + i)^(-1) is exactly -C, and
-the top block of an orthonormal basis has singular values |1 + spec C| / 2,
-so the chart test and the Cayley curve need no operator recovery.
+The ambient space is K x K with the standard complex structure. In the
+standard split the graph {(xi, a xi)} of a symmetric operator a has the
+symmetry v -> C conj(v) with C = (i - a)(i + a)^(-1), a symmetric unitary
+equal to minus the Cayley image (a - i)(a + i)^(-1). Every graph computation
+reads that one matrix: symmetry and projection are realified C, a basis is
+[Re W; Im W] with W W^T = C, the gap metric is |C_a - C_b| / 2, recovery is
+b = Re(i (I - C)(I + C)^(-1)), and a subspace lies in the chart iff
+dist(-1, spec C) / 2, the smallest singular value of the top block of an
+orthonormal basis, exceeds the rank cutoff. Along a geodesic flow the nodes
+are read as C_t stacks, so the window and safe-radius checks and the Cayley
+curve need no operator recovery.
 """
 
 from __future__ import annotations
@@ -22,17 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, is_complex_unitary
+from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, sample
-from .linalg import (
-    apply_function,
-    max_abs,
-    require_square,
-    require_symmetric,
-    schatten_norm,
-    spectral_decompose,
-)
+from .linalg import max_abs, require_square, require_symmetric, spectral_decompose
 from .subspaces import (
     Projection,
     Subspace,
@@ -66,14 +57,30 @@ ESSENTIAL_SPECTRUM_NOTE = (
 # building graphs
 
 
+def _graph_conjugation(a) -> tuple[np.ndarray, np.ndarray]:
+    """(C, lam) for graph(a): C = V diag((i - lam) / (i + lam)) V^T, symmetrised,
+    from one validated spectral decomposition V diag(lam) V^T of a."""
+    dec = spectral_decompose(require_symmetric(a, "graph operator"))
+    lam, vec = dec.eigenvalues, dec.eigenvectors
+    c = (vec * ((1j - lam) / (1j + lam))) @ vec.T
+    return (c + c.T) / 2.0, lam
+
+
+def _graph_eps(a) -> np.ndarray:
+    """The symmetry matrix [[Re C, Im C], [Im C, -Re C]] of graph(a), the lower
+    block taken as 0 - Re C so that a zero keeps its + sign."""
+    c = _graph_conjugation(a)[0]
+    return np.block([[c.real, c.imag], [c.imag, 0.0 - c.real]])
+
+
 def graph_basis(a) -> np.ndarray:
-    """Orthonormal basis of the graph {(xi, a xi)}: columns of [c; a c] with
-    c = (I + a^2)^(-1/2)."""
-    arr = require_symmetric(a, "graph operator")
-    dec = spectral_decompose(arr)
-    c = apply_function(dec, lambda t: 1.0 / math.sqrt(1.0 + t * t))
-    ac = apply_function(dec, lambda t: t / math.sqrt(1.0 + t * t))
-    return np.vstack([c, ac])
+    """Orthonormal basis [Re W; Im W] of the graph {(xi, a xi)}, with the unitary
+    W = V diag((1 + i lam) / sqrt(1 + lam^2)) V^T, so W W^T = C. Its columns
+    are those of [c; a c] with c = (I + a^2)^(-1/2)."""
+    dec = spectral_decompose(require_symmetric(a, "graph operator"))
+    lam, vec = dec.eigenvalues, dec.eigenvectors
+    w = (vec * ((1.0 + 1j * lam) / np.hypot(1.0, lam))) @ vec.T
+    return np.vstack([w.real, w.imag])
 
 
 def graph_subspace(a) -> Subspace:
@@ -81,21 +88,14 @@ def graph_subspace(a) -> Subspace:
 
 
 def graph_projection(a) -> Projection:
-    """Projection onto the graph in closed block form.
-
-    Blocks are r, r a, a r a with r = (I + a^2)^(-1), assembled by functional
-    calculus of a; I + a^2 is always invertible.
-    """
-    arr = require_symmetric(a, "graph operator")
-    dec = spectral_decompose(arr)
-    r = apply_function(dec, lambda t: 1.0 / (1.0 + t * t))
-    ra = apply_function(dec, lambda t: t / (1.0 + t * t))
-    ara = apply_function(dec, lambda t: t * t / (1.0 + t * t))
-    return Projection(np.block([[r, ra], [ra, ara]]))
+    """Projection (eps + I) / 2 onto the graph, eps the realified C."""
+    eps = _graph_eps(a)
+    return Projection((eps + np.eye(eps.shape[0])) / 2.0)
 
 
 def graph_symmetry(a) -> Symmetry:
-    return Symmetry(2.0 * graph_projection(a).matrix - np.eye(2 * np.asarray(a).shape[0]))
+    """Symmetry of the graph: realified C = (i - a)(i + a)^(-1)."""
+    return Symmetry(_graph_eps(a))
 
 
 def _identity_graph(n: int) -> np.ndarray:
@@ -149,13 +149,20 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     return bool(sv[-1] > rank_rtol)
 
 
+def _chart_margin(c: np.ndarray) -> np.ndarray:
+    """dist(-1, spec C) / 2 for one conjugation matrix C or a stack: C is
+    normal, so this is the smallest singular value of I + C, over 2."""
+    return np.linalg.svd(np.eye(c.shape[-1]) + c, compute_uv=False)[..., -1] / 2.0
+
+
 def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """The unique symmetric b with S = graph(b).
 
-    Solves b (top block) = (bottom block) on an orthonormal basis. Rejects
-    non-graphs, rejects a nonsymmetric solution (the subspace was not
-    Lagrangian), and verifies that the closed-form projection of b reproduces
-    the subspace projection. rank_rtol must lie in (0, 1).
+    Reads the conjugation matrix C of S in the standard split, refusing a
+    subspace that is not Lagrangian (InvariantViolation) and a Lagrangian
+    whose C has -1 within 2 rank_rtol of its spectrum (NotAGraphError), and
+    returns b = Re(i (I - C)(I + C)^(-1)). b must be symmetric, and the graph
+    symmetry of b must reproduce S. rank_rtol must lie in (0, 1).
     """
     _require_rank_cutoff(rank_rtol, "recover_operator")
     eps = _as_symmetry(s)
@@ -166,18 +173,18 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         raise NotAGraphError(
             f"recover_operator: subspace dimension {eps.plus_dim}, expected {n}"
         )
-    basis = subspace_from_symmetry(eps).basis
-    top = basis[:n]
-    bottom = basis[n:]
-    sv = np.linalg.svd(top, compute_uv=False)
-    # absolute cutoff: hold the orthonormal basis to the same gate as is_graph
-    if sv[-1] <= rank_rtol:
+    try:
+        c = conjugation_matrix(eps.matrix, ComplexStructure.standard(n))
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"recover_operator: subspace is not Lagrangian ({exc})") from exc
+    if _chart_margin(c) <= rank_rtol:
         raise NotAGraphError("recover_operator: vertical overlap, not a graph")
-    b = np.linalg.solve(top.T, bottom.T).T
-    b = require_symmetric(b, "recovered graph operator")
+    eye = np.eye(n)
+    b = require_symmetric((1j * np.linalg.solve(eye + c, eye - c)).real,
+                          "recovered graph operator")
     # absolute at moderate operator size, scaled for badly conditioned graphs
     tol = GRAPH_RECOVERY_TOL * max(1.0, max_abs(b))
-    resid = max_abs(graph_projection(b).matrix - ((eps.matrix + np.eye(2 * n)) / 2.0))
+    resid = max_abs(_graph_eps(b) - eps.matrix) / 2.0
     if resid > tol:
         raise ComputationError(
             f"recover_operator: projection residual {resid:.3e} beyond {tol:.3e}"
@@ -189,9 +196,9 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
 class TransformedGraph:
     """Recovery of u(G_a) as a graph, with both closed-form candidates.
 
-    operator is the ground truth from basis recovery. The two candidate
-    formulas differ in operator order (they agree only when the blocks
-    commute); their residuals against the ground truth are reported so the
+    operator is the ground truth, recovered from the rotated symmetry. The
+    two candidate formulas differ in operator order (they agree only when
+    the blocks commute); their residuals against the ground truth are reported so the
     caller can see which, if either, is exact.
     """
 
@@ -212,8 +219,8 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
     """Graph operator of u(G_a) for a rotation u commuting with J.
 
     u has the block form [[x, y], [-y, x]]; the image is a graph exactly when
-    x + y a is invertible, and the ground-truth operator comes from basis
-    recovery of the rotated graph, which raises NotAGraphError otherwise.
+    x + y a is invertible, and the ground-truth operator is recovered from
+    the rotated symmetry u eps_a u^T, which raises NotAGraphError otherwise.
     """
     arr_u = require_square(u, "rotation")
     n = arr_u.shape[0] // 2
@@ -228,7 +235,8 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
     x = arr_u[:n, :n]
     y = arr_u[:n, n:]
 
-    b = recover_operator(Subspace(arr_u @ graph_basis(arr_a)))
+    eps_a = _graph_eps(arr_a)
+    b = recover_operator(Symmetry(arr_u @ eps_a @ arr_u.T))
     den = x + y @ arr_a
 
     first = _right_quotient(-y + x @ arr_a, den)
@@ -250,17 +258,13 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     the chart's own split only for the standard J, so a generator on any other
     J is refused (InvariantViolation), as in `cayley_curve`. The nodes are
     validated in one stacked check as symmetric unitaries, with the Symmetry
-    tolerances of their real forms. A node lies in the graph chart iff
-    dist(-1, spec C_t) / 2, the smallest singular value of the top block of
-    an orthonormal basis that `is_graph` tests, exceeds rank_rtol; C_t is
-    normal, so that distance is the smallest singular value of I + C_t.
+    tolerances of their real forms. A node lies in the graph chart iff its
+    `_chart_margin` exceeds rank_rtol, the test of `recover_operator`.
     """
     if not gen.structure.is_standard():
         raise InvariantViolation("graph chart: requires the standard complex structure")
     c = _require_conjugation_symmetries(sample(Geodesic(gen), ts))
-    n = gen.structure.n
-    sigma = np.linalg.svd(np.eye(n) + c, compute_uv=False)
-    return c, sigma[:, -1] / 2.0 > rank_rtol
+    return c, _chart_margin(c) > rank_rtol
 
 
 @dataclass(frozen=True)
@@ -344,11 +348,17 @@ def graph_safe_radius(gen: GeodesicGenerator) -> float:
 def gap_distance(a, b) -> float:
     """Operator-norm distance between the graph projections of a and b.
 
-    Bounded by 1; tends to 1 as one operator blows up toward the vertical.
+    The projections differ by the realified (C_a - C_b) / 2, and realifying
+    repeats each singular value, so this is |C_a - C_b| / 2. Bounded by 1;
+    tends to 1 as one operator blows up toward the vertical. Operators of
+    different sizes are refused (InvariantViolation).
     """
-    pa = graph_projection(a).matrix
-    pb = graph_projection(b).matrix
-    return schatten_norm(pa - pb, math.inf)
+    c_a = _graph_conjugation(a)[0]
+    c_b = _graph_conjugation(b)[0]
+    if c_a.shape != c_b.shape:
+        raise InvariantViolation(f"gap_distance: operator sizes differ, "
+                                 f"{c_a.shape[0]} and {c_b.shape[0]}")
+    return float(np.linalg.svd(c_a - c_b, compute_uv=False).max(initial=0.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +384,13 @@ def _wrap_phase(phi: np.ndarray) -> np.ndarray:
 
 
 def cayley_transform(a) -> CayleyTransform:
-    arr = require_symmetric(a, "operator")
-    dec = spectral_decompose(arr)
-    lam = dec.eigenvalues
-    phases = _wrap_phase(-math.pi + 2.0 * np.arctan(lam))
-    values = np.exp(1j * phases)
-    vec = dec.eigenvectors
-    u = (vec * values) @ vec.T
-    n = arr.shape[0]
+    """The Cayley image -C of a, with its eigenphases -pi + 2 arctan(lam)."""
+    c, lam = _graph_conjugation(a)
+    u = -c
+    n = u.shape[0]
     if max_abs(np.abs(u @ u.conj().T - np.eye(n))) > 1e-10 * max(1, n):
         raise ComputationError("cayley_transform: image failed the unitarity check")
-    return CayleyTransform(u, phases)
+    return CayleyTransform(u, _wrap_phase(-math.pi + 2.0 * np.arctan(lam)))
 
 
 @dataclass(frozen=True)

@@ -105,16 +105,16 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
-def require_symmetric(a, name: str = "operator", rtol: float = SYM_RTOL) -> np.ndarray:
-    """Validate symmetry within rtol * n * max|a|. The input is returned as-is."""
+def require_symmetric(a, name: str = "operator") -> np.ndarray:
+    """Validate symmetry within SYM_RTOL * n * max|a|. The input is returned as-is."""
     arr = _as_2d(a, name, square=True)
-    return _check(arr, name, [("symmetric", rtol * max(arr.shape[0], 1), 0.0,
+    return _check(arr, name, [("symmetric", SYM_RTOL * max(arr.shape[0], 1), 0.0,
                                "not symmetric" + _EXCEEDS)])
 
 
-def require_antisymmetric(a, name: str = "operator", rtol: float = SYM_RTOL) -> np.ndarray:
+def require_antisymmetric(a, name: str = "operator") -> np.ndarray:
     arr = _as_2d(a, name, square=True)
-    return _check(arr, name, [("antisymmetric", rtol * max(arr.shape[0], 1), 0.0,
+    return _check(arr, name, [("antisymmetric", SYM_RTOL * max(arr.shape[0], 1), 0.0,
                                "not antisymmetric" + _EXCEEDS)])
 
 
@@ -124,9 +124,9 @@ def require_orthonormal_columns(q, name: str = "basis", rtol: float = ORTH_RTOL)
                                "columns not orthonormal (deviation {dev:.3e})")])
 
 
-def require_orthogonal(g, name: str = "matrix", rtol: float = ORTH_RTOL) -> np.ndarray:
+def require_orthogonal(g, name: str = "matrix") -> np.ndarray:
     arr = _as_2d(g, name, square=True)
-    return _check(arr, name, [("orthonormal", rtol * max(arr.shape[0], 1), None,
+    return _check(arr, name, [("orthonormal", ORTH_RTOL * max(arr.shape[0], 1), None,
                                "not orthogonal (deviation {dev:.3e})")])
 
 
@@ -157,12 +157,14 @@ class SpectralDecomposition:
 
 
 def spectral_decompose(a) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, with a reassembly check.
+    """Eigendecomposition of the symmetric part (a + a^T) / 2 of a matrix that
+    passes `require_symmetric`, with a reassembly check.
 
-    The residual of V diag(lam) V^T against the input must stay below
+    The residual of V diag(lam) V^T against that part must stay below
     RECON_RTOL * n * max|lam|; otherwise the decomposition is refused.
     """
     arr = require_symmetric(a)
+    arr = (arr + arr.T) / 2.0
     lam, vec = np.linalg.eigh(arr)
     resid = max_abs(vec @ (lam[:, None] * vec.T) - arr)
     tol = RECON_RTOL * max(arr.shape[0], 1) * max_abs(lam)

@@ -256,8 +256,12 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
     basis is the S0 principal vectors of the other angles followed by their
     S1 partners projected off S0 and the swapped S1 columns, orthonormal by
     one QR. both_minus is the rest of the space. Intersections are never
-    rank decisions on sums of projections.
+    rank decisions on sums of projections. angle_tol must be a finite angle
+    in (0, pi/4), where the two buckets stay apart (InvariantViolation).
     """
+    if not 0.0 < angle_tol < math.pi / 4.0:
+        raise InvariantViolation(
+            f"pair decomposition: angle width must lie in (0, pi/4), got {angle_tol!r}")
     if eps0.ambient_dim != eps1.ambient_dim:
         raise InvariantViolation("pair decomposition: ambient dimensions differ")
     dim = eps0.ambient_dim
@@ -305,15 +309,14 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
 # tangent vectors and the induced connection
 
 
-def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None,
-                  rtol: float = SYM_RTOL) -> np.ndarray:
+def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None) -> np.ndarray:
     """Validate a tangent vector at eps: symmetric, anticommutes with eps,
     and (when J is supplied) anticommutes with J. Returns v unchanged."""
     arr = _as_2d(v, "tangent vector", square=True)
     n = arr.shape[0]
     if n != eps.ambient_dim or (structure is not None and n != structure.dim):
         raise InvariantViolation("tangent vector: dimension mismatch")
-    tol = rtol * max(n, 1)
+    tol = SYM_RTOL * max(n, 1)
     checks = [("symmetric", tol, 0.0, "not symmetric" + _EXCEEDS),
               (("anticommutes", eps.matrix), tol, 1e-300,
                "does not anticommute with the base symmetry")]
@@ -334,21 +337,6 @@ def tangent_project(eps: Symmetry, a) -> np.ndarray:
         raise InvariantViolation("tangent projection: dimension mismatch")
     e = eps.matrix
     return (arr - e @ arr @ e) / 2.0
-
-
-def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
-    """The tangent projection written in projection coordinates:
-    a -> p a (I - p) + (I - p) a p.
-
-    Algebraically identical to the symmetry form at eps = 2p - I; both are
-    kept so their agreement can be verified numerically.
-    """
-    arr = require_square(a, "operator")
-    if arr.shape[0] != p.ambient_dim:
-        raise InvariantViolation("tangent projection: dimension mismatch")
-    q = p.matrix
-    comp = np.eye(q.shape[0]) - q
-    return q @ arr @ comp + comp @ arr @ q
 
 
 def _require_tangents(eps_stack: np.ndarray, x_stack: np.ndarray) -> None:

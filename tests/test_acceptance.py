@@ -56,10 +56,11 @@ from lagrass.subspaces import (
     covariant_derivative,
     projection_from_symmetry,
     tangent_project,
-    tangent_project_offdiagonal,
     vertical_symmetry,
 )
 from lagrass.tolerances import RANK_RTOL
+
+from reference_formulas import tangent_project_offdiagonal
 
 SEED = 20260816
 

@@ -84,6 +84,18 @@ def test_validate_accepts_graph_encoding(tmp_path, capsys):
     assert json.loads(out)["lagrangian"] is True
 
 
+def test_validate_accepts_a_graph_operator_asymmetric_within_tolerance(tmp_path, capsys):
+    # 5e-11 asymmetry passes the symmetry check (tolerance 4e-10); it used to
+    # fail the eigen-reassembly check with exit 4
+    path = write_problem(tmp_path / "graph.json", {
+        "dim": 4,
+        "subspace": {"graph_of": [[1.0, 5e-11], [0.0, 2.0]]},
+    })
+    code, out = run_cli(capsys, ["validate", path])
+    assert code == 0
+    assert json.loads(out)["lagrangian"] is True
+
+
 def test_validate_writes_out_file(tmp_path, capsys):
     path = line_file(tmp_path, 0.3, "sub.json")
     out_path = tmp_path / "report.json"
@@ -134,6 +146,17 @@ def test_exit_code_computation_error(tmp_path, capsys):
     })
     code, _ = run_cli(capsys, ["graph-recover", path])
     assert code == 4
+
+
+def test_graph_recover_non_lagrangian_half_dimensional_exits_3(tmp_path, capsys):
+    # span{x1, y1}: half-dimensional, neither Lagrangian nor a graph
+    path = write_problem(tmp_path / "plane.json", {
+        "dim": 4,
+        "subspace": {"basis": [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+    })
+    code, out = run_cli(capsys, ["graph-recover", path])
+    assert code == 3
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +444,19 @@ def test_spectral_curve_near_the_chart_edge(tmp_path, capsys, n):
     verdict = json.loads(out[out.index("{"):])
     assert verdict["closed_form_max_error"] <= 1e-12
     assert verdict["skipped_times"] == 0
+
+
+@pytest.mark.parametrize("grid, want", [("-1", 2), ("0", 2), ("1", 0)])
+def test_spectral_curve_grid_range(tmp_path, capsys, grid, want):
+    # -1 used to end in an np.linspace traceback, 0 in a misleading exit 4
+    path = write_problem(tmp_path / "y.json", {"matrix": [[0.3, 0.0], [0.0, -0.2]]})
+    code, out = run_cli(capsys, ["spectral-curve", path, "--grid", grid])
+    assert code == want
+    if want:
+        assert out == ""
+    else:
+        assert out.splitlines()[0] == "t,phase_0,phase_1,min_gap_to_minus_one"
+        assert len(out.splitlines()[1].split(",")) == 4
 
 
 def test_spectral_curve_rejects_wide_spectrum(tmp_path, capsys):

@@ -434,6 +434,15 @@ def test_alternate_generators_cap():
             alternate_generators(gen, limit=limit)
 
 
+@pytest.mark.parametrize("limit", [2.5, 3.0, "3", None])
+def test_alternate_generators_refuse_a_non_integer_limit(limit):
+    structure = ComplexStructure.standard(2)
+    gen = connect(graph_symmetry(np.eye(2)),
+                  graph_symmetry(np.diag([1.0, -1.0])), structure)
+    with pytest.raises(InvariantViolation, match="limit must be an integer >= 1"):
+        alternate_generators(gen, limit=limit)
+
+
 # ---------------------------------------------------------------------------
 # angles at the bucketing thresholds and the pi-plane band
 

@@ -142,6 +142,25 @@ def test_recover_operator_rejects_vertical_and_nonsymmetric():
         recover_operator(sub)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_recover_operator_round_trip_across_scales(n):
+    # large graph operators put spec C within 2 / |a| of -1; recovery from C
+    # keeps full relative accuracy there
+    rng = np.random.default_rng(SEED + n)
+    for scale in (0.1, 1.0, 10.0, 1e3, 1e5):
+        for _ in range(2):
+            a = random_symmetric(n, rng, scale=scale)
+            b = recover_operator(graph_symmetry(a))
+            assert max_abs(b - a) <= 1e-12 * max_abs(a)
+
+
+def test_recover_operator_refuses_a_half_dimensional_non_lagrangian():
+    # span{x1, y1} in R^4: half-dimensional, neither Lagrangian nor a graph
+    plane = Subspace(np.eye(4)[:, [0, 2]])
+    with pytest.raises(InvariantViolation, match="recover_operator: subspace is not Lagrangian"):
+        recover_operator(plane)
+
+
 @pytest.mark.parametrize("cutoff", [-1.0, 0.0, 1.0, math.nan, math.inf])
 def test_rank_cutoff_outside_unit_interval_refused(cutoff):
     # the plane of x2 and y1: Lagrangian, not a graph; at -1 is_graph said
@@ -213,13 +232,13 @@ def test_transformed_graph_not_a_graph():
 
 def test_transformed_graph_recovers_the_image_once(monkeypatch):
     calls = []
-    original = lagrass.graphs.subspace_from_symmetry
+    original = lagrass.graphs.conjugation_matrix
 
-    def counting(eps):
+    def counting(eps, structure):
         calls.append(eps)
-        return original(eps)
+        return original(eps, structure)
 
-    monkeypatch.setattr(lagrass.graphs, "subspace_from_symmetry", counting)
+    monkeypatch.setattr(lagrass.graphs, "conjugation_matrix", counting)
     rng = np.random.default_rng(SEED + 4)
     structure = ComplexStructure.standard(3)
     u = random_complex_rotation(structure, rng, spread=0.5)
@@ -293,6 +312,11 @@ def test_gap_distance_frozen_and_monotone():
     for lam, g in zip((1.0, 10.0, 100.0), gaps):
         assert abs(g - lam / math.sqrt(1 + lam * lam)) < 1e-12
     assert gaps[0] < gaps[1] < gaps[2] < 1.0
+
+
+def test_gap_distance_refuses_operators_of_different_sizes():
+    with pytest.raises(InvariantViolation, match="gap_distance: operator sizes differ"):
+        gap_distance(np.eye(2), np.eye(3))
 
 
 def test_gap_distance_triangle_inequality():

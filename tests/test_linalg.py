@@ -52,6 +52,17 @@ def test_spectral_decompose_known_reflection():
     assert abs(abs(v1 @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1.0) < TOL
 
 
+def test_spectral_decompose_reads_the_symmetric_part():
+    # asymmetry 5e-11 passes require_symmetric (tolerance 4e-10) but exceeds
+    # the reassembly tolerance 4e-12 against the unsymmetrised input; eigh
+    # reads one triangle, so the symmetric part is what gets decomposed
+    a = np.array([[1.0, 5e-11], [0.0, 2.0]])
+    dec = spectral_decompose(a)
+    sym = (a + a.T) / 2.0
+    vec, lam = dec.eigenvectors, dec.eigenvalues
+    assert max_abs(vec @ np.diag(lam) @ vec.T - sym) <= 1e-15
+
+
 def test_apply_function_matches_direct_evaluation():
     rng = np.random.default_rng(SEED)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))

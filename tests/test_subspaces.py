@@ -32,10 +32,11 @@ from lagrass.subspaces import (
     symmetry_from_projection,
     symmetry_from_subspace,
     tangent_project,
-    tangent_project_offdiagonal,
     vertical_symmetry,
 )
 from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
+
+from reference_formulas import tangent_project_offdiagonal
 
 SEED = 91125
 
@@ -138,6 +139,16 @@ def test_five_way_identical_pair():
     dec = five_way_decompose(e0, e0)
     assert dec.dims() == {"both_plus": 2, "both_minus": 2, "plus_minus": 0,
                           "minus_plus": 0, "generic": 0}
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, math.nan, math.pi / 4, 1.0, math.inf])
+def test_five_way_refuses_an_angle_width_outside_the_open_quarter(width):
+    # at -1, 0 or nan every angle of an identical pair used to fall in the
+    # generic bucket: one 6-dimensional block with angles about 1e-16
+    _, e0, _ = random_lagrangian_pair(3, np.random.default_rng(1))
+    assert five_way_decompose(e0, e0).dims()["both_plus"] == 3
+    with pytest.raises(InvariantViolation, match="angle width must lie in"):
+        five_way_decompose(e0, e0, angle_tol=width)
 
 
 def test_five_way_blocks_are_orthogonal_and_complete():
