@@ -37,7 +37,6 @@ from .geodesics import (
     exponential_map,
     length,
     sample,
-    sampled_length,
     sampled_lengths,
 )
 from .graphs import (
@@ -70,7 +69,6 @@ from .linalg import (
     max_abs,
     principal_angles,
     schatten_norm,
-    singular_values,
     spectral_decompose,
 )
 from .sampling import (
@@ -92,10 +90,8 @@ from .subspaces import (
     covariant_derivative,
     five_way_decompose,
     is_lagrangian,
-    orthogonal_complement,
     projection_from_subspace,
     projection_from_symmetry,
-    subspace_from_projection,
     subspace_from_symmetry,
     symmetry_from_projection,
     symmetry_from_subspace,

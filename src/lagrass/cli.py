@@ -20,7 +20,12 @@ import sys
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, realify_conjugation
+from .complex_structure import (
+    ComplexStructure,
+    _complex_block,
+    _real_eigenbasis,
+    realify_conjugation,
+)
 from .errors import ComputationError, InvariantViolation
 from .geodesics import (
     Geodesic,
@@ -40,12 +45,7 @@ from .graphs import (
     graph_symmetry,
     recover_operator,
 )
-from .linalg import (
-    apply_function,
-    max_abs,
-    schatten_norm,
-    spectral_decompose,
-)
+from .linalg import max_abs, schatten_norm
 from .sampling import random_lagrangian
 from .subspaces import (
     Projection,
@@ -56,7 +56,6 @@ from .subspaces import (
     projection_from_symmetry,
     symmetry_from_projection,
     symmetry_from_subspace,
-    vertical_symmetry,
 )
 from .tolerances import ANGLE_TOL, RANK_RTOL, SYM_RTOL
 
@@ -107,12 +106,13 @@ def _load_pair(args) -> tuple[ComplexStructure, Symmetry, Symmetry]:
 def _load_problem(path: str) -> tuple[ComplexStructure, Symmetry]:
     """Read one subspace document: (complex structure, symmetry)."""
     doc = _load_json(path)
-    try:
-        dim = int(doc["dim"])
-    except KeyError as exc:
-        raise ParseFailure(f"{path}: missing key 'dim'") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseFailure(f"{path}: 'dim' must be an integer") from exc
+    if "dim" not in doc:
+        raise ParseFailure(f"{path}: missing key 'dim'")
+    dim = doc["dim"]
+    # a JSON integer only: int() would truncate 4.9, parse "4", take true as
+    # 1 and overflow on 1e400
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseFailure(f"{path}: 'dim' must be an integer, got {dim!r}")
     if dim < 2 or dim % 2:
         raise ParseFailure(f"{path}: 'dim' must be an even integer >= 2, got {dim}")
     if "J" in doc:
@@ -283,10 +283,10 @@ def _cmd_sample(args) -> int:
                _csv_header(args, "sample", f"grid={args.grid} k={args.k}"),
                ["t", f"speed_{args.k}"],
                ([t, speeds[idx]] for idx, t in enumerate(ts)))
-    sys.stdout.write(json.dumps({
+    _emit_json({
         "files": [args.out_prefix + "_curve.csv", args.out_prefix + "_speed.csv"],
         "closed_form_speed": length(geo, args.k),
-    }, indent=2, sort_keys=True) + "\n")
+    }, None)
     return 0
 
 
@@ -328,26 +328,28 @@ def _cmd_multiplicity(args) -> int:
     return 0
 
 
+def _chart_block_trig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos x, sin x) for the real symmetric x = -H, |H| <= pi/2, with
+    e^{2iH} = s, a symmetric unitary: s = O diag(e^{i phi}) O^T gives
+    H = O diag(phi / 2) O^T."""
+    o, phi = _real_eigenbasis(s)
+    return (o * np.cos(phi / 2.0)) @ o.T, -(o * np.sin(phi / 2.0)) @ o.T
+
+
 def _cmd_graph_recover(args) -> int:
     structure, eps = _load_problem(args.subspace)
     if not structure.is_standard():
         raise InvariantViolation("graph-recover: requires the standard complex structure")
     b = recover_operator(eps, rank_rtol=args.tol_rank)
-    n = structure.n
-
-    # residual against the vertical-chart closed form b sin(x) = cos(x)
-    gen_v = connect(vertical_symmetry(n), eps, structure)
-    x = gen_v.z[:n, n:]
-    dec_x = spectral_decompose((x + x.T) / 2.0)
-    res_vertical = max_abs(b @ apply_function(dec_x, math.sin)
-                           - apply_function(dec_x, math.cos))
-
-    # residual against the identity-chart form b (cos y + sin y) = cos y - sin y
-    gen_i = connect(Symmetry(_identity_graph(n)), eps, structure)
-    y = gen_i.z[:n, n:]
-    dec_y = spectral_decompose((y + y.T) / 2.0)
-    cos_y = apply_function(dec_y, math.cos)
-    sin_y = apply_function(dec_y, math.sin)
+    # recover_operator has validated C. The vertical's C is -I and the identity
+    # graph's is iI, so the minimal geodesic from either base to eps has the
+    # chart block x = -H with e^{2iH} = -C and -iC respectively
+    c = _complex_block(eps.matrix, structure)
+    # vertical-chart closed form b sin(x) = cos(x)
+    cos_x, sin_x = _chart_block_trig(-c)
+    res_vertical = max_abs(b @ sin_x - cos_x)
+    # identity-chart form b (cos y + sin y) = cos y - sin y
+    cos_y, sin_y = _chart_block_trig(-1j * c)
     res_identity = max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y))
 
     payload = {
@@ -393,7 +395,7 @@ def _cmd_spectral_curve(args) -> int:
         "note": result.note,
         "provenance": _provenance(args),
     }
-    sys.stdout.write(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+    _emit_json(verdict, None)
     return 0
 
 
@@ -401,6 +403,8 @@ def _cmd_random_pair(args) -> int:
     n = args.dim_half
     if n < 1:
         raise ParseFailure("random-pair: --dim-half must be >= 1")
+    if args.seed < 0:
+        raise ParseFailure("random-pair: --seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     structure = ComplexStructure.standard(n)
     files = []
@@ -411,14 +415,13 @@ def _cmd_random_pair(args) -> int:
             "subspace": {"symmetry": eps.matrix.tolist()},
         }
         path = f"{args.out_prefix}_{tag}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(doc, path)
         files.append(path)
-    sys.stdout.write(json.dumps({
+    _emit_json({
         "files": files,
         "seed": args.seed,
         "provenance": _provenance(args, seed=args.seed),
-    }, indent=2, sort_keys=True) + "\n")
+    }, None)
     return 0
 
 

@@ -327,11 +327,6 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     return {k: float(s @ weights) for k, s in speeds.items()}
 
 
-def sampled_length(samples, dt: float, k=math.inf) -> float:
-    """Quadrature length of a uniformly sampled curve in one Schatten norm."""
-    return sampled_lengths(samples, dt, [k])[k]
-
-
 # ---------------------------------------------------------------------------
 # multiplicity of minimal geodesics and the sign-flip family
 

@@ -346,10 +346,6 @@ def _principal_angles(q0: np.ndarray, q1: np.ndarray) -> PrincipalAngles:
 # Schatten norms
 
 
-def singular_values(a) -> np.ndarray:
-    return np.linalg.svd(as_matrix(a, "operator"), compute_uv=False)
-
-
 def schatten_norm(a, k=math.inf) -> float:
     """Schatten k-norm: (sum sigma_i^k)^(1/k); k = inf gives the operator norm.
 

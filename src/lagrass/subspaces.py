@@ -166,14 +166,6 @@ def subspace_from_symmetry(eps: Symmetry) -> Subspace:
     return Subspace(vec[:, lam > 0.0])
 
 
-def subspace_from_projection(p: Projection) -> Subspace:
-    return subspace_from_symmetry(symmetry_from_projection(p))
-
-
-def orthogonal_complement(p: Projection) -> Projection:
-    return Projection(np.eye(p.ambient_dim) - p.matrix)
-
-
 def vertical_symmetry(n: int) -> Symmetry:
     """Symmetry of the vertical subspace {0} x R^n in R^{2n}: diag(-I, I).
 

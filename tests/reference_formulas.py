@@ -1,10 +1,15 @@
 """Independent reference formulas the tests check the library against."""
 
+import math
+
 import numpy as np
 
+from lagrass.complex_structure import ComplexStructure
 from lagrass.errors import InvariantViolation
-from lagrass.linalg import require_square
-from lagrass.subspaces import Projection
+from lagrass.geodesics import connect
+from lagrass.graphs import _identity_graph
+from lagrass.linalg import apply_function, max_abs, require_square, spectral_decompose
+from lagrass.subspaces import Projection, Symmetry, vertical_symmetry
 
 
 def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
@@ -20,3 +25,23 @@ def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
     q = p.matrix
     comp = np.eye(q.shape[0]) - q
     return q @ arr @ comp + comp @ arr @ q
+
+
+def graph_chart_residuals(b, eps: Symmetry) -> tuple[float, float]:
+    """The two chart residuals of CLI graph-recover, by the geodesic route.
+
+    x and y are the off-diagonal blocks of the minimal-geodesic generators
+    from the vertical and from the identity graph to eps, and the residuals
+    are max|b sin x - cos x| and max|b (cos y + sin y) - (cos y - sin y)|,
+    with sin and cos applied eigenvalue by eigenvalue.
+    """
+    n = eps.ambient_dim // 2
+    structure = ComplexStructure.standard(n)
+    blocks = []
+    for base in (vertical_symmetry(n), Symmetry(_identity_graph(n))):
+        z = connect(base, eps, structure).z[:n, n:]
+        dec = spectral_decompose((z + z.T) / 2.0)
+        blocks.append((apply_function(dec, math.cos), apply_function(dec, math.sin)))
+    (cos_x, sin_x), (cos_y, sin_y) = blocks
+    return (max_abs(b @ sin_x - cos_x),
+            max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y)))

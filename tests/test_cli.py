@@ -18,13 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import lagrass.cli
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
 from lagrass.geodesics import GeodesicGenerator, connect
+from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
 from lagrass.subspaces import Symmetry
 from lagrass.tolerances import SYM_RTOL
 
+from reference_formulas import graph_chart_residuals
 from test_graphs import near_edge_block
 from test_subspaces import THRESHOLD_CASES, threshold_case
 
@@ -402,6 +405,43 @@ def test_graph_recover_residuals(tmp_path, capsys):
     assert payload["residual_identity_chart"] < 1e-9
 
 
+_SCALES = (1e-3, 1e-1, 10.0, 1e3, 1e5)
+
+
+@pytest.mark.parametrize("n, scale, planted", [
+    # 0 puts a pi-plane in the vertical chart, -1 one in the identity chart
+    *((n, scale, (0.0, -1.0)) for n in (2, 8, 64) for scale in _SCALES),
+    *((1, scale, ()) for scale in _SCALES),
+    (1, 1.0, (0.0,)),
+    (1, 1.0, (-1.0,)),
+])
+def test_graph_recover_residuals_match_the_geodesic_reference(tmp_path, capsys, monkeypatch,
+                                                              n, scale, planted):
+    rng = np.random.default_rng(SEED + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = scale * rng.standard_normal(n)
+    lam[:len(planted)] = planted
+    a = (q * lam) @ q.T
+    a = (a + a.T) / 2.0
+    path = write_problem(tmp_path / "g.json", {"dim": 2 * n, "subspace": {"graph_of": a.tolist()}})
+
+    def no_connect(*args, **kwargs):
+        raise AssertionError("graph-recover must read its residuals off C, not connect")
+
+    # the residuals are read in closed form: no geodesic and no eigenvalue loop
+    monkeypatch.setattr(lagrass.cli, "connect", no_connect)
+    assert not hasattr(lagrass.cli, "apply_function")
+    assert not hasattr(lagrass.cli, "spectral_decompose")
+    code, out = run_cli(capsys, ["graph-recover", path])
+    assert code == 0
+    payload = json.loads(out)
+    b = np.array(payload["operator"])
+    want = graph_chart_residuals(b, graph_symmetry(a))
+    tol = 1e-12 * max(1.0, max_abs(b))
+    assert abs(payload["residual_vertical_chart"] - want[0]) <= tol
+    assert abs(payload["residual_identity_chart"] - want[1]) <= tol
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf", "abc"])
 def test_tol_rank_outside_unit_interval_exits_2(tmp_path, capsys, value):
     # the plane of x2 and y1 is not a graph; --tol-rank -1 or nan used to
@@ -501,6 +541,27 @@ def test_random_pair_reproducible(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out)["distance"] > 0.0
+
+
+def test_random_pair_refuses_a_negative_seed(tmp_path, capsys):
+    # numpy's default_rng used to end it in a ValueError traceback
+    code, out = run_cli(capsys, [
+        "random-pair", "--dim-half", "2", "--seed", "-1",
+        "--out-prefix", str(tmp_path / "pair"),
+    ])
+    assert code == 2
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dim", ["4.9", "1e400", '"4"', "true"])
+def test_dim_must_be_a_json_integer(tmp_path, capsys, dim):
+    # int() used to truncate 4.9, accept "4" and true, and overflow on 1e400
+    path = tmp_path / "sub.json"
+    path.write_text('{"dim": %s, "subspace": {"graph_of": [[1.0, 0.0], [0.0, 1.0]]}}' % dim)
+    code, out = run_cli(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == ""
 
 
 def test_tolerance_flags_recorded(tmp_path, capsys):

@@ -31,7 +31,6 @@ from lagrass.geodesics import (
     exponential_map,
     length,
     sample,
-    sampled_length,
     sampled_lengths,
 )
 from lagrass.graphs import graph_symmetry
@@ -237,7 +236,7 @@ def test_sampled_length_converges_to_closed_form():
     stack = sample(geo, ts)
     dt = float(ts[1] - ts[0])
     for k in (math.inf, 2, 4):
-        got = sampled_length(stack, dt, k)
+        got = sampled_lengths(stack, dt, [k])[k]
         want = length(geo, k)
         assert abs(got - want) < 5e-6 * want
 
@@ -250,8 +249,8 @@ def test_sampled_lengths_shares_one_derivative():
     stack = sample(geo, ts)
     dt = float(ts[1] - ts[0])
     multi = sampled_lengths(stack, dt, [math.inf, 2])
-    assert multi[math.inf] == sampled_length(stack, dt, math.inf)
-    assert multi[2] == sampled_length(stack, dt, 2)
+    assert multi[math.inf] == sampled_lengths(stack, dt, [math.inf])[math.inf]
+    assert multi[2] == sampled_lengths(stack, dt, [2])[2]
     symmetries = [Symmetry(e) for e in realify_conjugation(stack, structure)]
     matrices = [conjugation_matrix(s.matrix, structure) for s in symmetries]
     assert sampled_lengths(matrices, dt, [math.inf, 2]) == multi
@@ -270,15 +269,14 @@ def test_sampled_lengths_refuses_real_stacks():
 
 
 def test_sampled_length_input_validation():
-    with pytest.raises(InvariantViolation):
-        sampled_length(np.zeros((4, 3, 3), dtype=complex), 0.1)
-    with pytest.raises(InvariantViolation):
-        sampled_length(np.zeros((5, 3, 2), dtype=complex), 0.1)
-    with pytest.raises(InvariantViolation):
-        sampled_length(np.zeros((5, 3, 3), dtype=complex), -0.1)
-    with pytest.raises(InvariantViolation):
-        sampled_length(np.zeros((5, 3, 3), dtype=complex), 0.1, k=1.5)
-    assert sampled_length(np.zeros((5, 3, 3), dtype=complex), 0.1) == 0.0
+    for samples, dt, k in ((np.zeros((4, 3, 3), dtype=complex), 0.1, math.inf),
+                           (np.zeros((5, 3, 2), dtype=complex), 0.1, math.inf),
+                           (np.zeros((5, 3, 3), dtype=complex), -0.1, math.inf),
+                           (np.zeros((5, 3, 3), dtype=complex), 0.1, 1.5)):
+        with pytest.raises(InvariantViolation):
+            sampled_lengths(samples, dt, [k])
+    assert sampled_lengths(np.zeros((5, 3, 3), dtype=complex), 0.1, [math.inf]) == {
+        math.inf: 0.0}
 
 
 @pytest.mark.parametrize("nodes", [5, 6, 7, 8, 2000, 2001])
@@ -356,7 +354,7 @@ def test_geodesic_beats_perturbed_competitors():
         assert max_abs(ends[0] - e0.matrix) < 1e-12
         assert max_abs(ends[1] - e1.matrix) < 1e-8
         for k in (math.inf, 2):
-            assert length(geo, k) <= sampled_length(curve, dt, k) + 1e-9
+            assert length(geo, k) <= sampled_lengths(curve, dt, [k])[k] + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from lagrass.linalg import (
     require_orthonormal_columns,
     require_symmetric,
     schatten_norm,
-    singular_values,
     spectral_decompose,
 )
 
@@ -93,14 +92,6 @@ def test_schatten_norm_frozen_values():
         schatten_norm(a, 1.5)
     with pytest.raises(InvariantViolation):
         schatten_norm(a, 0)
-
-
-def test_singular_values_sorted_descending():
-    rng = np.random.default_rng(SEED)
-    a = rng.standard_normal((4, 4))
-    sv = singular_values(a)
-    assert np.all(np.diff(sv) <= 0)
-    assert abs(sv[0] - schatten_norm(a, math.inf)) < TOL
 
 
 def test_expm_antisymmetric_rotation2():
