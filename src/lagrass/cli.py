@@ -115,12 +115,12 @@ def _load_problem(path: str) -> tuple[ComplexStructure, Symmetry]:
         raise ParseFailure(f"{path}: 'dim' must be an integer, got {dim!r}")
     if dim < 2 or dim % 2:
         raise ParseFailure(f"{path}: 'dim' must be an even integer >= 2, got {dim}")
-    if "J" in doc:
-        structure = ComplexStructure(_matrix_from(doc, "J", path))
-        if structure.dim != dim:
-            raise ParseFailure(f"{path}: 'J' shape does not match 'dim'")
-    else:
-        structure = ComplexStructure.standard(dim // 2)
+    # every shape is checked against dim before a complex structure is built:
+    # building one validates a dim x dim J. A square J of another even size is
+    # a shape mismatch; any other malformed J is refused by ComplexStructure
+    j = _matrix_from(doc, "J", path) if "J" in doc else None
+    if j is not None and j.shape[0] == j.shape[1] != dim and j.shape[0] % 2 == 0:
+        raise ParseFailure(f"{path}: 'J' shape does not match 'dim'")
     sub = doc.get("subspace")
     if not isinstance(sub, dict):
         raise ParseFailure(f"{path}: missing 'subspace' object")
@@ -134,18 +134,19 @@ def _load_problem(path: str) -> tuple[ComplexStructure, Symmetry]:
     if kind == "basis":
         if arr.shape[0] != dim:
             raise ParseFailure(f"{path}: basis rows must equal 'dim'")
-        eps = symmetry_from_subspace(Subspace(arr))
-    elif kind == "projection":
-        if arr.shape != (dim, dim):
-            raise ParseFailure(f"{path}: projection must be dim x dim")
-        eps = symmetry_from_projection(Projection(arr))
-    elif kind == "symmetry":
-        if arr.shape != (dim, dim):
-            raise ParseFailure(f"{path}: symmetry must be dim x dim")
-        eps = Symmetry(arr)
-    else:
+    elif kind == "graph_of":
         if arr.shape != (dim // 2, dim // 2):
             raise ParseFailure(f"{path}: graph_of must be (dim/2) x (dim/2)")
+    elif arr.shape != (dim, dim):
+        raise ParseFailure(f"{path}: {kind} must be dim x dim")
+    structure = ComplexStructure.standard(dim // 2) if j is None else ComplexStructure(j)
+    if kind == "basis":
+        eps = symmetry_from_subspace(Subspace(arr))
+    elif kind == "projection":
+        eps = symmetry_from_projection(Projection(arr))
+    elif kind == "symmetry":
+        eps = Symmetry(arr)
+    else:
         eps = graph_symmetry(arr)
     return structure, eps
 
@@ -188,13 +189,18 @@ def _csv_header(args, command: str, extra: str = "") -> str:
     return line + "\n"
 
 
+def _write_rows(fh, columns: list[str], rows) -> None:
+    """The column line, then one line of repr-exact floats per row."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
 def _write_csv(path: str, header_comment: str, columns: list[str],
                rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header_comment)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_rows(fh, columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +389,7 @@ def _cmd_spectral_curve(args) -> int:
         _write_csv(args.out, _csv_header(args, "spectral-curve", f"grid={args.grid}"),
                    columns, rows)
     else:
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_rows(sys.stdout, columns, rows)
     verdict = {
         "trivial_flow": result.trivial_flow,
         "min_gap": result.min_gap,
@@ -457,8 +461,8 @@ def _open_interval(high: float, label: str, what: str):
 # --tol-angle is the one bucket width, at 0 and at pi/2, so at
 # pi/4 or above the two buckets overlap
 _angle_tolerance = _open_interval(math.pi / 4.0, "pi/4", "angle")
-# --tol-rank is compared with top-block singular values of an orthonormal
-# basis, which lie in [0, 1]
+# --tol-rank is compared with singular values of the top rows of a
+# projection, which lie in [0, 1]
 _rank_tolerance = _open_interval(1.0, "1", "value")
 
 

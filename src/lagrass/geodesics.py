@@ -91,14 +91,17 @@ class GeodesicGenerator:
 
     @classmethod
     def _from_record(cls, base: Symmetry, structure: ComplexStructure, u: np.ndarray,
-                     theta: np.ndarray) -> "GeodesicGenerator":
-        """The generator of a record, unvalidated: it satisfies the invariants."""
-        h = (u * theta) @ u.conj().T
-        z = realify(1j * (h + h.conj().T) / 2.0, structure)
+                     theta: np.ndarray, z: np.ndarray | None = None) -> "GeodesicGenerator":
+        """The generator of a record, unvalidated: it satisfies the invariants.
+        z, when the caller already has the record's generator, is kept as is."""
+        if z is None:
+            h = (u * theta) @ u.conj().T
+            z = realify(1j * (h + h.conj().T) / 2.0, structure)
+            z = (z - z.T) / 2.0
         gen = object.__new__(cls)
         object.__setattr__(gen, "base", base)
         object.__setattr__(gen, "structure", structure)
-        gen._record((z - z.T) / 2.0, u, theta)
+        gen._record(z, u, theta)
         return gen
 
 

@@ -6,11 +6,13 @@ symmetry v -> C conj(v) with C = (i - a)(i + a)^(-1), a symmetric unitary
 equal to minus the Cayley image (a - i)(a + i)^(-1). Every graph computation
 reads that one matrix: symmetry and projection are realified C, a basis is
 [Re W; Im W] with W W^T = C, the gap metric is |C_a - C_b| / 2, recovery is
-b = Re(i (I - C)(I + C)^(-1)), and a subspace lies in the chart iff
-dist(-1, spec C) / 2, the smallest singular value of the top block of an
-orthonormal basis, exceeds the rank cutoff. Along a geodesic flow the nodes
-are read as C_t stacks, so the window and safe-radius checks and the Cayley
-curve need no operator recovery.
+b = Re(i (I - C)(I + C)^(-1)), and a Lagrangian lies in the chart iff
+dist(-1, spec C) / 2 exceeds the rank cutoff. That margin is the smallest
+singular value of the top n rows of the projection (I + eps) / 2, which
+`is_graph` reads for any half-dimensional subspace. Along a geodesic flow the
+nodes are read as C_t stacks, so the window and safe-radius checks and the
+Cayley curve need no operator recovery. The identity graph's C is iI, so a
+generator there has its spectral record from one real n x n eigh.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .subspaces import (
     Symmetry,
     _as_symmetry,
     _require_conjugation_symmetries,
-    subspace_from_symmetry,
 )
 from .tolerances import (
     CAYLEY_FORM_TOL,
@@ -107,14 +108,31 @@ def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
     """Generator [[0, y], [-y, 0]] (y symmetric) at a compatible base point.
 
     Both the vertical symmetry and any graph symmetry of an operator commuting
-    with y are compatible; the constructor enforces the anticommutation.
+    with y are compatible; the constructor enforces the anticommutation. At
+    the identity graph (its symmetry bitwise `_identity_graph(n)`, which is
+    `graph_symmetry(np.eye(n))`) the spectral record comes from one real
+    n x n eigh: C0 = iI and z = iH with H = -y, so H = O diag(theta) O^T
+    and U = e^{i pi/4} O give C0 = U U^T. The norm bound ||y|| <= pi/2 is
+    enforced on both paths.
     """
     arr = require_symmetric(y, "half-space block")
     n = arr.shape[0]
     z = np.zeros((2 * n, 2 * n))
     z[:n, n:] = arr
     z[n:, :n] = -arr
-    return GeodesicGenerator(z, base, ComplexStructure.standard(n))
+    structure = ComplexStructure.standard(n)
+    if not np.array_equal(base.matrix, _identity_graph(n)):
+        return GeodesicGenerator(z, base, structure)
+    # The constructor's identities need no check at this base: z commutes with
+    # J and anticommutes with [[0, I], [I, 0]] exactly, for any block, and
+    # |z + z^T| = |y - y^T| is within half its antisymmetry slack, as
+    # require_symmetric held y to SYM_RTOL n max|y|.
+    theta, o = np.linalg.eigh(-(arr + arr.T) / 2.0)
+    gen = GeodesicGenerator._from_record(base, structure, np.exp(0.25j * math.pi) * o,
+                                         theta, z)
+    if gen.norm > math.pi / 2.0 + GENERATOR_ATOL:
+        raise InvariantViolation("generator: operator norm exceeds pi/2")
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +140,7 @@ def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
 
 
 def _require_rank_cutoff(rank_rtol: float, name: str) -> None:
-    """Top-block singular values of an orthonormal basis lie in [0, 1], so a
+    """Singular values of the top rows of a projection lie in [0, 1], so a
     rank cutoff outside (0, 1) accepts a non-graph or refuses every graph."""
     if not 0.0 < rank_rtol < 1.0:
         raise InvariantViolation(f"{name}: rank cutoff must lie in (0, 1), got {rank_rtol!r}")
@@ -131,9 +149,14 @@ def _require_rank_cutoff(rank_rtol: float, name: str) -> None:
 def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     """True iff the subspace is the graph of some operator on the half-space.
 
-    Equivalent to the top-half block of an orthonormal basis having full
-    column rank; the subspace must have dimension exactly half the ambient
-    one to qualify. rank_rtol must lie in (0, 1).
+    The subspace must have dimension exactly half the ambient one to qualify.
+    It is a graph iff the top n rows of its projection P = (I + eps) / 2 have
+    full rank: P = Q Q^T for an orthonormal basis Q = [X; Y], so those rows
+    are X Q^T and have the singular values of X, which lie in [0, 1]; the
+    smallest is compared with the absolute cutoff rank_rtol, in (0, 1). This
+    holds for any half-dimensional subspace, Lagrangian or not; for a
+    Lagrangian the smallest is dist(-1, spec C) / 2, the `_chart_margin` that
+    `recover_operator` and the chart grid test.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
@@ -142,11 +165,8 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     n = eps.ambient_dim // 2
     if eps.plus_dim != n:
         return False
-    basis = subspace_from_symmetry(eps).basis
-    sv = np.linalg.svd(basis[:n], compute_uv=False)
-    # the basis is orthonormal, so top-half singular values live in [0, 1]
-    # and the rank cutoff is absolute
-    return bool(sv[-1] > rank_rtol)
+    top = (eps.matrix[:n] + np.eye(n, 2 * n)) / 2.0
+    return bool(np.linalg.svd(top, compute_uv=False)[-1] > rank_rtol)
 
 
 def _chart_margin(c: np.ndarray) -> np.ndarray:

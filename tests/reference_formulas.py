@@ -9,7 +9,13 @@ from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
 from lagrass.graphs import _identity_graph
 from lagrass.linalg import apply_function, max_abs, require_square, spectral_decompose
-from lagrass.subspaces import Projection, Symmetry, vertical_symmetry
+from lagrass.subspaces import (
+    Projection,
+    Symmetry,
+    _as_symmetry,
+    subspace_from_symmetry,
+    vertical_symmetry,
+)
 
 
 def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
@@ -45,3 +51,17 @@ def graph_chart_residuals(b, eps: Symmetry) -> tuple[float, float]:
     (cos_x, sin_x), (cos_y, sin_y) = blocks
     return (max_abs(b @ sin_x - cos_x),
             max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y)))
+
+
+def graph_margin_by_basis(s) -> float:
+    """The graph test's margin on an orthonormal basis: the smallest singular
+    value of the top n rows of a basis of the +1 eigenspace of eps, or 0 when
+    that eigenspace is not n-dimensional. `is_graph` compares the same
+    quantity, read off the projection's top rows, with its cutoff.
+    """
+    eps = _as_symmetry(s)
+    n = eps.ambient_dim // 2
+    if eps.plus_dim != n:
+        return 0.0
+    basis = subspace_from_symmetry(eps).basis
+    return float(np.linalg.svd(basis[:n], compute_uv=False)[-1])

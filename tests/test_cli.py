@@ -20,7 +20,7 @@ from hypothesis import given, settings
 
 import lagrass.cli
 from lagrass.cli import main
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
@@ -160,6 +160,61 @@ def test_graph_recover_non_lagrangian_half_dimensional_exits_3(tmp_path, capsys)
     code, out = run_cli(capsys, ["graph-recover", path])
     assert code == 3
     assert out == ""
+
+
+class _NoStructure:
+    """Stands in for ComplexStructure where none may be built."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a complex structure was built")
+
+    @classmethod
+    def standard(cls, n):
+        raise AssertionError("a complex structure was built")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": 3000, "subspace": {"symmetry": [[1.0, 0.0], [0.0, -1.0]]}},
+     "symmetry must be dim x dim"),
+    ({"dim": 3000, "subspace": {"projection": [[1.0, 0.0], [0.0, 0.0]]}},
+     "projection must be dim x dim"),
+    ({"dim": 3000, "subspace": {"basis": [[1.0], [0.0]]}},
+     "basis rows must equal 'dim'"),
+    ({"dim": 3000, "subspace": {"graph_of": [[0.5]]}},
+     "graph_of must be (dim/2) x (dim/2)"),
+    ({"dim": 4, "J": standard_form(1).tolist(),
+      "subspace": {"symmetry": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}},
+     "'J' shape does not match 'dim'"),
+    ({"dim": 4, "J": standard_form(2).tolist(),
+      "subspace": {"symmetry": [[1.0, 0.0], [0.0, -1.0]]}},
+     "symmetry must be dim x dim"),
+], ids=["symmetry", "projection", "basis", "graph_of", "J", "J-then-symmetry"])
+def test_shapes_are_checked_before_a_complex_structure_is_built(tmp_path, capsys, monkeypatch,
+                                                                 doc, message):
+    # a 2 x 2 symmetry with "dim": 3000 used to build and validate a
+    # 3000 x 3000 J before exit 2
+    monkeypatch.setattr(lagrass.cli, "ComplexStructure", _NoStructure)
+    path = write_problem(tmp_path / "doc.json", doc)
+    code = main(["validate", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {path}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("j, message", [
+    ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]], "J: expected square"),
+    (np.eye(3).tolist(), "J: ambient dimension must be even"),
+    (np.eye(2).tolist(), "J: must be antisymmetric"),
+])
+def test_a_malformed_j_keeps_its_message(tmp_path, capsys, j, message):
+    path = write_problem(tmp_path / "doc.json", {
+        "dim": 2, "J": j, "subspace": {"symmetry": line_symmetry(0.3)}})
+    code = main(["validate", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"invariant violation: {message}" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +527,21 @@ def test_spectral_curve_outputs(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[1] == "t,phase_0,phase_1,min_gap_to_minus_one"
     assert len(lines) == 2 + 41
+
+
+def test_spectral_curve_stdout_rows_equal_the_file_rows(tmp_path, capsys):
+    path = write_problem(tmp_path / "y.json", {"matrix": [[0.3, 0.1], [0.1, -0.2]]})
+    out_csv = tmp_path / "curve.csv"
+    code, out = run_cli(capsys, ["spectral-curve", path, "--grid", "17"])
+    assert code == 0
+    code, verdict = run_cli(capsys, ["spectral-curve", path, "--grid", "17",
+                                     "--out", str(out_csv)])
+    assert code == 0
+    text = out_csv.read_text()
+    header, rows = text.split("\n", 1)
+    assert header.startswith("# lagrass spectral-curve")
+    # stdout carries the same column line and rows, then the verdict JSON
+    assert out == rows + verdict
 
 
 @pytest.mark.parametrize("n", [2, 4, 12])
