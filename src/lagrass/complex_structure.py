@@ -71,7 +71,15 @@ class ComplexStructure:
 
     @classmethod
     def standard(cls, n: int) -> "ComplexStructure":
-        return cls(standard_form(n))
+        """standard_form(n), unvalidated: it satisfies every identity of the
+        constructor exactly, and its change of basis is the identity."""
+        j = standard_form(n)
+        structure = object.__new__(cls)
+        object.__setattr__(structure, "matrix", j)
+        object.__setattr__(structure, "n", j.shape[0] // 2)
+        object.__setattr__(structure, "to_standard", np.eye(j.shape[0]))
+        object.__setattr__(structure, "_standard", True)
+        return structure
 
     @property
     def dim(self) -> int:

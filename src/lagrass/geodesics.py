@@ -180,8 +180,9 @@ def _stack_times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     numpy multiplies a stack by a matrix one small product at a time; for
     small n the call overhead of those products outweighs their arithmetic.
+    The row count is explicit: reshape cannot infer it when n = 0.
     """
-    rows = stack.reshape(-1, stack.shape[-1]) @ b
+    rows = stack.reshape(math.prod(stack.shape[:-1]), stack.shape[-1]) @ b
     return rows.reshape(stack.shape[:-1] + b.shape[-1:])
 
 

@@ -12,7 +12,9 @@ singular value of the top n rows of the projection (I + eps) / 2, which
 `is_graph` reads for any half-dimensional subspace. Along a geodesic flow the
 nodes are read as C_t stacks, so the window and safe-radius checks and the
 Cayley curve need no operator recovery. The identity graph's C is iI, so a
-generator there has its spectral record from one real n x n eigh.
+generator there has its spectral record from one real n x n eigh, and the
+Cayley curve's phases are Rayleigh quotients of each node in the real
+eigenbasis of the half-space block, which diagonalises the closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
 from .errors import ComputationError, InvariantViolation, NotAGraphError
-from .geodesics import Geodesic, GeodesicGenerator, sample
+from .geodesics import Geodesic, GeodesicGenerator, _stack_times, sample
 from .linalg import max_abs, require_square, require_symmetric, spectral_decompose
 from .subspaces import (
     Projection,
@@ -156,7 +158,8 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     smallest is compared with the absolute cutoff rank_rtol, in (0, 1). This
     holds for any half-dimensional subspace, Lagrangian or not; for a
     Lagrangian the smallest is dist(-1, spec C) / 2, the `_chart_margin` that
-    `recover_operator` and the chart grid test.
+    `recover_operator` and the chart grid test. The zero space is the graph
+    of the 0 x 0 operator.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
@@ -166,13 +169,14 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     if eps.plus_dim != n:
         return False
     top = (eps.matrix[:n] + np.eye(n, 2 * n)) / 2.0
-    return bool(np.linalg.svd(top, compute_uv=False)[-1] > rank_rtol)
+    return n == 0 or bool(np.linalg.svd(top, compute_uv=False)[-1] > rank_rtol)
 
 
 def _chart_margin(c: np.ndarray) -> np.ndarray:
     """dist(-1, spec C) / 2 for one conjugation matrix C or a stack: C is
     normal, so this is the smallest singular value of I + C, over 2."""
-    return np.linalg.svd(np.eye(c.shape[-1]) + c, compute_uv=False)[..., -1] / 2.0
+    sigma = np.linalg.svd(np.eye(c.shape[-1]) + c, compute_uv=False)
+    return sigma.min(axis=-1, initial=math.inf) / 2.0
 
 
 def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
@@ -455,12 +459,19 @@ def cayley_curve(gen: GeodesicGenerator, ts) -> CayleyCurveResult:
     grid time must lie in the graph chart (NotAGraphError naming the first
     time that does not). The Cayley image of the graph operator at t is -C_t,
     read off the node's conjugation matrix; it is checked unitary and against
-    the closed form with eigenvalue images e^{-i(pi/2 + 2 t mu)}.
+    the closed form V diag(e^{-i(pi/2 + 2 t mu)}) V^T, y = V diag(mu) V^T,
+    entrywise within CAYLEY_FORM_TOL (ComputationError). The phases are the
+    Rayleigh quotients diag(V^T u_t V) of each node: the closed form is
+    normal, so they and the eigenvalues of u_t both lie within
+    n CAYLEY_FORM_TOL of its diagonal. The empty operator (n = 0) is refused
+    (InvariantViolation), as in `graph_window`.
     """
     structure = gen.structure
     if not structure.is_standard():
         raise InvariantViolation("cayley_curve: requires the standard complex structure")
     n = structure.n
+    if n == 0:
+        raise InvariantViolation("cayley_curve: empty operator")
     if max_abs(gen.base.matrix - _identity_graph(n)) > 1e-10:
         raise InvariantViolation("cayley_curve: base point must be the identity graph")
     t_arr = np.asarray(ts, dtype=float).reshape(-1)
@@ -474,7 +485,15 @@ def cayley_curve(gen: GeodesicGenerator, ts) -> CayleyCurveResult:
 
 
 def _cayley_result(gen: GeodesicGenerator, t_arr: np.ndarray, c: np.ndarray) -> CayleyCurveResult:
-    """The spectral curve from the conjugation matrices C_t of in-chart nodes."""
+    """The spectral curve from the conjugation matrices C_t of in-chart nodes.
+
+    The closed form V D_t V^T, with y = V diag(mu) V^T read off z and
+    D_t = diag(e^{-i(pi/2 + 2 t mu)}), is normal, and each node u_t = -C_t is
+    held to it entrywise within CAYLEY_FORM_TOL, so ||u_t - V D_t V^T||_2 <=
+    n CAYLEY_FORM_TOL. Both the eigenvalues of u_t and its Rayleigh quotients
+    diag(V^T u_t V) then lie within that bound of D_t; the phases are read
+    off the quotients, one stacked product for the whole grid.
+    """
     n = gen.structure.n
     dec_y = spectral_decompose(gen.z[:n, n:])
     mus = dec_y.eigenvalues
@@ -483,13 +502,14 @@ def _cayley_result(gen: GeodesicGenerator, t_arr: np.ndarray, c: np.ndarray) -> 
     unitarity = max_abs(np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(n)))
     if unitarity > 1e-10 * max(1, n):
         raise ComputationError("cayley_curve: image failed the unitarity check")
-    closed = (vec * np.exp(-1j * (math.pi / 2.0 + 2.0 * t_arr[:, None] * mus))[:, None, :]) @ vec.T
+    diag = np.exp(-1j * (math.pi / 2.0 + 2.0 * t_arr[:, None] * mus))
+    closed = _stack_times(vec * diag[:, None, :], vec.T)
     worst_form = max_abs(np.abs(u - closed))
     if worst_form > CAYLEY_FORM_TOL:
         raise ComputationError(
             f"cayley_curve: closed-form residual {worst_form:.3e} beyond {CAYLEY_FORM_TOL:.0e}"
         )
-    values = np.linalg.eigvals(u)
+    values = np.sum(vec * _stack_times(u, vec), axis=-2)
     phases = np.sort(_wrap_phase(np.angle(values)), axis=-1)
     gaps = np.min(math.pi - np.abs(phases), axis=-1)
     samples = tuple(CayleyCurveSample(float(t), p, float(g))

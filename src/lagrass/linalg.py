@@ -361,13 +361,13 @@ def schatten_norm(a, k=math.inf) -> float:
 def _speed_norms(values: np.ndarray, k) -> np.ndarray:
     """Schatten k-norms per row of an array of singular values."""
     if k == math.inf:
-        return values.max(axis=1)
+        return values.max(axis=1, initial=0.0)
     if isinstance(k, float) and k.is_integer():
         k = int(k)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvariantViolation(f"Schatten order must be an integer >= 1 or inf, got {k!r}")
     # rescale by the largest singular value to avoid overflow for large k
-    top = values.max(axis=1)
+    top = values.max(axis=1, initial=0.0)
     safe = np.where(top > 0.0, top, 1.0)
     sums = np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
     return np.where(top > 0.0, safe * sums, 0.0)

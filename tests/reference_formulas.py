@@ -65,3 +65,18 @@ def graph_margin_by_basis(s) -> float:
         return 0.0
     basis = subspace_from_symmetry(eps).basis
     return float(np.linalg.svd(basis[:n], compute_uv=False)[-1])
+
+
+def cayley_phases_by_eigvals(c) -> tuple[np.ndarray, float, float]:
+    """Spectral-curve numbers by a general eigensolver: the eigenphases in
+    (-pi, pi] of each Cayley image u_t = -C_t, sorted per node, the smallest
+    circular distance of a phase to pi, and the determinant phase accumulated
+    along the stack. `cayley_curve` reads the same three off Rayleigh
+    quotients in the closed form's real eigenbasis.
+    """
+    values = np.linalg.eigvals(-np.asarray(c))
+    phases = np.angle(values)
+    phases = np.sort(np.where(phases > -math.pi, phases, phases + 2.0 * math.pi), axis=-1)
+    min_gap = float(np.min(math.pi - np.abs(phases)))
+    dets = np.prod(values, axis=-1)
+    return phases, min_gap, float(np.sum(np.angle(dets[1:] / dets[:-1])))

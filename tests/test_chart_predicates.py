@@ -3,21 +3,25 @@
 `is_graph` reads the smallest singular value of the top n rows of the
 projection; the reference reads it off an orthonormal basis of the subspace.
 `codiagonal_generator` at the identity graph builds its record from one n x n
-eigh; the reference is the validated `GeodesicGenerator` constructor.
+eigh; the reference is the validated `GeodesicGenerator` constructor. Neither
+`is_graph` nor the spectral curve runs a general eigensolver.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import lagrass.graphs
+from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import Geodesic, GeodesicGenerator, evaluate, sample
 from lagrass.graphs import (
     _chart_margin,
     _identity_graph,
+    cayley_curve,
     codiagonal_generator,
     graph_symmetry,
     is_graph,
@@ -144,6 +148,24 @@ def test_is_graph_makes_no_eigh_and_builds_no_basis(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(Subspace, "__post_init__", refuse)
     assert [is_graph(s) for s in subjects] == [True, False, True]
+
+
+def test_spectral_curve_runs_no_general_eigensolver(monkeypatch, tmp_path, capsys):
+    # the phases are Rayleigh quotients in the closed form's real eigenbasis
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral curve ran a general eigensolver")
+
+    y = rotated_block([0.3, -0.2, 0.5], np.random.default_rng(SEED + 7))
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps({"matrix": y.tolist()}))
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    res = cayley_curve(codiagonal_generator(y, graph_symmetry(np.eye(3))),
+                       np.linspace(-1.0, 1.0, 21))
+    assert len(res.samples) == 21
+    assert main(["spectral-curve", str(path), "--grid", "21"]) == 0
+    header = capsys.readouterr().out.split("\n", 1)[0]
+    assert header == "t,phase_0,phase_1,phase_2,min_gap_to_minus_one"
 
 
 # ---------------------------------------------------------------------------

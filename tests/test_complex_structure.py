@@ -1,5 +1,6 @@
 """Tests for complex structures, the symplectic form, and (de)complexification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagrass.complex_structure
+import lagrass.linalg
 from lagrass.complex_structure import (
     _CLUSTER_GAP,
     _GAMMA,
@@ -62,6 +65,33 @@ def test_standard_recognition_and_conversion():
     r = t.to_standard
     assert max_abs(r.T @ t.matrix @ r - standard_form(3)) < 1e-10
     assert max_abs(r @ r.T - np.eye(6)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16])
+def test_standard_is_the_validated_structure_without_checks(monkeypatch, n):
+    want = ComplexStructure(standard_form(n))
+    checks = []
+
+    def spy(*args, **kwargs):
+        checks.append(args[1])
+        return check(*args, **kwargs)
+
+    check = lagrass.linalg._check
+    monkeypatch.setattr(lagrass.linalg, "_check", spy)
+    monkeypatch.setattr(lagrass.complex_structure, "_check", spy)
+    got = ComplexStructure.standard(n)
+    assert checks == []
+    for f in dataclasses.fields(ComplexStructure):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
+    ComplexStructure(standard_form(n))
+    assert checks == ["J"]
+    with pytest.raises(InvariantViolation, match="half-dimension must be nonnegative"):
+        ComplexStructure.standard(-1)
 
 
 def test_symplectic_form_antisymmetric_and_nondegenerate():

@@ -26,7 +26,22 @@ from lagrass.complex_structure import (
     is_complex_unitary,
 )
 from lagrass.errors import InvariantViolation
-from lagrass.geodesics import GeodesicGenerator
+from lagrass.geodesics import (
+    Geodesic,
+    GeodesicGenerator,
+    connect,
+    evaluate,
+    length,
+    sample,
+    sampled_lengths,
+)
+from lagrass.graphs import (
+    _identity_graph,
+    cayley_curve,
+    codiagonal_generator,
+    is_graph,
+    recover_operator,
+)
 from lagrass.linalg import (
     SpectralDecomposition,
     as_matrix,
@@ -45,6 +60,7 @@ from lagrass.subspaces import (
     check_tangent,
     vertical_symmetry,
 )
+from lagrass.sampling import perturbed_curve
 from lagrass.tolerances import GENERATOR_ATOL, ORTH_RTOL, SYM_RTOL
 
 SIDE = st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3])
@@ -422,6 +438,42 @@ def test_one_by_one_matrices():
         Projection([[0.5]])
     with pytest.raises(InvariantViolation, match="not antisymmetric"):
         require_antisymmetric([[1.0]])
+
+
+def zero_geodesic():
+    empty = Symmetry(np.zeros((0, 0)))
+    return Geodesic(connect(empty, empty, ComplexStructure.standard(0)))
+
+
+# each call on the zero space, and its expected result
+ZERO_DIMENSIONAL_CALLS = {
+    "sample": (lambda: sample(zero_geodesic(), [0.0, 0.5, 1.0]).shape, (3, 0, 0)),
+    "evaluate": (lambda: evaluate(zero_geodesic(), 0.5).matrix.shape, (0, 0)),
+    "perturbed_curve": (lambda: perturbed_curve(zero_geodesic().generator, np.zeros((0, 0)),
+                                                0.1, [0.0, 0.5]).shape, (2, 0, 0)),
+    "length": (lambda: [length(zero_geodesic(), k) for k in (1, 2, math.inf)], [0.0] * 3),
+    "sampled_lengths": (lambda: sampled_lengths(np.zeros((5, 0, 0), dtype=complex), 0.25,
+                                                [1, 2, math.inf]),
+                        {1: 0.0, 2: 0.0, math.inf: 0.0}),
+    # the zero space is the graph of the 0 x 0 operator
+    "is_graph": (lambda: is_graph(Symmetry(np.zeros((0, 0)))), True),
+    "recover_operator": (lambda: recover_operator(Symmetry(np.zeros((0, 0)))).shape, (0, 0)),
+    # as graph_window, the spectral curve refuses the empty operator
+    "cayley_curve": (lambda: cayley_curve(codiagonal_generator(np.zeros((0, 0)),
+                                                               Symmetry(_identity_graph(0))),
+                                          [0.0, 0.5]),
+                     InvariantViolation("cayley_curve: empty operator")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DIMENSIONAL_CALLS))
+def test_zero_dimensional_inputs(name):
+    call, want = ZERO_DIMENSIONAL_CALLS[name]
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{want}$"):
+            call()
+    else:
+        assert call() == want
 
 
 NONFINITE_CALLS = {
