@@ -10,6 +10,8 @@ conjugate-linear: v -> C conj(v) with an n x n complex matrix C
 (`conjugation_matrix`, `realify_conjugation`). All of these are plain numpy
 complex arrays. A symmetric unitary C, the matrix of a Lagrangian symmetry,
 is O diag(e^{i phi}) O^T with O real orthogonal (`_real_eigenbasis`).
+These four functions read and write standard coordinates: for a non-standard
+J they apply the change of basis `to_standard`, and no other module does.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class ComplexStructure:
 
     Non-standard J's are accepted and conjugated to the standard form once at
     construction: `to_standard` is orthogonal with
-    to_standard^T @ J @ to_standard = standard_form(n). Everything downstream
-    works in standard coordinates through that change of basis.
+    to_standard^T @ J @ to_standard = standard_form(n), read off the +1
+    eigenvectors of iJ (`_standardizing_basis`). Everything downstream works
+    in standard coordinates through that change of basis.
     """
 
     matrix: np.ndarray
@@ -90,29 +93,15 @@ class ComplexStructure:
 
 
 def _standardizing_basis(j: np.ndarray) -> np.ndarray:
-    """Orthogonal R with R^T J R = standard_form(n), built by greedy J-pairing.
-
-    Picks unit vectors u_i orthogonal to everything collected so far and pairs
-    each with J u_i; the pair spans a J-invariant plane. Deterministic: each
-    step takes the coordinate vector with the largest residual.
-    """
+    """Orthogonal R = sqrt(2) [A, B], R^T J R = standard_form(n), from one eigh:
+    the +1 eigenvectors A + iB of the Hermitian iJ, a complex orthonormal basis
+    of R^{2n} made complex by i = J, have J A = B, J B = -A, and orthogonality
+    to their conjugates (eigenvalue -1) gives A^T A = B^T B = I / 2, A^T B = 0."""
     dim = j.shape[0]
     n = dim // 2
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for _ in range(n):
-        collected = np.column_stack(us + vs) if us else np.zeros((dim, 0))
-        cand = np.eye(dim) - collected @ collected.T
-        norms = np.linalg.norm(cand, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-8:
-            raise InvariantViolation("J: pairing basis construction failed")
-        u = cand[:, pick] / norms[pick]
-        us.append(u)
-        vs.append(j @ u)
-    r = np.column_stack(us + vs)
-    std = standard_form(n)
-    if max_abs(r.T @ j @ r - std) > 1e-10 * dim:
+    v = np.linalg.eigh(1j * j)[1][:, n:]
+    r = math.sqrt(2.0) * np.hstack([v.real, v.imag])
+    if max_abs(r.T @ j @ r - standard_form(n)) > 1e-10 * dim:
         raise InvariantViolation("J: conjugation to standard form failed")
     return r
 

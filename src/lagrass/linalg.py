@@ -156,14 +156,15 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
 
-def spectral_decompose(a) -> SpectralDecomposition:
+def spectral_decompose(a, name: str = "operator") -> SpectralDecomposition:
     """Eigendecomposition of the symmetric part (a + a^T) / 2 of a matrix that
-    passes `require_symmetric`, with a reassembly check.
+    passes `require_symmetric` (its messages labelled with name), with a
+    reassembly check.
 
     The residual of V diag(lam) V^T against that part must stay below
     RECON_RTOL * n * max|lam|; otherwise the decomposition is refused.
     """
-    arr = require_symmetric(a)
+    arr = require_symmetric(a, name)
     arr = (arr + arr.T) / 2.0
     lam, vec = np.linalg.eigh(arr)
     resid = max_abs(vec @ (lam[:, None] * vec.T) - arr)

@@ -12,11 +12,17 @@ import math
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, _complex_block, complexify
+from .complex_structure import (
+    ComplexStructure,
+    _complex_block,
+    complexify,
+    realify,
+    realify_conjugation,
+)
 from .errors import InvariantViolation
 from .geodesics import GeodesicGenerator, _curve_steps, _stack_times
 from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
-from .subspaces import Symmetry, vertical_symmetry
+from .subspaces import Symmetry
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -42,16 +48,14 @@ def random_complex_antisymmetric(structure: ComplexStructure, rng=None,
                                  norm: float = 1.0) -> np.ndarray:
     """J-commuting antisymmetric matrix scaled to the given operator norm.
 
-    In standard coordinates these are [[p, -q], [q, p]] with p antisymmetric
-    and q symmetric; the block form commutes with J by construction.
+    These are the realified p + iq with p antisymmetric and q symmetric,
+    [[p, -q], [q, p]] in standard coordinates, which commutes with J.
     """
     g = _as_rng(rng)
     n = structure.n
     p = random_antisymmetric(n, g)
     q = random_symmetric(n, g)
-    std = np.block([[p, -q], [q, p]])
-    r = structure.to_standard
-    a = r @ std @ r.T
+    a = realify(p + 1j * q, structure)
     top = schatten_norm(a, math.inf)
     if top == 0.0:
         return a
@@ -74,12 +78,12 @@ def random_lagrangian(structure: ComplexStructure, rng=None,
                       spread: float = 1.0) -> Symmetry:
     """Random Lagrangian as a rotated image of a reference Lagrangian.
 
-    The vertical subspace is Lagrangian for the standard structure; for a
-    nonstandard one it is carried over by the standardizing rotation first.
+    The reference is the Lagrangian whose conjugation matrix is -I: the
+    vertical subspace diag(-I, I) in standard coordinates, realified through
+    the structure for any J.
     """
     g = random_complex_rotation(structure, rng, spread)
-    r = structure.to_standard
-    e = r @ vertical_symmetry(structure.n).matrix @ r.T
+    e = realify_conjugation(-np.eye(structure.n), structure)
     return Symmetry(g @ e @ g.T)
 
 

@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 
-from lagrass.complex_structure import ComplexStructure
+from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
 from lagrass.graphs import _identity_graph
-from lagrass.linalg import apply_function, max_abs, require_square, spectral_decompose
+from lagrass.linalg import (
+    apply_function,
+    expm_antisymmetric,
+    max_abs,
+    require_square,
+    schatten_norm,
+    spectral_decompose,
+)
+from lagrass.sampling import random_antisymmetric, random_symmetric
 from lagrass.subspaces import (
     Projection,
     Symmetry,
@@ -80,3 +88,61 @@ def cayley_phases_by_eigvals(c) -> tuple[np.ndarray, float, float]:
     min_gap = float(np.min(math.pi - np.abs(phases)))
     dets = np.prod(values, axis=-1)
     return phases, min_gap, float(np.sum(np.angle(dets[1:] / dets[:-1])))
+
+
+def standardizing_basis_by_pairing(j) -> np.ndarray:
+    """Orthogonal R with R^T J R = standard_form(n), built by greedy J-pairing.
+
+    Picks unit vectors u_i orthogonal to everything collected so far and pairs
+    each with J u_i; the pair spans a J-invariant plane. Each step takes the
+    coordinate vector with the largest residual (n >= 1). `ComplexStructure`
+    reads its basis off one eigh of iJ instead; results that do not depend on
+    the basis must agree between the two.
+    """
+    j = np.asarray(j, dtype=float)
+    dim = j.shape[0]
+    n = dim // 2
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    for _ in range(n):
+        collected = np.column_stack(us + vs) if us else np.zeros((dim, 0))
+        cand = np.eye(dim) - collected @ collected.T
+        norms = np.linalg.norm(cand, axis=0)
+        pick = int(np.argmax(norms))
+        u = cand[:, pick] / norms[pick]
+        us.append(u)
+        vs.append(j @ u)
+    r = np.column_stack(us + vs)
+    assert max_abs(r.T @ j @ r - standard_form(n)) <= 1e-10 * dim
+    return r
+
+
+def random_complex_antisymmetric_by_blocks(structure: ComplexStructure, rng,
+                                           norm: float = 1.0) -> np.ndarray:
+    """[[p, -q], [q, p]] (p antisymmetric, q symmetric, drawn in that order)
+    conjugated through `to_standard` and scaled to the operator norm `norm`."""
+    n = structure.n
+    p = random_antisymmetric(n, rng)
+    q = random_symmetric(n, rng)
+    r = structure.to_standard
+    a = r @ np.block([[p, -q], [q, p]]) @ r.T
+    top = schatten_norm(a, math.inf)
+    return a if top == 0.0 else a * (norm / top)
+
+
+def random_complex_rotation_by_blocks(structure: ComplexStructure, rng,
+                                      spread: float = 1.0) -> np.ndarray:
+    """expm of `random_complex_antisymmetric_by_blocks` at the norm
+    spread * rng.random(), the uniform draw taken first."""
+    return expm_antisymmetric(
+        random_complex_antisymmetric_by_blocks(structure, rng, norm=spread * rng.random()))
+
+
+def random_lagrangian_by_blocks(structure: ComplexStructure, rng,
+                                spread: float = 1.0) -> Symmetry:
+    """A random rotation g applied to the vertical symmetry diag(-I, I)
+    conjugated through `to_standard`: g r diag(-I, I) r^T g^T."""
+    g = random_complex_rotation_by_blocks(structure, rng, spread)
+    r = structure.to_standard
+    e = r @ vertical_symmetry(structure.n).matrix @ r.T
+    return Symmetry(g @ e @ g.T)

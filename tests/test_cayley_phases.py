@@ -18,7 +18,7 @@ from lagrass.cli import main
 from lagrass.errors import ComputationError
 from lagrass.geodesics import Geodesic, sample
 from lagrass.graphs import cayley_curve, codiagonal_generator, graph_symmetry
-from lagrass.tolerances import CAYLEY_FORM_TOL, PHASE_GAP_TOL
+from lagrass.tolerances import CAYLEY_FORM_TOL, PHASE_GAP_TOL, RANK_RTOL
 
 from reference_formulas import cayley_phases_by_eigvals
 
@@ -159,3 +159,26 @@ def test_slightly_rotated_nodes_keep_the_bound(monkeypatch, n):
     assert max_abs_diff(phases, reference) <= n * CAYLEY_FORM_TOL
     # the phases are read off the nodes, not the closed form: each moved by delta
     assert max_abs_diff(phases - exact, delta) <= AGREE
+
+
+def scale_nodes(monkeypatch, factor):
+    """Every node C_t becomes factor C_t: symmetric, no longer unitary."""
+    def scaled(geo, ts):
+        return factor * sample(geo, ts)
+
+    monkeypatch.setattr(lagrass.graphs, "sample", scaled)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_unitarity_check_refuses_nodes_the_chart_grid_accepts(monkeypatch, tmp_path, capsys, n):
+    # C_t (1 + delta), delta = 0.75 n 1e-10: C conj(C) - I = 2 delta stays
+    # inside the involutive check's 2e-10 n, |u u^H - I| = 2 delta is beyond
+    # the unitarity check's 1e-10 n
+    rng = np.random.default_rng([SEED + 4, n])
+    y = rotated_block(rng.uniform(-0.5, 0.5, n), rng)
+    ts = np.linspace(-1.0, 1.0, 21)
+    scale_nodes(monkeypatch, 1.0 + 0.75 * n * 1e-10)
+    assert lagrass.graphs._chart_grid(identity_flow(y), ts, RANK_RTOL)[1].all()
+    with pytest.raises(ComputationError, match="unitarity"):
+        cayley_curve(identity_flow(y), ts)
+    assert spectral_curve_cli(capsys, write_block(tmp_path, y), 21)[0] == 4

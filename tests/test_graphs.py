@@ -1,5 +1,6 @@
 """Tests for graph charts, operator recovery, the gap metric, Cayley curves."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagrass.graphs
+import lagrass.linalg
+from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
 from lagrass.geodesics import Geodesic, connect, evaluate
@@ -352,6 +355,53 @@ def test_cayley_transform_scalar_identity():
         assert abs(phase - want) < 1e-12
         direct = (lam - 1j) / (lam + 1j)
         assert abs(complex(math.cos(phase), math.sin(phase)) - direct) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+def test_cayley_transform_is_unitary_by_construction(n):
+    # the image V diag((lam - i) / (lam + i)) V^T needs no unitarity check:
+    # V is orthonormal to 1e-12 n and every factor has modulus 1
+    rng = np.random.default_rng([SEED + 7, n])
+    for scale in (1e-12, 1e-3, 1.0, 1e3, 1e12, 1e100):
+        u = cayley_transform(random_symmetric(n, rng, scale)).matrix
+        assert max_abs(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("build", [graph_symmetry, graph_basis, cayley_transform])
+def test_each_graph_operator_is_checked_for_symmetry_once(monkeypatch, build):
+    a = random_symmetric(3, np.random.default_rng(SEED + 8))
+    seen = []
+
+    def spy(arr, name, checks=(), *args, **kwargs):
+        if np.array_equal(arr, a) and any(c[0] == "symmetric" for c in checks):
+            seen.append(name)
+        return check(arr, name, checks, *args, **kwargs)
+
+    check = lagrass.linalg._check
+    monkeypatch.setattr(lagrass.linalg, "_check", spy)
+    build(a)
+    assert seen == ["graph operator"]
+
+
+NON_SYMMETRIC = [[1.0, 2.0], [2.5, 3.0]]
+NON_SYMMETRIC_MESSAGE = "graph operator: not symmetric (deviation 5.000e-01 > tolerance 6.000e-10)"
+
+
+@pytest.mark.parametrize("build", [graph_symmetry, graph_basis, cayley_transform, gap_distance])
+def test_non_symmetric_graph_operator_keeps_its_message(build):
+    args = (NON_SYMMETRIC, np.eye(2)) if build is gap_distance else (NON_SYMMETRIC,)
+    with pytest.raises(InvariantViolation) as info:
+        build(*args)
+    assert str(info.value) == NON_SYMMETRIC_MESSAGE
+
+
+def test_cli_validate_refuses_a_non_symmetric_graph_operator(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"dim": 4, "subspace": {"graph_of": NON_SYMMETRIC}}))
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant violation: {NON_SYMMETRIC_MESSAGE}\n"
 
 
 def test_cayley_curve_constant_for_zero_block():
