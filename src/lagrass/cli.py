@@ -57,7 +57,7 @@ from .subspaces import (
     symmetry_from_projection,
     symmetry_from_subspace,
 )
-from .tolerances import ANGLE_TOL, RANK_RTOL, SYM_RTOL
+from .tolerances import ANGLE_TOL, ANGLE_TOL_FLOOR, RANK_RTOL, SYM_RTOL
 
 
 class ParseFailure(Exception):
@@ -434,36 +434,41 @@ def _cmd_random_pair(args) -> int:
 
 
 def _schatten_order(text: str):
-    """Parse a Schatten order: 'inf' or an integer (range checked downstream)."""
+    """Parse a Schatten order: 'inf' or an integer >= 1."""
     if text == "inf":
         return math.inf
     try:
-        return int(text)
+        k = int(text)
     except ValueError:
+        k = 0           # not an integer: refused with the same message
+    if k < 1:
         raise argparse.ArgumentTypeError(
-            f"Schatten order must be an integer or inf, got {text!r}") from None
+            f"Schatten order must be an integer >= 1 or inf, got {text!r}")
+    return k
 
 
-def _open_interval(high: float, label: str, what: str):
-    """An argparse type: a finite float in (0, high); label names high."""
+def _float_range(low: float, high: float, label: str, what: str):
+    """An argparse type: a positive float in [low, high); label names the range."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not 0.0 < value < high:
+        if not (value > 0.0 and low <= value < high):
             raise argparse.ArgumentTypeError(
-                f"must be a finite {what} in (0, {label}), got {text!r}")
+                f"must be a finite {what} in {label}, got {text!r}")
         return value
     return parse
 
 
 # --tol-angle is the one bucket width, at 0 and at pi/2, so at
-# pi/4 or above the two buckets overlap
-_angle_tolerance = _open_interval(math.pi / 4.0, "pi/4", "angle")
+# pi/4 or above the two buckets overlap; below the floor rounding
+# splits a common direction off as generic
+_angle_tolerance = _float_range(ANGLE_TOL_FLOOR, math.pi / 4.0,
+                                f"[{ANGLE_TOL_FLOOR:g}, pi/4)", "angle")
 # --tol-rank is compared with singular values of the top rows of a
 # projection, which lie in [0, 1]
-_rank_tolerance = _open_interval(1.0, "1", "value")
+_rank_tolerance = _float_range(0.0, 1.0, "(0, 1)", "value")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--k", type=_schatten_order, default=math.inf,
-                   help="Schatten order for the speed column: an integer or inf")
+                   help="Schatten order for the speed column: an integer >= 1 or inf")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_sample)
 

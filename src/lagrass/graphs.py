@@ -27,7 +27,7 @@ import numpy as np
 from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, _stack_times, sample
-from .linalg import max_abs, require_square, require_symmetric, spectral_decompose
+from .linalg import _as_2d, max_abs, require_square, require_symmetric, spectral_decompose
 from .subspaces import (
     Projection,
     Subspace,
@@ -60,19 +60,20 @@ ESSENTIAL_SPECTRUM_NOTE = (
 # building graphs
 
 
-def _graph_conjugation(a) -> tuple[np.ndarray, np.ndarray]:
+def _graph_conjugation(a, name: str = "graph operator") -> tuple[np.ndarray, np.ndarray]:
     """(C, lam) for graph(a): C = V diag((i - lam) / (i + lam)) V^T, symmetrised,
-    from one validated spectral decomposition V diag(lam) V^T of a."""
-    dec = spectral_decompose(a, "graph operator")
+    from one validated spectral decomposition V diag(lam) V^T of a (its
+    messages labelled with name)."""
+    dec = spectral_decompose(a, name)
     lam, vec = dec.eigenvalues, dec.eigenvectors
     c = (vec * ((1j - lam) / (1j + lam))) @ vec.T
     return (c + c.T) / 2.0, lam
 
 
-def _graph_eps(a) -> np.ndarray:
+def _graph_eps(a, name: str = "graph operator") -> np.ndarray:
     """The symmetry matrix [[Re C, Im C], [Im C, -Re C]] of graph(a), the lower
     block taken as 0 - Re C so that a zero keeps its + sign."""
-    c = _graph_conjugation(a)[0]
+    c = _graph_conjugation(a, name)[0]
     return np.block([[c.real, c.imag], [c.imag, 0.0 - c.real]])
 
 
@@ -204,11 +205,10 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     if _chart_margin(c) <= rank_rtol:
         raise NotAGraphError("recover_operator: vertical overlap, not a graph")
     eye = np.eye(n)
-    b = require_symmetric((1j * np.linalg.solve(eye + c, eye - c)).real,
-                          "recovered graph operator")
+    b = (1j * np.linalg.solve(eye + c, eye - c)).real
+    resid = max_abs(_graph_eps(b, "recovered graph operator") - eps.matrix) / 2.0
     # absolute at moderate operator size, scaled for badly conditioned graphs
     tol = GRAPH_RECOVERY_TOL * max(1.0, max_abs(b))
-    resid = max_abs(_graph_eps(b) - eps.matrix) / 2.0
     if resid > tol:
         raise ComputationError(
             f"recover_operator: projection residual {resid:.3e} beyond {tol:.3e}"
@@ -253,13 +253,13 @@ def transformed_graph_operator(u, a) -> TransformedGraph:
         raise InvariantViolation(
             "transformed_graph_operator: rotation must be orthogonal and commute with J"
         )
-    arr_a = require_symmetric(a, "graph operator")
-    if arr_a.shape[0] != n:
+    eps_a = _graph_eps(a)
+    if eps_a.shape[0] != 2 * n:
         raise InvariantViolation("transformed_graph_operator: half-space size mismatch")
+    arr_a = np.asarray(a, dtype=float)
     x = arr_u[:n, :n]
     y = arr_u[:n, n:]
 
-    eps_a = _graph_eps(arr_a)
     b = recover_operator(Symmetry(arr_u @ eps_a @ arr_u.T))
     den = x + y @ arr_a
 
@@ -317,22 +317,20 @@ def graph_window(y) -> GraphWindowVerdict:
 
     The sufficient condition is spectral: eigenvalues of y in (-pi/4, pi/2].
     The left endpoint is excluded with margin GRAPH_WINDOW_TOL so the
-    pointwise grid verification stays clear of the rank cutoff. Requires
-    ||y|| <= pi/2.
+    pointwise grid verification stays clear of the rank cutoff. The
+    eigenvalues are -theta of the flow's generator, whose constructor
+    refuses ||y|| > pi/2 (InvariantViolation).
     """
-    arr = require_symmetric(y, "half-space block")
-    lam = np.linalg.eigvalsh(arr)
-    if lam.size == 0:
+    n = _as_2d(y, "half-space block", square=True).shape[0]
+    if n == 0:
         raise InvariantViolation("graph_window: empty operator")
-    if max(abs(lam[0]), abs(lam[-1])) > math.pi / 2.0 + GENERATOR_ATOL:
-        raise InvariantViolation("graph_window: operator norm exceeds pi/2")
+    gen = codiagonal_generator(y, Symmetry(_identity_graph(n)))
+    lam = -gen.theta[::-1]
     lower = float(lam[0] + math.pi / 4.0)
     upper = float(math.pi / 2.0 - lam[-1])
     ok = bool(lam[0] > -math.pi / 4.0 + GRAPH_WINDOW_TOL and lam[-1] <= math.pi / 2.0 + 1e-12)
     verified = False
     if ok:
-        n = arr.shape[0]
-        gen = codiagonal_generator(arr, Symmetry(_identity_graph(n)))
         ts = np.linspace(0.0, 1.0, _CHECK_GRID)
         exits = ts[~_chart_grid(gen, ts, RANK_RTOL)[1]]
         if exits.size:

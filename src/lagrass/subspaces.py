@@ -30,7 +30,7 @@ from .linalg import (
     require_orthonormal_columns,
     require_square,
 )
-from .tolerances import ANGLE_TOL, SYM_RTOL
+from .tolerances import ANGLE_TOL, ANGLE_TOL_FLOOR, SYM_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +244,17 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
     The blocks are read off the principal angles of S0 and S1, bucketed with
     the one width angle_tol: an angle at most angle_tol is a common
     direction, one within angle_tol of pi/2 a swapped one, and so is a
-    column the pairing leaves over when the dimensions differ. The generic
-    basis is the S0 principal vectors of the other angles followed by their
-    S1 partners projected off S0 and the swapped S1 columns, orthonormal by
-    one QR. both_minus is the rest of the space. Intersections are never
-    rank decisions on sums of projections. angle_tol must be a finite angle
-    in (0, pi/4), where the two buckets stay apart (InvariantViolation).
+    column the pairing leaves over when the dimensions differ. One complete
+    QR of these columns and the S1 partners of the generic angles finishes
+    the split: the partners' columns of Q join the generic basis and the
+    rest of Q is both_minus, with no rank decision. angle_tol must lie in
+    [ANGLE_TOL_FLOOR, pi/4) (InvariantViolation). More columns than
+    dimensions, which only common directions whose computed angles exceed
+    the width can give, is a ComputationError.
     """
-    if not 0.0 < angle_tol < math.pi / 4.0:
-        raise InvariantViolation(
-            f"pair decomposition: angle width must lie in (0, pi/4), got {angle_tol!r}")
+    if not ANGLE_TOL_FLOOR <= angle_tol < math.pi / 4.0:
+        raise InvariantViolation(f"pair decomposition: angle width must lie in "
+                                 f"[{ANGLE_TOL_FLOOR:g}, pi/4), got {angle_tol!r}")
     if eps0.ambient_dim != eps1.ambient_dim:
         raise InvariantViolation("pair decomposition: ambient dimensions differ")
     dim = eps0.ambient_dim
@@ -264,37 +265,22 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
 
     blocks = [pa.left[:, zero], np.hstack([pa.left[:, right], pa.left_unpaired]),
               np.hstack([pa.right[:, right], pa.right_unpaired]), pa.left[:, generic]]
-    g = blocks[3].shape[1]
-    if g:
-        # the S1 partners, orthonormal to all of S0 and the swapped S1 columns
-        # by construction: their rounding error, about eps / sin(angle), is
-        # left only inside the generic and both_minus blocks, so a tiny
-        # generic angle keeps every block orthonormal and invariant
-        q, r = np.linalg.qr(np.hstack(blocks + [pa.right[:, generic]]))
-        blocks[3] = np.hstack([blocks[3], q[:, -g:] * np.copysign(1.0, np.diagonal(r)[-g:])])
-
-    collected = np.hstack(blocks)
-    if collected.shape[1] == 0:
-        both_minus = np.eye(dim)
-    elif collected.shape[1] >= dim:
-        both_minus = np.zeros((dim, 0))
-    else:
-        # null space of collected^T: the rows of V^T past the numerical rank,
-        # counted above sigma_max * eps * max(shape)
-        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
-        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
-        both_minus = vt[rank:].T
-
-    both_plus, plus_minus, minus_plus, gen = (Subspace(b) for b in blocks)
-    dec = FiveWayDecomposition(both_plus=both_plus, both_minus=Subspace(both_minus),
-                               plus_minus=plus_minus, minus_plus=minus_plus, generic=gen,
-                               generic_angles=pa.angles[generic])
-    total = sum(dec.dims().values())
-    if total != dim:
+    collected = np.hstack(blocks + [pa.right[:, generic]])
+    k, g = collected.shape[1], blocks[3].shape[1]
+    if k > dim:
         raise ComputationError(
-            f"five-way decomposition incomplete: blocks sum to {total}, ambient {dim}"
-        )
-    return dec
+            f"five-way decomposition incomplete: blocks sum to {k}, ambient {dim}")
+    # the S1 partners, orthonormal to all of S0 and the swapped S1 columns
+    # by construction: their rounding error, about eps / sin(angle), is
+    # left only inside the generic and both_minus blocks, so a tiny
+    # generic angle keeps every block orthonormal and invariant
+    q, r = np.linalg.qr(collected, mode="complete")
+    blocks[3] = np.hstack([blocks[3], q[:, k - g:k] * np.copysign(1.0, np.diagonal(r)[k - g:])])
+
+    both_plus, plus_minus, minus_plus, gen, both_minus = (Subspace(b) for b in blocks + [q[:, k:]])
+    return FiveWayDecomposition(both_plus=both_plus, both_minus=both_minus,
+                                plus_minus=plus_minus, minus_plus=minus_plus, generic=gen,
+                                generic_angles=pa.angles[generic])
 
 
 # ---------------------------------------------------------------------------

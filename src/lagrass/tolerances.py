@@ -19,6 +19,11 @@ RECON_RTOL = 1e-12
 # principal angle >= pi/2 - ANGLE_TOL -> orthogonal direction
 ANGLE_TOL = 1e-8
 
+# narrowest accepted bucket width: the computed principal angles of an
+# identical pair are rounding, up to about 3e-15 for n <= 512, and a width
+# below that reads them as generic
+ANGLE_TOL_FLOOR = 1e-12
+
 # smallest singular value <= RANK_RTOL * largest  -> block treated as singular
 RANK_RTOL = 1e-8
 

@@ -9,6 +9,7 @@ from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
 from lagrass.graphs import _identity_graph
 from lagrass.linalg import (
+    _principal_angles,
     apply_function,
     expm_antisymmetric,
     max_abs,
@@ -24,6 +25,7 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
+from lagrass.tolerances import ANGLE_TOL
 
 
 def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
@@ -39,6 +41,39 @@ def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
     q = p.matrix
     comp = np.eye(q.shape[0]) - q
     return q @ arr @ comp + comp @ arr @ q
+
+
+def five_way_by_svd_null_space(eps0: Symmetry, eps1: Symmetry,
+                               angle_tol: float = ANGLE_TOL) -> dict:
+    """The five blocks from two factorizations: the generic partners from a
+    reduced QR, both_minus from the SVD null space of the other columns, at
+    the rank cutoff sigma_max eps max(shape).
+
+    `five_way_decompose` takes both from one complete QR; with no angle at 0
+    and no swapped direction of unequal subspaces the two agree bitwise.
+    """
+    dim = eps0.ambient_dim
+    pa = _principal_angles(subspace_from_symmetry(eps0).basis, subspace_from_symmetry(eps1).basis)
+    zero = pa.angles <= angle_tol
+    right = pa.angles >= math.pi / 2.0 - angle_tol
+    generic = ~(zero | right)
+    blocks = [pa.left[:, zero], np.hstack([pa.left[:, right], pa.left_unpaired]),
+              np.hstack([pa.right[:, right], pa.right_unpaired]), pa.left[:, generic]]
+    g = blocks[3].shape[1]
+    if g:
+        q, r = np.linalg.qr(np.hstack(blocks + [pa.right[:, generic]]))
+        blocks[3] = np.hstack([blocks[3], q[:, -g:] * np.copysign(1.0, np.diagonal(r)[-g:])])
+    collected = np.hstack(blocks)
+    if collected.shape[1] == 0:
+        both_minus = np.eye(dim)
+    elif collected.shape[1] >= dim:
+        both_minus = np.zeros((dim, 0))
+    else:
+        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
+        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
+        both_minus = vt[rank:].T
+    return dict(zip(("both_plus", "plus_minus", "minus_plus", "generic", "both_minus"),
+                    blocks + [both_minus]))
 
 
 def graph_chart_residuals(b, eps: Symmetry) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lagrass.cli
 from lagrass.cli import main
@@ -29,7 +30,12 @@ from lagrass.tolerances import SYM_RTOL
 
 from reference_formulas import graph_chart_residuals
 from test_graphs import near_edge_block
-from test_subspaces import THRESHOLD_CASES, threshold_case
+from test_subspaces import (
+    THRESHOLD_CASES,
+    perturbed_three_spaces,
+    planted_angle_pair,
+    threshold_case,
+)
 
 SEED = 90210
 
@@ -259,9 +265,11 @@ def test_connect_angle_just_inside_a_tight_angle_width(tmp_path, capsys):
                   Symmetry(np.array(line_symmetry(theta))), s)
     assert abs(gen.norm - theta) < 1e-12
 
-    # the flag is both bucket widths, so it must be a finite angle in (0, pi/4)
+    # the flag is both bucket widths, so it must be a finite angle in
+    # [ANGLE_TOL_FLOOR, pi/4)
     other = line_file(tmp_path, 0.6, "c.json")
-    for bad in ("1", "0.7853981633974483", "0", "-0.001", "nan", "inf", "abc"):
+    for bad in ("1", "0.7853981633974483", "0", "-0.001", "nan", "inf", "abc", "1e-300",
+                "9.99e-13"):
         code, out = run_cli(capsys, ["--tol-angle", bad, "connect", first, other])
         assert code == 2 and out == "", bad
 
@@ -431,9 +439,10 @@ def test_sample_large_k_speed_stays_finite(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, want", [
     (["--k", "abc"], 2),
-    (["--k", "0"], 3),
+    (["--k", "0"], 2),
     (["--grid", "2"], 2),
     (["--grid", "4"], 2),
+    (["--k", "-1"], 2),
 ])
 def test_sample_rejects_bad_options(tmp_path, capsys, argv, want):
     first = line_file(tmp_path, 0.0, "a.json")
@@ -671,19 +680,56 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
-@settings(max_examples=30, deadline=None)
-@given(**THRESHOLD_CASES)
-def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
-    (e0, e1), dims = threshold_case(seed, tol, zero_side, right_side, generic)
+def run_on_pair(pair, commands, *flags):
+    """(exit code, stdout, stderr) of each command on a pair of symmetries."""
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_problem(Path(tmp) / f"{i}.json",
                                {"dim": e.ambient_dim, "subspace": {"symmetry": e.matrix.tolist()}})
-                 for i, e in enumerate((e0, e1))]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["--tol-angle", repr(tol), "decompose", *paths])
+                 for i, e in enumerate(pair)]
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*flags, command, *paths])
+            results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+@settings(max_examples=30, deadline=None)
+@given(**THRESHOLD_CASES)
+def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_side, generic):
+    pair, dims = threshold_case(seed, tol, zero_side, right_side, generic)
+    [(code, out, _)] = run_on_pair(pair, ["decompose"], "--tol-angle", repr(tol))
     assert code == 0
-    assert json.loads(out.getvalue())["dims"] == dims
+    assert json.loads(out)["dims"] == dims
+
+
+def test_decompose_refuses_more_columns_than_dimensions():
+    # the library's ComputationError reaches the CLI as exit 4
+    runs = [run_on_pair(perturbed_three_spaces(seed), ["decompose"], "--tol-angle", "1.001e-12")[0]
+            for seed in range(10)]
+    refused = [err for code, _, err in runs if code == 4]
+    assert all(code in (0, 4) for code, _, _ in runs)
+    assert len(refused) >= 5
+    assert all(err.startswith("solver error: five-way decomposition incomplete") for err in refused)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sides=st.lists(st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3, None]), min_size=1, max_size=8))
+def test_decompose_swaps_match_the_multiplicity_count(seed, sides):
+    # at default flags both commands read a right angle with the width 1e-8:
+    # each swapped complex direction is one plus_minus and one minus_plus
+    # dimension, and one flip plane of the generator
+    rng = np.random.default_rng(seed)
+    angles = [math.pi / 2 - 1e-8 * side if side else rng.uniform(0.1, 1.4) for side in sides]
+    (code_m, out_m, _), (code_d, out_d, _) = run_on_pair(planted_angle_pair(angles, rng),
+                                                         ["multiplicity", "decompose"])
+    assert code_m == code_d == 0
+    dims = json.loads(out_d)["dims"]
+    d = json.loads(out_m)["minus_one_dim_complex"]
+    assert dims["plus_minus"] + dims["minus_plus"] == 2 * d
+    assert d == sum(side == 1.0 - 1e-3 for side in sides)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagrass.graphs
-import lagrass.linalg
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
@@ -40,6 +39,8 @@ from lagrass.subspaces import (
     vertical_symmetry,
 )
 from lagrass.tolerances import RANK_RTOL
+
+from spies import CallSpy
 
 SEED = 550
 
@@ -268,6 +269,16 @@ def test_graph_window_frozen_cases():
         graph_window(np.diag([math.pi / 2 + 0.2, 0.0]))
 
 
+@pytest.mark.parametrize("y", [np.diag([-0.5, 0.25]), np.diag([-math.pi / 4, 0.0]),
+                               random_symmetric(4, np.random.default_rng(SEED + 12), 0.3)])
+def test_graph_window_decomposes_the_block_once(monkeypatch, y):
+    # the eigenvalues are read off the generator the grid check samples
+    spy = CallSpy(monkeypatch)
+    verdict = graph_window(y)
+    assert [routine for routine, _ in spy.calls("eig", "eigh", "eigvals", "eigvalsh")] == ["eigh"]
+    assert max_abs(verdict.eigenvalues - np.linalg.eigvalsh(y)) <= 1e-15
+
+
 def test_graph_window_margins():
     verdict = graph_window(np.diag([-0.5, 0.25]))
     assert abs(verdict.lower_margin - (math.pi / 4 - 0.5)) < 1e-12
@@ -370,17 +381,39 @@ def test_cayley_transform_is_unitary_by_construction(n):
 @pytest.mark.parametrize("build", [graph_symmetry, graph_basis, cayley_transform])
 def test_each_graph_operator_is_checked_for_symmetry_once(monkeypatch, build):
     a = random_symmetric(3, np.random.default_rng(SEED + 8))
-    seen = []
-
-    def spy(arr, name, checks=(), *args, **kwargs):
-        if np.array_equal(arr, a) and any(c[0] == "symmetric" for c in checks):
-            seen.append(name)
-        return check(arr, name, checks, *args, **kwargs)
-
-    check = lagrass.linalg._check
-    monkeypatch.setattr(lagrass.linalg, "_check", spy)
+    spy = CallSpy(monkeypatch)
     build(a)
-    assert seen == ["graph operator"]
+    assert spy.symmetric_checks(a) == ["graph operator"]
+
+
+def test_recover_operator_checks_the_recovered_operator_once(monkeypatch):
+    eps = graph_symmetry(random_symmetric(3, np.random.default_rng(SEED + 9)))
+    b = recover_operator(eps)
+    spy = CallSpy(monkeypatch)
+    assert np.array_equal(recover_operator(eps), b)
+    assert spy.symmetric_checks(b) == ["recovered graph operator"]
+
+
+def test_transformed_graph_checks_each_operator_once(monkeypatch):
+    rng = np.random.default_rng(SEED + 10)
+    u = random_complex_rotation(ComplexStructure.standard(3), rng, spread=0.5)
+    a = random_symmetric(3, rng)
+    b = transformed_graph_operator(u, a).operator
+    spy = CallSpy(monkeypatch)
+    transformed_graph_operator(u, a)
+    assert spy.symmetric_checks(a) == ["graph operator"]
+    assert spy.symmetric_checks(b) == ["recovered graph operator"]
+
+
+def test_cli_graph_recover_checks_each_operator_once(tmp_path, capsys, monkeypatch):
+    a = random_symmetric(3, np.random.default_rng(SEED + 11))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"dim": 6, "subspace": {"graph_of": a.tolist()}}))
+    spy = CallSpy(monkeypatch)
+    assert main(["graph-recover", str(path)]) == 0
+    b = np.array(json.loads(capsys.readouterr().out)["operator"])
+    assert spy.symmetric_checks(a) == ["graph operator"]
+    assert spy.symmetric_checks(b) == ["recovered graph operator"]
 
 
 NON_SYMMETRIC = [[1.0, 2.0], [2.5, 3.0]]

@@ -1,6 +1,7 @@
 """Tests for subspace encodings, the five-way pair decomposition, tangency."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrass.complex_structure import ComplexStructure, realify_conjugation
-from lagrass.errors import InvariantViolation
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
@@ -32,9 +33,10 @@ from lagrass.subspaces import (
     tangent_project,
     vertical_symmetry,
 )
-from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
+from lagrass.tolerances import ANGLE_TOL, ANGLE_TOL_FLOOR, ORTH_RTOL, SYM_RTOL
 
-from reference_formulas import tangent_project_offdiagonal
+from reference_formulas import five_way_by_svd_null_space, tangent_project_offdiagonal
+from spies import CallSpy
 
 SEED = 91125
 
@@ -133,7 +135,8 @@ def test_five_way_identical_pair():
                           "minus_plus": 0, "generic": 0}
 
 
-@pytest.mark.parametrize("width", [-1.0, 0.0, math.nan, math.pi / 4, 1.0, math.inf])
+@pytest.mark.parametrize("width", [-1.0, 0.0, math.nan, math.pi / 4, 1.0, math.inf,
+                                   1e-300, ANGLE_TOL_FLOOR * (1.0 - 1e-3)])
 def test_five_way_refuses_an_angle_width_outside_the_open_quarter(width):
     # at -1, 0 or nan every angle of an identical pair used to fall in the
     # generic bucket: one 6-dimensional block with angles about 1e-16
@@ -142,6 +145,83 @@ def test_five_way_refuses_an_angle_width_outside_the_open_quarter(width):
     with pytest.raises(InvariantViolation, match="angle width must lie in"):
         five_way_decompose(e0, e0, angle_tol=width)
 
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_five_way_identical_pair_at_the_floor(n):
+    # the computed angles of an identical pair stay below the floor: at
+    # 1e-300 they all used to land in the generic bucket
+    _, e0, _ = random_lagrangian_pair(n, np.random.default_rng([SEED, n]))
+    dec = five_way_decompose(e0, e0, ANGLE_TOL_FLOOR)
+    assert dec.dims() == block_dims(n, n, 0, 0, 0)
+
+
+def test_five_way_three_spaces_of_r4_at_the_floor():
+    # two 3-dimensional subspaces of R^4 meet in a plane; at 1e-300 this
+    # used to end in "subspace basis: columns not orthonormal"
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(10):
+        e0, e1 = (symmetry_from_subspace(Subspace(np.linalg.qr(rng.standard_normal((4, 3)))[0]))
+                  for _ in range(2))
+        dec = five_way_decompose(e0, e1, ANGLE_TOL_FLOOR)
+        assert dec.dims() == block_dims(2, 0, 0, 0, 2)
+        assert_blocks_invariant(dec, e0, e1, ANGLE_TOL_FLOOR)
+
+
+def perturbed_three_spaces(seed):
+    """Symmetries of two bases of R^4 within ORTH_RTOL of one orthonormal
+    4 x 3 basis. The subspaces are about 1e-11 apart and share a plane, but
+    the angles of the shared plane come out about 1e-11 too."""
+    rng = np.random.default_rng(seed)
+    b0 = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+    b1 = b0 + 0.1 * ORTH_RTOL * rng.standard_normal((4, 3))
+    return symmetry_from_subspace(Subspace(b0)), symmetry_from_subspace(Subspace(b1))
+
+
+def test_five_way_refuses_more_columns_than_dimensions():
+    # just above the floor two or three angles are generic, and 5 or 6
+    # columns do not fit in R^4: a solver error, not a basis that fails
+    # validation; the rest of the seeds split as the plane they share says
+    refused = 0
+    for seed in range(10):
+        e0, e1 = perturbed_three_spaces(seed)
+        try:
+            dec = five_way_decompose(e0, e1, ANGLE_TOL_FLOOR * (1.0 + 1e-3))
+        except ComputationError as exc:
+            assert re.fullmatch(r"five-way decomposition incomplete: "
+                                r"blocks sum to [56], ambient 4", str(exc))
+            refused += 1
+        else:
+            assert dec.dims() == block_dims(2, 0, 0, 0, 2)
+    assert refused >= 5
+
+
+def _factorization_pairs():
+    _, e0, e1 = random_lagrangian_pair(3, np.random.default_rng(SEED + 17))
+    yield pytest.param(e0, e1, 0, id="random")
+    yield pytest.param(vertical_symmetry(2), vertical_symmetry(2), 2, id="coincident")
+    a = random_symmetric(4, np.random.default_rng(SEED + 19))
+    v = np.array([[1.0], [2.0], [0.0], [-1.0]])
+    yield pytest.param(graph_symmetry(a), graph_symmetry(a + v @ v.T), 3, id="kernel")
+
+
+@pytest.mark.parametrize("e0, e1, both_minus", list(_factorization_pairs()))
+def test_five_way_makes_one_angle_svd_and_one_qr(monkeypatch, e0, e1, both_minus):
+    spy = CallSpy(monkeypatch)
+    dec = five_way_decompose(e0, e1)
+    assert [routine for routine, _ in spy.calls("svd", "qr")] == ["svd", "qr"]
+    assert dec.both_minus.dim == both_minus
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+def test_five_way_is_bitwise_the_two_factorization_split(n):
+    # with no angle at 0 the complete QR is square, and every block is the
+    # one the QR of the generic partners and the SVD null space gave
+    rng = np.random.default_rng([SEED + 23, n])
+    for _ in range(3):
+        _, e0, e1 = random_lagrangian_pair(n, rng)
+        got, want = five_way_decompose(e0, e1), five_way_by_svd_null_space(e0, e1)
+        for name, block in want.items():
+            assert getattr(got, name).basis.tobytes() == block.tobytes(), name
 
 def test_five_way_blocks_are_orthogonal_and_complete():
     rng = np.random.default_rng(SEED)
