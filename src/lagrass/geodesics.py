@@ -78,9 +78,9 @@ class GeodesicGenerator:
         # z = iH; in a real form W of the base, W^H H W is real symmetric
         w = _real_form(_complex_block(e, self.structure))
         k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
-        theta, o = np.linalg.eigh((k + k.T) / 2.0)
+        theta, o = np.linalg.eigh(0.5 * k + 0.5 * k.T)
         self._record(z, w @ o, theta)
-        if self.norm > math.pi / 2.0 + GENERATOR_ATOL:
+        if not self.norm <= math.pi / 2.0 + GENERATOR_ATOL:
             raise InvariantViolation("generator: operator norm exceeds pi/2")
 
     def _record(self, z: np.ndarray, u: np.ndarray, theta: np.ndarray) -> None:

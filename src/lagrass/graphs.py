@@ -11,10 +11,13 @@ dist(-1, spec C) / 2 exceeds the rank cutoff. That margin is the smallest
 singular value of the top n rows of the projection (I + eps) / 2, which
 `is_graph` reads for any half-dimensional subspace. Along a geodesic flow the
 nodes are read as C_t stacks, so the window and safe-radius checks and the
-Cayley curve need no operator recovery. The identity graph's C is iI, so a
-generator there has its spectral record from one real n x n eigh, and the
-Cayley curve's phases are Rayleigh quotients of each node in the real
-eigenbasis of the half-space block, which diagonalises the closed form.
+Cayley curve need no operator recovery. Each node's margin is bracketed in
+the generator's eigenbasis, where I + C_t is diagonal up to rounding, and an
+SVD decides only the nodes whose bracket straddles the cutoff. The identity
+graph's C is iI, so a generator there has its spectral record from one real
+n x n eigh, and the Cayley curve's phases are Rayleigh quotients of each
+node in the real eigenbasis of the half-space block, which diagonalises the
+closed form.
 """
 
 from __future__ import annotations
@@ -130,10 +133,10 @@ def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
     # J and anticommutes with [[0, I], [I, 0]] exactly, for any block, and
     # |z + z^T| = |y - y^T| is within half its antisymmetry slack, as
     # require_symmetric held y to SYM_RTOL n max|y|.
-    theta, o = np.linalg.eigh(-(arr + arr.T) / 2.0)
+    theta, o = np.linalg.eigh(-(0.5 * arr + 0.5 * arr.T))
     gen = GeodesicGenerator._from_record(base, structure, np.exp(0.25j * math.pi) * o,
                                          theta, z)
-    if gen.norm > math.pi / 2.0 + GENERATOR_ATOL:
+    if not gen.norm <= math.pi / 2.0 + GENERATOR_ATOL:
         raise InvariantViolation("generator: operator norm exceeds pi/2")
     return gen
 
@@ -159,8 +162,8 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     smallest is compared with the absolute cutoff rank_rtol, in (0, 1). This
     holds for any half-dimensional subspace, Lagrangian or not; for a
     Lagrangian the smallest is dist(-1, spec C) / 2, the `_chart_margin` that
-    `recover_operator` and the chart grid test. The zero space is the graph
-    of the 0 x 0 operator.
+    `recover_operator` tests and the chart grid brackets. The zero space is
+    the graph of the 0 x 0 operator.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
@@ -283,12 +286,41 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     J is refused (InvariantViolation), as in `cayley_curve`. The nodes are
     validated in one stacked check as symmetric unitaries, with the Symmetry
     tolerances of their real forms. A node lies in the graph chart iff its
-    `_chart_margin` exceeds rank_rtol, the test of `recover_operator`.
+    margin dist(-1, spec C_t) / 2 exceeds rank_rtol, the `_chart_margin` test
+    of `recover_operator`.
+
+    The margin is certified in the generator's eigenbasis, without an SVD.
+    C_t = U e^{2it theta} U^T, so B_t = U^H (I + C_t) conj(U) is diagonal up
+    to rounding; one product over the stack forms its transpose, which has
+    the same diagonal and singular values. With delta = min_j |b_jj|,
+    r = ||offdiag B_t||_F and eta = ||U^H U - I||_F + s, Weyl's bound
+    |sigma_i(D + E) - sigma_i(D)| <= ||E||_2 and the singular values of U,
+    within sqrt(1 +- eta) of 1, put the margin in
+    [(delta - r - s) / (2 (1 + eta)), (delta + r + s) / (2 (1 - eta))].
+    The slack s = 16 (n + 2)^2 eps covers the rounding of B_t and of U^H U
+    (about 9 n (n + 2) eps, as ||I + C_t|| <= 2) and the SVD's own error (a
+    few n eps), so a node whose bracket lies wholly on one side of rank_rtol
+    gets the SVD's verdict. The nodes it straddles, and any whose bounds are
+    NaN or whose eta reaches 1, go to `_chart_margin`.
     """
     if not gen.structure.is_standard():
         raise InvariantViolation("graph chart: requires the standard complex structure")
     c = _require_conjugation_symmetries(sample(Geodesic(gen), ts))
-    return c, _chart_margin(c) > rank_rtol
+    n = c.shape[-1]
+    slack = 16.0 * (n + 2) ** 2 * np.finfo(float).eps
+    u_bar = gen.u.conj()
+    eta = np.linalg.norm(u_bar.T @ gen.u - np.eye(n)) + slack
+    # B_t^T = (A conj(U))^T conj(U) for A = I + C_t: same diagonal and singular values
+    b = _stack_times(np.swapaxes(_stack_times(np.eye(n) + c, u_bar), -1, -2), u_bar)
+    diag = np.einsum("...jj->...j", b)
+    delta = np.abs(diag).min(axis=-1, initial=math.inf)
+    diag[...] = 0.0
+    r = np.linalg.norm(b, axis=(-2, -1))
+    inside = delta - r - slack > 2.0 * (1.0 + eta) * rank_rtol
+    undecided = ~inside & ~(delta + r + slack <= 2.0 * (1.0 - eta) * rank_rtol)
+    if undecided.any():
+        inside[undecided] = _chart_margin(c[undecided]) > rank_rtol
+    return c, inside
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
-from lagrass.graphs import _identity_graph
+from lagrass.graphs import _chart_margin, _identity_graph
 from lagrass.linalg import (
     _principal_angles,
     apply_function,
@@ -108,6 +108,15 @@ def graph_margin_by_basis(s) -> float:
         return 0.0
     basis = subspace_from_symmetry(eps).basis
     return float(np.linalg.svd(basis[:n], compute_uv=False)[-1])
+
+
+def chart_mask_by_svd(c, rank_rtol: float) -> np.ndarray:
+    """The chart mask by a stacked SVD of every node: dist(-1, spec C_t) / 2,
+    the smallest singular value of I + C_t over 2, exceeds rank_rtol.
+    `_chart_grid` certifies the same verdict in the generator's eigenbasis
+    and runs this SVD only on the nodes its bracket leaves undecided.
+    """
+    return _chart_margin(np.asarray(c)) > rank_rtol
 
 
 def cayley_phases_by_eigvals(c) -> tuple[np.ndarray, float, float]:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import lagrass.cli
 import lagrass.graphs
 from lagrass.cli import main
 from lagrass.errors import ComputationError
@@ -20,7 +21,7 @@ from lagrass.geodesics import Geodesic, sample
 from lagrass.graphs import cayley_curve, codiagonal_generator, graph_symmetry
 from lagrass.tolerances import CAYLEY_FORM_TOL, PHASE_GAP_TOL, RANK_RTOL
 
-from reference_formulas import cayley_phases_by_eigvals
+from reference_formulas import cayley_phases_by_eigvals, chart_mask_by_svd
 
 SEED = 1313
 AGREE = 1e-13
@@ -67,6 +68,37 @@ def spectral_curve_cli(capsys, path, grid):
     lines = out.splitlines()
     rows = [[float(x) for x in line.split(",")] for line in lines[1:grid + 1]]
     return code, np.array(rows), json.loads("\n".join(lines[grid + 1:]))
+
+
+def spectral_curve_bytes(capsys, tmp_path, path, flags, tag):
+    """Exit code, stdout, stderr and CSV bytes of CLI spectral-curve, the rows
+    once on stdout and once in the CSV file."""
+    csv = tmp_path / f"{tag}.csv"
+    runs = []
+    for out in ([], ["--out", str(csv)]):
+        code = main([*flags, "spectral-curve", path, "--grid", "50", *out])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    return runs, csv.read_bytes() if csv.exists() else None
+
+
+def svd_chart_grid(gen, ts, rank_rtol):
+    """The chart grid with every node's verdict read off the stacked SVD."""
+    c = lagrass.graphs._chart_grid(gen, ts, rank_rtol)[0]
+    return c, chart_mask_by_svd(c, rank_rtol)
+
+
+def cli_workload_block(rng):
+    # drawn as the benchmark's cli workload draws its block: n = 8, spectrum
+    # in (-0.7, 1.5), so the flow over [-1, 1] meets the chart edge between
+    # grid nodes
+    return rotated_block(rng.uniform(-0.7, 1.5, 8), rng)
+
+
+def chart_edge_block(rng):
+    values = rng.uniform(-0.5, 0.5, 4)
+    values[:2] = (-math.pi / 4.0, -math.pi / 4.0 + 5e-8)
+    return rotated_block(values, rng)
 
 
 GRIDS = {
@@ -182,3 +214,28 @@ def test_unitarity_check_refuses_nodes_the_chart_grid_accepts(monkeypatch, tmp_p
     with pytest.raises(ComputationError, match="unitarity"):
         cayley_curve(identity_flow(y), ts)
     assert spectral_curve_cli(capsys, write_block(tmp_path, y), 21)[0] == 4
+
+
+# ---------------------------------------------------------------------------
+# the certified chart mask changes no byte of the CLI's output
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol-rank", "1e-300"], ["--tol-rank", "0.999999"]],
+                         ids=["default", "tiny-cutoff", "huge-cutoff"])
+@pytest.mark.parametrize("block", [cli_workload_block, chart_edge_block])
+def test_cli_output_is_byte_identical_to_the_svd_mask(monkeypatch, tmp_path, capsys, block,
+                                                      flags):
+    path = write_block(tmp_path, block(np.random.default_rng(SEED + 5)))
+    certified = spectral_curve_bytes(capsys, tmp_path, path, flags, "certified")
+    monkeypatch.setattr(lagrass.cli, "_chart_grid", svd_chart_grid)
+    assert certified == spectral_curve_bytes(capsys, tmp_path, path, flags, "svd")
+    (plain, to_file), _ = certified
+    if flags[1:] == ["0.999999"]:
+        assert plain == (4, "", "solver error: spectral-curve: no grid time stays "
+                                "inside the graph chart\n")
+    else:
+        # only the edge block's node at t = 1 lies on -1, and only the
+        # default cutoff refuses its rounding-sized margin
+        skipped = int(block is chart_edge_block and not flags)
+        assert plain[0] == 0
+        assert json.loads(to_file[1])["skipped_times"] == skipped
