@@ -63,9 +63,7 @@ from .graphs import (
 from .linalg import (
     PrincipalAngles,
     SpectralDecomposition,
-    apply_function,
     expm_antisymmetric,
-    logm_special_orthogonal,
     max_abs,
     principal_angles,
     schatten_norm,

@@ -312,8 +312,9 @@ class PrincipalAngles:
 def principal_angles(q0, q1) -> PrincipalAngles:
     """Principal angles between the column spans of two orthonormal bases.
 
-    Cosines come from the SVD of q0^T q1; angles below pi/4 are refined through
-    the sine route for full accuracy near zero. Returns min(k0, k1) angles in
+    Cosines come from the SVD of q0^T q1; angles below pi/4 are read off one
+    SVD of the sine matrix (I - P0) q1 V instead, for full accuracy near zero,
+    clusters of small angles included. Returns min(k0, k1) angles in
     ascending order with paired principal vectors, and the unpaired columns.
     """
     b0 = require_orthonormal_columns(q0, "first basis")
@@ -326,8 +327,14 @@ def principal_angles(q0, q1) -> PrincipalAngles:
 def _principal_angles(q0: np.ndarray, q1: np.ndarray) -> PrincipalAngles:
     """`principal_angles` for bases already known to be orthonormal.
 
-    arccos of a singular value loses half the digits near angle 0; for angles
-    below pi/4 the length of (I - P0) right is the sine and is computed stably.
+    arccos of a singular value loses half the digits near angle 0, and inside
+    a cluster of cosines near 1 the cosine SVD fixes its singular vectors
+    only to about eps / (1 - cos gap). So for the s columns of right with
+    cosine above cos(pi/4), one SVD of the sine matrix W = (I - P0) right[:, :s]
+    (Knyazev & Argentati, SIAM J. Sci. Comput. 23(6), 2002) decides them: its
+    right singular vectors, ascending, rotate those columns, the arcsines of
+    its singular values are their angles, and the left vectors are their
+    normalized P0 projections, of length cos(angle) >= cos(pi/4).
     """
     m = min(q0.shape[1], q1.shape[1])
     u, s, vt = np.linalg.svd(q0.T @ q1, full_matrices=True)
@@ -335,11 +342,14 @@ def _principal_angles(q0: np.ndarray, q1: np.ndarray) -> PrincipalAngles:
     right = q1 @ vt.T
     sigma = np.clip(s, 0.0, 1.0)
     angles = np.arccos(sigma)
-    small = sigma > math.cos(math.pi / 4.0)
-    if np.count_nonzero(small):
-        near = right[:, :m][:, small]
-        angles[small] = np.arcsin(np.clip(np.linalg.norm(near - q0 @ (q0.T @ near), axis=0),
-                                          0.0, 1.0))
+    small = np.count_nonzero(sigma > math.cos(math.pi / 4.0))
+    if small:
+        near = right[:, :small]
+        _, sines, rot = np.linalg.svd(near - q0 @ (q0.T @ near), full_matrices=False)
+        right[:, :small] = near @ rot[::-1].T
+        angles[:small] = np.arcsin(np.clip(sines[::-1], 0.0, 1.0))
+        proj = q0 @ (q0.T @ right[:, :small])
+        left[:, :small] = proj / np.linalg.norm(proj, axis=0)
     return PrincipalAngles(angles, left[:, :m], right[:, :m], left[:, m:], right[:, m:])
 
 

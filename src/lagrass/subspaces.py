@@ -341,7 +341,7 @@ def covariant_derivative(ts, curve, field) -> np.ndarray:
     if t.size < 3:
         raise InvariantViolation("covariant derivative: need at least 3 samples")
     steps = np.diff(t)
-    if np.any(steps <= 0) or max_abs(steps[None] - steps[0]) > 1e-9 * abs(steps[0]):
+    if not (np.all(steps > 0) and max_abs(steps[None] - steps[0]) <= 1e-9 * steps[0]):
         raise InvariantViolation("covariant derivative: grid must be uniform and increasing")
     eps_stack = np.stack([
         c.matrix if isinstance(c, Symmetry) else as_matrix(c, "curve sample")

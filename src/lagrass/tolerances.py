@@ -43,7 +43,8 @@ GENERATOR_ATOL = 1e-8
 # graph recovery: projection-reconstruction residual, scaled by operator size
 GRAPH_RECOVERY_TOL = 1e-9
 
-# left-endpoint margin of the graph window, keeps grid checks off the rank cutoff
+# left-endpoint margin of the graph window: an accepted flow's chart margin stays
+# at least sin(GRAPH_WINDOW_TOL) > RANK_RTOL, so graph_window agrees with is_graph
 GRAPH_WINDOW_TOL = 1e-7
 
 # agreement between recovered Cayley values and their closed form

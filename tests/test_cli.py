@@ -13,10 +13,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagrass.cli
@@ -25,13 +26,17 @@ from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
-from lagrass.subspaces import Symmetry
-from lagrass.tolerances import SYM_RTOL
+from lagrass.subspaces import Subspace, Symmetry, symmetry_from_subspace
+from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
 
 from reference_formulas import graph_chart_residuals
 from test_graphs import near_edge_block
 from test_subspaces import (
     THRESHOLD_CASES,
+    assert_blocks_invariant,
+    block_dims,
+    common_directions_read_above,
+    involution_defect,
     perturbed_three_spaces,
     planted_angle_pair,
     threshold_case,
@@ -704,14 +709,25 @@ def test_decompose_buckets_land_on_the_planted_side(seed, tol, zero_side, right_
     assert json.loads(out)["dims"] == dims
 
 
-def test_decompose_refuses_more_columns_than_dimensions():
+def test_decompose_splits_perturbed_three_spaces_at_the_floor():
+    for seed in range(10):
+        pair = perturbed_three_spaces(seed)
+        [(code, out, _)] = run_on_pair(pair, ["decompose"], "--tol-angle", "1.001e-12")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dims"] == block_dims(2, 0, 0, 0, 2)
+        blocks = {name: Subspace(np.array(basis).reshape(4, -1))
+                  for name, basis in doc["bases"].items()}
+        assert_blocks_invariant(SimpleNamespace(**blocks), *pair, 1e-12, involution_defect(*pair))
+
+
+def test_decompose_refuses_more_columns_than_dimensions(monkeypatch):
     # the library's ComputationError reaches the CLI as exit 4
-    runs = [run_on_pair(perturbed_three_spaces(seed), ["decompose"], "--tol-angle", "1.001e-12")[0]
-            for seed in range(10)]
-    refused = [err for code, _, err in runs if code == 4]
-    assert all(code in (0, 4) for code, _, _ in runs)
-    assert len(refused) >= 5
-    assert all(err.startswith("solver error: five-way decomposition incomplete") for err in refused)
+    e0 = symmetry_from_subspace(Subspace(np.eye(4)[:, :3]))
+    common_directions_read_above(1e-6, monkeypatch)
+    [(code, _, err)] = run_on_pair((e0, e0), ["decompose"])
+    assert code == 4
+    assert err.startswith("solver error: five-way decomposition incomplete")
 
 
 @settings(max_examples=40, deadline=None)
@@ -730,6 +746,30 @@ def test_decompose_swaps_match_the_multiplicity_count(seed, sides):
     d = json.loads(out_m)["minus_one_dim_complex"]
     assert dims["plus_minus"] + dims["minus_plus"] == 2 * d
     assert d == sum(side == 1.0 - 1e-3 for side in sides)
+
+
+# 0, pi/2, and angles 10 to 1e7 widths from both
+OFFSETS = st.floats(-7.0, -1.0).map(lambda e: 10.0 ** e)
+ORACLE_ANGLES = st.one_of(st.just(0.0), OFFSETS, st.just(math.pi / 2),
+                          OFFSETS.map(lambda d: math.pi / 2 - d), st.floats(0.1, 1.4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), angles=st.lists(ORACLE_ANGLES, min_size=1, max_size=8))
+@example(seed=0, angles=[0.0, 1e-7, 0.7])
+def test_decompose_buckets_match_the_connect_record(seed, angles):
+    # at default flags, with every angle 0, pi/2 or at least 10 widths from
+    # both: each |theta| of connect's record within the width of 0 is one
+    # both_plus and one both_minus dimension, each within it of pi/2 one
+    # plus_minus and one minus_plus dimension
+    pair = planted_angle_pair(angles, np.random.default_rng(seed))
+    theta = np.abs(connect(*pair, ComplexStructure.standard(len(angles))).theta)
+    [(code, out, _)] = run_on_pair(pair, ["decompose"])
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    zero = int(np.sum(theta <= ANGLE_TOL))
+    right = int(np.sum(theta >= math.pi / 2 - ANGLE_TOL))
+    assert dims == block_dims(zero, zero, right, right, 2 * (len(angles) - zero - right))
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ import lagrass.graphs
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
-from lagrass.geodesics import Geodesic, connect, evaluate
+from lagrass.geodesics import Geodesic, GeodesicGenerator, alternate_generators, connect, evaluate
 from lagrass.graphs import (
     _chart_grid,
+    _chart_margin,
     cayley_curve,
     cayley_transform,
     codiagonal_generator,
@@ -38,9 +39,10 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
-from lagrass.tolerances import RANK_RTOL
+from lagrass.tolerances import GRAPH_WINDOW_TOL, RANK_RTOL
 
 from spies import CallSpy
+from test_chart_certificate import rotated_block
 
 SEED = 550
 
@@ -272,7 +274,7 @@ def test_graph_window_frozen_cases():
 @pytest.mark.parametrize("y", [np.diag([-0.5, 0.25]), np.diag([-math.pi / 4, 0.0]),
                                random_symmetric(4, np.random.default_rng(SEED + 12), 0.3)])
 def test_graph_window_decomposes_the_block_once(monkeypatch, y):
-    # the eigenvalues are read off the generator the grid check samples
+    # the eigenvalues are read off the flow's generator, one eigh of y
     spy = CallSpy(monkeypatch)
     verdict = graph_window(y)
     assert [routine for routine, _ in spy.calls("eig", "eigh", "eigvals", "eigvalsh")] == ["eigh"]
@@ -314,6 +316,70 @@ def test_graph_safe_radius_random_grid_check():
         gen = codiagonal_generator(y, graph_symmetry(np.eye(2)))
         radius = graph_safe_radius(gen)
         assert radius > 0.0
+        ts = np.linspace(0.0, radius * (1.0 - 1e-3), 50)
+        assert _chart_grid(gen, ts, RANK_RTOL)[1].all()
+
+
+# graph_window and graph_safe_radius are closed-form verdicts; these grids
+# carry their proof. A node's chart margin dist(-1, spec C_t) / 2 is
+# min_j |cos(pi/4 + t theta_j)| on a flow from the identity graph.
+
+THEOREM_CASES = settings(max_examples=40, deadline=None)
+
+
+def test_window_margin_clears_the_rank_cutoff():
+    # an accepted window keeps every node's margin at sin(GRAPH_WINDOW_TOL)
+    # or more, so graph_window agrees with is_graph at the default cutoff
+    assert math.sin(GRAPH_WINDOW_TOL) > RANK_RTOL
+
+
+@THEOREM_CASES
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-6.0, 0.0))
+def test_graph_window_flow_stays_off_the_cutoff(n, seed, exponent):
+    # one eigenvalue just inside the window's left end, one at its right end
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-math.pi / 4.0 + 2.0 * GRAPH_WINDOW_TOL, math.pi / 2.0, n)
+    values[0] = -math.pi / 4.0 + GRAPH_WINDOW_TOL * (1.0 + 10.0 ** exponent)
+    values[1] = math.pi / 2.0
+    y = rotated_block(values, rng)
+    assert graph_window(y).ok
+    gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
+    c, mask = _chart_grid(gen, np.linspace(0.0, 1.0, 201), RANK_RTOL)
+    assert mask.all()
+    assert np.min(_chart_margin(c)) >= 0.99 * math.sin(GRAPH_WINDOW_TOL)
+
+
+def identity_base_generator(way, n, rng):
+    """A generator at the identity graph, built one of four ways."""
+    base = graph_symmetry(np.eye(n))
+    structure = ComplexStructure.standard(n)
+    y = rotated_block(rng.uniform(-math.pi / 2.0, math.pi / 2.0, n), rng)
+    if way == "codiagonal_generator":
+        return codiagonal_generator(y, base)
+    if way == "GeodesicGenerator":
+        return GeodesicGenerator(np.block([[np.zeros((n, n)), y], [-y, np.zeros((n, n))]]),
+                                 base, structure)
+    if way == "connect":
+        return connect(base, graph_symmetry(rotated_block(rng.uniform(-5.0, 5.0, n), rng)),
+                       structure)
+    # graph(-1) is antipodal to graph(1) along that direction: a pi-plane
+    values = rng.uniform(-5.0, 5.0, n)
+    values[0] = -1.0
+    gen = connect(base, graph_symmetry(rotated_block(values, rng)), structure)
+    alternates = alternate_generators(gen, limit=4)
+    return alternates[int(rng.integers(len(alternates)))]
+
+
+@THEOREM_CASES
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       way=st.sampled_from(["codiagonal_generator", "GeodesicGenerator", "connect",
+                            "alternate_generators"]))
+def test_graph_safe_radius_flow_stays_off_the_cutoff(n, seed, way):
+    gen = identity_base_generator(way, n, np.random.default_rng(seed))
+    radius = graph_safe_radius(gen)
+    c, mask = _chart_grid(gen, np.linspace(0.0, radius * (1.0 - 1e-3), 201), RANK_RTOL)
+    assert mask.all()
+    assert np.min(_chart_margin(c)) >= 0.99 * math.sin(math.pi / 4.0 * 1e-3)
 
 
 def test_gap_distance_frozen_and_monotone():

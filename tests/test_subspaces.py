@@ -1,5 +1,6 @@
 """Tests for subspace encodings, the five-way pair decomposition, tangency."""
 
+import dataclasses
 import math
 import re
 
@@ -9,7 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrass.complex_structure import ComplexStructure, realify_conjugation
+import lagrass.subspaces
+from lagrass.complex_structure import ComplexStructure, realify_conjugation, standard_form
 from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import Geodesic, connect, sample
 from lagrass.graphs import graph_symmetry
@@ -169,46 +171,70 @@ def test_five_way_three_spaces_of_r4_at_the_floor():
 
 def perturbed_three_spaces(seed):
     """Symmetries of two bases of R^4 within ORTH_RTOL of one orthonormal
-    4 x 3 basis. The subspaces are about 1e-11 apart and share a plane, but
-    the angles of the shared plane come out about 1e-11 too."""
+    4 x 3 basis. The subspaces are about 1e-11 apart and share a plane."""
     rng = np.random.default_rng(seed)
     b0 = np.linalg.qr(rng.standard_normal((4, 3)))[0]
     b1 = b0 + 0.1 * ORTH_RTOL * rng.standard_normal((4, 3))
     return symmetry_from_subspace(Subspace(b0)), symmetry_from_subspace(Subspace(b1))
 
 
-def test_five_way_refuses_more_columns_than_dimensions():
-    # just above the floor two or three angles are generic, and 5 or 6
-    # columns do not fit in R^4: a solver error, not a basis that fails
-    # validation; the rest of the seeds split as the plane they share says
-    refused = 0
+def test_five_way_splits_perturbed_three_spaces_at_the_floor():
+    # the shared plane's angles are rounding, below the floor, and the third
+    # angle about 1e-11 is generic: the plane of each seed splits 2 + 2. eps1
+    # is an involution only to about 1e-10, and its blocks are invariant to that
     for seed in range(10):
         e0, e1 = perturbed_three_spaces(seed)
-        try:
-            dec = five_way_decompose(e0, e1, ANGLE_TOL_FLOOR * (1.0 + 1e-3))
-        except ComputationError as exc:
-            assert re.fullmatch(r"five-way decomposition incomplete: "
-                                r"blocks sum to [56], ambient 4", str(exc))
-            refused += 1
-        else:
-            assert dec.dims() == block_dims(2, 0, 0, 0, 2)
-    assert refused >= 5
+        dec = five_way_decompose(e0, e1, ANGLE_TOL_FLOOR * (1.0 + 1e-3))
+        assert dec.dims() == block_dims(2, 0, 0, 0, 2)
+        assert_blocks_invariant(dec, e0, e1, ANGLE_TOL_FLOOR, involution_defect(e0, e1))
+
+
+def common_directions_read_above(width, monkeypatch):
+    """Make the principal angles read every angle `width` too large, so a
+    common direction lands in the generic bucket: a defect the k > dim guard
+    exists to catch."""
+    exact = lagrass.subspaces._principal_angles
+
+    def wrong(q0, q1):
+        pa = exact(q0, q1)
+        return dataclasses.replace(pa, angles=pa.angles + width)
+
+    monkeypatch.setattr(lagrass.subspaces, "_principal_angles", wrong)
+
+
+def test_five_way_refuses_more_columns_than_dimensions(monkeypatch):
+    # two equal 3-dimensional subspaces of R^4 read as three generic planes:
+    # 6 columns do not fit in R^4, a solver error, not a basis that fails
+    # validation
+    e0 = symmetry_from_subspace(Subspace(np.eye(4)[:, :3]))
+    common_directions_read_above(1e-6, monkeypatch)
+    with pytest.raises(ComputationError) as exc:
+        five_way_decompose(e0, e0)
+    assert re.fullmatch(r"five-way decomposition incomplete: blocks sum to 6, ambient 4",
+                        str(exc.value))
 
 
 def _factorization_pairs():
     _, e0, e1 = random_lagrangian_pair(3, np.random.default_rng(SEED + 17))
-    yield pytest.param(e0, e1, 0, id="random")
-    yield pytest.param(vertical_symmetry(2), vertical_symmetry(2), 2, id="coincident")
+    yield pytest.param(e0, e1, 0, ["svd", "svd", "qr"], id="random")
+    yield pytest.param(vertical_symmetry(2), vertical_symmetry(2), 2, ["svd", "svd", "qr"],
+                       id="coincident")
     a = random_symmetric(4, np.random.default_rng(SEED + 19))
     v = np.array([[1.0], [2.0], [0.0], [-1.0]])
-    yield pytest.param(graph_symmetry(a), graph_symmetry(a + v @ v.T), 3, id="kernel")
+    yield pytest.param(graph_symmetry(a), graph_symmetry(a + v @ v.T), 3, ["svd", "svd", "qr"],
+                       id="kernel")
+    # angles pi/2, arctan 2 and arctan(1 / 0.3) to the vertical, none below
+    # pi/4: no sine SVD
+    yield pytest.param(graph_symmetry(np.diag([0.0, 0.5, -0.3])), vertical_symmetry(3), 0,
+                       ["svd", "qr"], id="wide")
 
 
-@pytest.mark.parametrize("e0, e1, both_minus", list(_factorization_pairs()))
-def test_five_way_makes_one_angle_svd_and_one_qr(monkeypatch, e0, e1, both_minus):
+@pytest.mark.parametrize("e0, e1, both_minus, routines", list(_factorization_pairs()))
+def test_five_way_makes_one_angle_svd_and_one_qr(monkeypatch, e0, e1, both_minus, routines):
+    # the cosine SVD and the QR, plus one sine SVD when an angle is below pi/4
     spy = CallSpy(monkeypatch)
     dec = five_way_decompose(e0, e1)
-    assert [routine for routine, _ in spy.calls("svd", "qr")] == ["svd", "qr"]
+    assert [routine for routine, _ in spy.calls("svd", "qr")] == routines
     assert dec.both_minus.dim == both_minus
 
 
@@ -516,6 +542,15 @@ def test_covariant_derivative_needs_uniform_grid():
         covariant_derivative(np.array([0.0, 0.1, 0.3, 0.6]), curve, field)
 
 
+@pytest.mark.parametrize("ts", [[0.0, math.nan, 2.0], [math.nan] * 3])
+def test_covariant_derivative_refuses_a_non_finite_grid(ts):
+    # a NaN step fails every comparison: it used to pass the grid check and
+    # return a NaN-filled derivative
+    curve = np.repeat(vertical_symmetry(2).matrix[None, :, :], 3, axis=0)
+    with pytest.raises(InvariantViolation, match="grid must be uniform and increasing"):
+        covariant_derivative(np.array(ts), curve, np.zeros((3, 4, 4)))
+
+
 # ---------------------------------------------------------------------------
 # the angle buckets at their thresholds, for several bucket widths
 
@@ -575,6 +610,35 @@ def test_five_way_keeps_a_generic_angle_just_above_the_width(angle, tol):
         assert_blocks_invariant(dec, e0, e1, tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_delta=st.floats(-9.0, -3.0),
+       below=st.floats(1.0, 3.0), counts=st.tuples(*[st.integers(1, 2)] * 4),
+       generic=st.integers(0, 4))
+def test_five_way_splits_clusters_at_0_and_pi_over_2(seed, log_delta, below, counts, generic):
+    # common directions beside angles delta, and swapped ones beside
+    # pi/2 - delta, with the width 10 to 1000 times below delta: the cosine
+    # SVD mixes each cluster's vectors, the sine SVD must separate them. Both
+    # symmetries are turned by one rotation, so their J is q J0 q^T
+    rng = np.random.default_rng(seed)
+    delta = 10.0 ** log_delta
+    width = delta * 10.0 ** -below
+    zeros, small, rights, near_right = counts
+    angles = np.concatenate([np.zeros(zeros), np.full(small, delta),
+                             np.full(rights, math.pi / 2), np.full(near_right, math.pi / 2 - delta),
+                             rng.uniform(0.1, 1.4, generic)])
+    rng.shuffle(angles)
+    e0, e1 = planted_angle_pair(angles, rng)
+    n = len(angles)
+    q = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
+    structure = ComplexStructure(q @ standard_form(n) @ q.T)
+    e0, e1 = (Symmetry(q @ e.matrix @ q.T) for e in (e0, e1))
+    assert is_lagrangian(e0, structure) and is_lagrangian(e1, structure)
+    dec = five_way_decompose(e0, e1, width)
+    assert dec.dims() == block_dims(zeros, zeros, rights, rights,
+                                    2 * (small + near_right + generic))
+    assert_blocks_invariant(dec, e0, e1, width)
+
+
 # ---------------------------------------------------------------------------
 # every block reduces both symmetries
 
@@ -587,11 +651,13 @@ def block_dims(both_plus, both_minus, plus_minus, minus_plus, generic):
             "minus_plus": minus_plus, "generic": generic}
 
 
-def assert_blocks_invariant(dec, e0, e1, tol):
+def assert_blocks_invariant(dec, e0, e1, tol, defect=0.0):
     """eps0 and eps1 act on the intersection blocks by their planted signs,
     within 2 sin(tol), the distance |eps v - v| of a direction v bucketed at
-    an angle up to tol, and map the generic block into itself."""
-    slack = 2.0 * math.sin(tol) + 1e-12
+    an angle up to tol, and map the generic block into itself. defect adds
+    the inputs' own departure from an involution, for inputs accepted
+    within tolerance of one."""
+    slack = 2.0 * math.sin(tol) + 1e-12 + defect
     for name, signs in BLOCK_SIGNS.items():
         b = getattr(dec, name).basis
         for e, sign in zip((e0, e1), signs):
@@ -599,7 +665,12 @@ def assert_blocks_invariant(dec, e0, e1, tol):
     g = dec.generic.basis
     for e in (e0, e1):
         image = e.matrix @ g
-        assert np.linalg.norm(image - g @ (g.T @ image), 2) <= 1e-12
+        assert np.linalg.norm(image - g @ (g.T @ image), 2) <= 1e-12 + defect
+
+
+def involution_defect(*eps):
+    """max ||eps^2 - I||_2 over the symmetries."""
+    return max(np.linalg.norm(e.matrix @ e.matrix - np.eye(e.ambient_dim), 2) for e in eps)
 
 
 def _unequal_pairs():
