@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InvariantViolation
-from .linalg import _as_2d, _check, max_abs, require_square
+from .linalg import _as_2d, _check, _read_only, max_abs, require_square
 from .tolerances import RECON_RTOL, SYM_RTOL
 
 
@@ -43,8 +43,8 @@ class ComplexStructure:
     Non-standard J's are accepted and conjugated to the standard form once at
     construction: `to_standard` is orthogonal with
     to_standard^T @ J @ to_standard = standard_form(n), read off the +1
-    eigenvectors of iJ (`_standardizing_basis`). Everything downstream works
-    in standard coordinates through that change of basis.
+    eigenvectors of iJ (`_standardizing_basis`), and read-only. Everything
+    downstream works in standard coordinates through that change of basis.
     """
 
     matrix: np.ndarray
@@ -69,7 +69,7 @@ class ComplexStructure:
         object.__setattr__(self, "n", n)
         standard = bool(max_abs(j - standard_form(n)) <= 1e-12)
         r = np.eye(dim) if standard else _standardizing_basis(j)
-        object.__setattr__(self, "to_standard", r)
+        object.__setattr__(self, "to_standard", _read_only(r))
         object.__setattr__(self, "_standard", standard)
 
     @classmethod
@@ -80,7 +80,7 @@ class ComplexStructure:
         structure = object.__new__(cls)
         object.__setattr__(structure, "matrix", j)
         object.__setattr__(structure, "n", j.shape[0] // 2)
-        object.__setattr__(structure, "to_standard", np.eye(j.shape[0]))
+        object.__setattr__(structure, "to_standard", _read_only(np.eye(j.shape[0])))
         object.__setattr__(structure, "_standard", True)
         return structure
 

@@ -15,9 +15,11 @@ its norm, lengths, samples and pi-rotation planes are read off it.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,16 @@ from .complex_structure import (
     realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
-from .linalg import _EXCEEDS, _as_2d, _check, _speed_norms, expm_antisymmetric, max_abs
+from .linalg import (
+    _EXCEEDS,
+    _amax,
+    _as_2d,
+    _check,
+    _read_only,
+    _speed_norms,
+    expm_antisymmetric,
+    max_abs,
+)
 from .subspaces import (
     Symmetry,
     _as_symmetry,
@@ -54,7 +65,15 @@ class GeodesicGenerator:
     The spectral record (u, theta) has z = realify(i U diag(theta) U^H) and
     C0 = U U^T for the conjugation matrix C0 of the base: theta are the signed
     principal angles and norm = max|theta| = ||z||. Validation reads it off
-    the part of z that anticommutes with the base (z within the slack).
+    the part of z that anticommutes with the base (z within the slack). z, u
+    and theta are read-only, and so is the base's matrix.
+
+    Every node e^{2tz} eps0 is Lagrangian in exact arithmetic, and the only
+    defects it can inherit from the record, ||U^H U - I|| and the base
+    residual of U U^T, do not depend on t. The node certificate
+    (`_node_certificate`) bounds them once, on first use, and is kept on the
+    generator: while it holds, `evaluate` and the chart grid skip the
+    per-node `Symmetry` check, and where it fails they run it.
     """
 
     z: np.ndarray
@@ -79,15 +98,21 @@ class GeodesicGenerator:
         w = _real_form(_complex_block(e, self.structure))
         k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
         theta, o = np.linalg.eigh(0.5 * k + 0.5 * k.T)
-        self._record(z, w @ o, theta)
+        self._record(z.copy(), w @ o, theta)
         if not self.norm <= math.pi / 2.0 + GENERATOR_ATOL:
             raise InvariantViolation("generator: operator norm exceeds pi/2")
 
     def _record(self, z: np.ndarray, u: np.ndarray, theta: np.ndarray) -> None:
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "theta", theta)
+        """Keep the record; z, u and theta are the generator's own arrays."""
+        object.__setattr__(self, "z", _read_only(z))
+        object.__setattr__(self, "u", _read_only(u))
+        object.__setattr__(self, "theta", _read_only(theta))
         object.__setattr__(self, "norm", float(np.max(np.abs(theta), initial=0.0)))
+
+    @functools.cached_property
+    def _nodes(self) -> "_NodeCertificate":
+        """The node certificate, computed on first use and kept."""
+        return _node_certificate(self)
 
     @classmethod
     def _from_record(cls, base: Symmetry, structure: ComplexStructure, u: np.ndarray,
@@ -109,6 +134,64 @@ def _real_form(c: np.ndarray) -> np.ndarray:
     """Unitary W with C = W W^T for a symmetric unitary C: W = O e^{i phi / 2}."""
     o, phi = _real_eigenbasis(c)
     return o * np.exp(0.5j * phi)
+
+
+class _NodeCertificate(NamedTuple):
+    holds: bool     # every node with finite entries passes the Symmetry check
+    eta: float      # ||U^H U - I||_F, the record's unitarity defect
+
+
+def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
+    """Whether every node of the geodesic passes the `Symmetry` check, in both
+    forms: the real eps_t of `evaluate` and, for the standard J, the C_t of
+    `sample` that the chart grid reads.
+
+    With r = to_standard and R the realified conjugation, the node at t is
+    eps0 + r R(U (e^{i mu} - 1) U^T) r^T, mu = 2 t theta, which is exactly
+    r R(P) r^T - Phi for the symmetric P = U e^{i mu} U^T and the base
+    residual Phi = r R(U U^T) r^T - eps0, rho = ||Phi||_F. So for every t:
+      - the asymmetry is the base's, at most a = the larger of
+        max|eps0 - eps0^T| and max|C0 - C0^T| (each entry measured by its
+        larger part, as the check does), C0 read off the base's blocks;
+      - with eta = ||U^H U - I||_F and omega = ||r^T r - I||_F,
+        ||P conj(P) - I|| <= eta (2 + eta), ||P|| <= 1 + eta and
+        ||r||^2 <= 1 + omega bound ||eps_t^2 - I||_2 by
+        (1 + omega) eta (2 + eta) + omega (1 + (1 + omega)(1 + eta)^2)
+        + 2 (1 + omega)(1 + eta) rho + rho^2.
+    C_t = C0 + the same step is R(P) - R(U U^T - C0), and
+    ||U U^T - C0||_F <= rho, so the bounds cover it too. Each bound adds the
+    slack s = 16 (n + 2)^2 eps of `_chart_grid` for the rounding of the node
+    and of the measured defects; a non-standard J adds 16 (n + 2)^1.5 eps to
+    the asymmetry and 64 (n + 2)^2.5 eps to the involution for the two
+    products with r. The check holds the asymmetry to SYM_RTOL m max|eps_t|
+    and eps_t^2 - I to SYM_RTOL m max(max|eps_t|, 1), m = 2n. A column of
+    eps_t has squared norm at least 1 - D, D = inv + sigma (sigma +
+    sqrt(1 + inv)) with sigma = m sym bounding ||eps_t - eps_t^T||_2, so
+    max|eps_t| >= (1 - D) / sqrt(m) (eps more in D covers the rounding of
+    the check's tolerance). The certificate holds iff both bounds sit below
+    the tolerances they get from that.
+    """
+    structure, u, e = gen.structure, gen.u, gen.base.matrix
+    n = structure.n
+    m = max(2 * n, 1)
+    eps = np.finfo(float).eps
+    eta = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    rho = float(np.linalg.norm(realify_conjugation(u @ u.T, structure) - e))
+    c0 = _complex_block(e, structure)
+    slack = 16.0 * (n + 2) ** 2 * eps
+    sym = max(max_abs(e - e.T), float(_amax(c0 - c0.T))) + slack
+    inv = eta * (2.0 + eta) + 2.0 * (1.0 + eta) * rho + rho**2 + slack
+    if not structure.is_standard():
+        r = structure.to_standard
+        omega = float(np.linalg.norm(r.T @ r - np.eye(2 * n)))
+        sym += 16.0 * (n + 2) ** 1.5 * eps
+        inv += (omega * (eta * (2.0 + eta) + 1.0 + (1.0 + omega) * (1.0 + eta) ** 2
+                         + 2.0 * (1.0 + eta) * rho) + 64.0 * (n + 2) ** 2.5 * eps)
+    sigma = m * sym
+    defect = inv + sigma * (sigma + math.sqrt(1.0 + inv)) + eps
+    holds = (defect < 1.0 and sym <= SYM_RTOL * math.sqrt(m) * (1.0 - defect)
+             and inv <= SYM_RTOL * m)
+    return _NodeCertificate(bool(holds), eta)
 
 
 @dataclass(frozen=True)
@@ -136,10 +219,20 @@ def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
 def evaluate(geo: Geodesic, t: float) -> Symmetry:
     """The symmetry at parameter t: e^{2tz} eps0, the real form of one node of
     `sample`. It is eps0 plus the realified step C_t - C0, so t = 0 returns
-    eps0 itself."""
+    eps0 itself.
+
+    While the generator's node certificate holds (`_node_certificate`: the
+    record's defects keep every node's asymmetry and involution defect below
+    the `Symmetry` tolerances, for every t) a node with finite entries is
+    returned without the check; otherwise the `Symmetry` constructor checks
+    it and raises as it would on any matrix.
+    """
     gen = geo.generator
     step = _geodesic_steps(gen, [float(t)])[0]
-    return Symmetry(gen.base.matrix + realify_conjugation(step, gen.structure))
+    node = gen.base.matrix + realify_conjugation(step, gen.structure)
+    if gen._nodes.holds and np.isfinite(node).all():
+        return Symmetry._certified(node)
+    return Symmetry(node)
 
 
 def sample(geo: Geodesic, ts) -> np.ndarray:
@@ -150,7 +243,10 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
     real symmetry. The generator's record z = iU diag(theta) U^H with
     C0 = U U^T serves the whole grid: U^H C0 = U^T, so each node is a phase
     multiply and one n x n complex matrix product (see `_curve_steps`). C0 is
-    read off the base's blocks, and t = 0 returns it bit for bit.
+    read off the base's blocks, and t = 0 returns it bit for bit. The stack
+    is not checked: every node is a symmetric unitary within the `Symmetry`
+    tolerances of its real form wherever the generator's node certificate
+    holds (see `evaluate`), which the chart grid relies on.
     """
     gen = geo.generator
     return _complex_block(gen.base.matrix, gen.structure) + _geodesic_steps(gen, ts)

@@ -284,16 +284,19 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     the same parameter t. `sample` reads C_t in the standard split, which is
     the chart's own split only for the standard J, so a generator on any other
     J is refused (InvariantViolation), as in `cayley_curve`. The nodes are
-    validated in one stacked check as symmetric unitaries, with the Symmetry
-    tolerances of their real forms. A node lies in the graph chart iff its
-    margin dist(-1, spec C_t) / 2 exceeds rank_rtol, the `_chart_margin` test
-    of `recover_operator`.
+    symmetric unitaries within the Symmetry tolerances of their real forms:
+    the generator's node certificate (`geodesics._node_certificate`) bounds
+    this for every t at once, and where it fails, or a node is not finite,
+    one stacked check validates them, naming the first bad node. A node lies
+    in the graph chart iff its margin dist(-1, spec C_t) / 2 exceeds
+    rank_rtol, the `_chart_margin` test of `recover_operator`.
 
     The margin is certified in the generator's eigenbasis, without an SVD.
     C_t = U e^{2it theta} U^T, so B_t = U^H (I + C_t) conj(U) is diagonal up
     to rounding; one product over the stack forms its transpose, which has
     the same diagonal and singular values. With delta = min_j |b_jj|,
-    r = ||offdiag B_t||_F and eta = ||U^H U - I||_F + s, Weyl's bound
+    r = ||offdiag B_t||_F and eta = ||U^H U - I||_F + s (the unitarity
+    defect the certificate measured), Weyl's bound
     |sigma_i(D + E) - sigma_i(D)| <= ||E||_2 and the singular values of U,
     within sqrt(1 +- eta) of 1, put the margin in
     [(delta - r - s) / (2 (1 + eta)), (delta + r + s) / (2 (1 - eta))].
@@ -305,11 +308,14 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     """
     if not gen.structure.is_standard():
         raise InvariantViolation("graph chart: requires the standard complex structure")
-    c = _require_conjugation_symmetries(sample(Geodesic(gen), ts))
+    c = sample(Geodesic(gen), ts)
+    certificate = gen._nodes
+    if not (certificate.holds and np.isfinite(c).all()):
+        _require_conjugation_symmetries(c)
     n = c.shape[-1]
     slack = 16.0 * (n + 2) ** 2 * np.finfo(float).eps
     u_bar = gen.u.conj()
-    eta = np.linalg.norm(u_bar.T @ gen.u - np.eye(n)) + slack
+    eta = certificate.eta + slack
     # B_t^T = (A conj(U))^T conj(U) for A = I + C_t: same diagonal and singular values
     b = _stack_times(np.swapaxes(_stack_times(np.eye(n) + c, u_bar), -1, -2), u_bar)
     diag = np.einsum("...jj->...j", b)

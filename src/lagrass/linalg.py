@@ -92,6 +92,13 @@ def _as_2d(a, name: str, square: bool = False) -> np.ndarray:
     return arr
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself, marked read-only. Only for an array its holder owns (a fresh
+    result or its own copy): no caller can then change it in place."""
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-d array, rejecting anything else."""
     return _check(_as_2d(a, name), name)
@@ -243,9 +250,13 @@ def logm_special_orthogonal(g) -> np.ndarray:
     No production path calls it: it is the tests' log reference for `connect`.
     Its real Schur form is the package's only non-numpy dependency, so that
     import is deferred to the first call and `import lagrass` loads numpy
-    alone.
+    alone; without scipy the call raises ImportError naming the `test` extra.
     """
-    import scipy.linalg
+    try:
+        import scipy.linalg
+    except ImportError as exc:
+        raise ImportError("logm_special_orthogonal is a test reference and needs scipy; "
+                          "install the 'test' extra: pip install 'lagrass[test]'") from exc
 
     arr = require_orthogonal(g, "logm input")
     n = arr.shape[0]

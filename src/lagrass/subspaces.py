@@ -25,6 +25,7 @@ from .linalg import (
     _as_2d,
     _check,
     _principal_angles,
+    _read_only,
     as_matrix,
     max_abs,
     require_orthonormal_columns,
@@ -91,13 +92,26 @@ class Projection:
 
 @dataclass(frozen=True)
 class Symmetry:
-    """A symmetry eps = 2p - I: symmetric with eps^2 = I within tolerance."""
+    """A symmetry eps = 2p - I: symmetric with eps^2 = I within tolerance.
+
+    matrix is the symmetry's own read-only copy of its input: a later change
+    to the caller's array does not reach it, and a write to it raises
+    ValueError.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         e = _require_symmetries(_as_2d(self.matrix, "symmetry"))
-        object.__setattr__(self, "matrix", e)
+        object.__setattr__(self, "matrix", _read_only(e.copy()))
+
+    @classmethod
+    def _certified(cls, matrix: np.ndarray) -> "Symmetry":
+        """The symmetry of a fresh float matrix already known to pass the
+        check (a certified geodesic node), unvalidated and not copied."""
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "matrix", _read_only(matrix))
+        return sym
 
     @property
     def ambient_dim(self) -> int:

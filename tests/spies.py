@@ -1,5 +1,6 @@
 """Call counting for tests: which identities `linalg._check` held each array
-to, and which `numpy.linalg` routines ran on which shapes.
+to, which `numpy.linalg` routines ran on which shapes, and which generators
+had their node certificate computed.
 
     spy = CallSpy(monkeypatch)
     recover_operator(eps)
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 
+import lagrass.geodesics
 import lagrass.linalg
 
 ROUTINES = ("eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "svd")
@@ -24,7 +26,9 @@ class CallSpy:
     def __init__(self, monkeypatch):
         self.checks = []    # (name, identity kinds, copy of the checked array)
         self.linalg = []    # (routine, shape of its first argument)
+        self.certified = []     # generators whose node certificate was computed
         check = lagrass.linalg._check
+        certify = lagrass.geodesics._node_certificate
 
         def spy_check(arr, name, checks=(), *args, **kwargs):
             kinds = tuple(c[0] if isinstance(c[0], str) else c[0][0] for c in checks)
@@ -37,6 +41,12 @@ class CallSpy:
         for routine in ROUTINES:
             monkeypatch.setattr(np.linalg, routine, self._counting(routine, getattr(np.linalg, routine)))
 
+        def spy_certify(gen):
+            self.certified.append(gen)
+            return certify(gen)
+
+        monkeypatch.setattr(lagrass.geodesics, "_node_certificate", spy_certify)
+
     def _counting(self, routine, real):
         def call(a, *args, **kwargs):
             self.linalg.append((routine, np.shape(a)))
@@ -48,6 +58,10 @@ class CallSpy:
         arr = np.asarray(arr)
         return [name for name, kinds, a in self.checks
                 if "symmetric" in kinds and a.shape == arr.shape and np.array_equal(a, arr)]
+
+    def node_checks(self) -> list:
+        """The kinds of every `Symmetry`-style check ("symmetry") that ran."""
+        return [kinds for name, kinds, _ in self.checks if name == "symmetry"]
 
     def calls(self, *routines) -> list:
         """(routine, shape) of every call of the named numpy.linalg routines."""

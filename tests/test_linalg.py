@@ -1,6 +1,7 @@
 """Tests for the real-matrix substrate: spectral calculus, rotations, angles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -234,3 +235,13 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-v"]))
+
+
+def test_logm_without_scipy_names_the_test_extra(monkeypatch):
+    # the Schur form is the only scipy call; on a numpy-only install the
+    # reference says what it is and which extra supplies scipy
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ImportError, match=r"^logm_special_orthogonal is a test reference "
+                                          r"and needs scipy; install the 'test' extra"):
+        logm_special_orthogonal(rotation2(0.3))
