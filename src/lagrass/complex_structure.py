@@ -43,8 +43,9 @@ class ComplexStructure:
     Non-standard J's are accepted and conjugated to the standard form once at
     construction: `to_standard` is orthogonal with
     to_standard^T @ J @ to_standard = standard_form(n), read off the +1
-    eigenvectors of iJ (`_standardizing_basis`), and read-only. Everything
-    downstream works in standard coordinates through that change of basis.
+    eigenvectors of iJ (`_standardizing_basis`). It and matrix, a copy of
+    the input, are read-only. Everything downstream works in standard
+    coordinates through that change of basis.
     """
 
     matrix: np.ndarray
@@ -65,7 +66,7 @@ class ComplexStructure:
             raise InvariantViolation("J: must square to -I")
         if max_abs(j.T @ j - np.eye(dim)) > tol:
             raise InvariantViolation("J: must be orthogonal")
-        object.__setattr__(self, "matrix", j)
+        object.__setattr__(self, "matrix", _read_only(j.copy()))
         object.__setattr__(self, "n", n)
         standard = bool(max_abs(j - standard_form(n)) <= 1e-12)
         r = np.eye(dim) if standard else _standardizing_basis(j)
@@ -76,7 +77,7 @@ class ComplexStructure:
     def standard(cls, n: int) -> "ComplexStructure":
         """standard_form(n), unvalidated: it satisfies every identity of the
         constructor exactly, and its change of basis is the identity."""
-        j = standard_form(n)
+        j = _read_only(standard_form(n))
         structure = object.__new__(cls)
         object.__setattr__(structure, "matrix", j)
         object.__setattr__(structure, "n", j.shape[0] // 2)

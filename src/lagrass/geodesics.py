@@ -70,10 +70,11 @@ class GeodesicGenerator:
 
     Every node e^{2tz} eps0 is Lagrangian in exact arithmetic, and the only
     defects it can inherit from the record, ||U^H U - I|| and the base
-    residual of U U^T, do not depend on t. The node certificate
-    (`_node_certificate`) bounds them once, on first use, and is kept on the
-    generator: while it holds, `evaluate` and the chart grid skip the
-    per-node `Symmetry` check, and where it fails they run it.
+    residual of U U^T, do not depend on t. For the standard J the node
+    certificate (`_node_certificate`) bounds them once, on first use, and is
+    kept on the generator: while it holds, `evaluate` and the chart grid skip
+    the per-node `Symmetry` check, and where it fails, or J is not standard,
+    they run it.
     """
 
     z: np.ndarray
@@ -138,40 +139,40 @@ def _real_form(c: np.ndarray) -> np.ndarray:
 
 class _NodeCertificate(NamedTuple):
     holds: bool     # every node with finite entries passes the Symmetry check
-    eta: float      # ||U^H U - I||_F, the record's unitarity defect
+    eta: float      # ||U^H U - I||_F, the record's unitarity defect (NaN off the standard J)
 
 
 def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
-    """Whether every node of the geodesic passes the `Symmetry` check, in both
-    forms: the real eps_t of `evaluate` and, for the standard J, the C_t of
-    `sample` that the chart grid reads.
+    """Whether every node of a standard-J geodesic passes the `Symmetry`
+    check, in both forms: the real eps_t of `evaluate` and the C_t of
+    `sample` that the chart grid reads. A generator on any other J is not
+    certified, and nothing is measured: `evaluate` then checks each node,
+    and the chart grid refuses such a generator.
 
-    With r = to_standard and R the realified conjugation, the node at t is
-    eps0 + r R(U (e^{i mu} - 1) U^T) r^T, mu = 2 t theta, which is exactly
-    r R(P) r^T - Phi for the symmetric P = U e^{i mu} U^T and the base
-    residual Phi = r R(U U^T) r^T - eps0, rho = ||Phi||_F. So for every t:
+    With R the realified conjugation, the node at t is
+    eps0 + R(U (e^{i mu} - 1) U^T), mu = 2 t theta, which is exactly
+    R(P) - Phi for the symmetric P = U e^{i mu} U^T and the base residual
+    Phi = R(U U^T) - eps0, rho = ||Phi||_F. So for every t:
       - the asymmetry is the base's, at most a = the larger of
         max|eps0 - eps0^T| and max|C0 - C0^T| (each entry measured by its
         larger part, as the check does), C0 read off the base's blocks;
-      - with eta = ||U^H U - I||_F and omega = ||r^T r - I||_F,
-        ||P conj(P) - I|| <= eta (2 + eta), ||P|| <= 1 + eta and
-        ||r||^2 <= 1 + omega bound ||eps_t^2 - I||_2 by
-        (1 + omega) eta (2 + eta) + omega (1 + (1 + omega)(1 + eta)^2)
-        + 2 (1 + omega)(1 + eta) rho + rho^2.
+      - with eta = ||U^H U - I||_F, ||P conj(P) - I|| <= eta (2 + eta) and
+        ||P|| <= 1 + eta bound ||eps_t^2 - I||_2 by
+        eta (2 + eta) + 2 (1 + eta) rho + rho^2.
     C_t = C0 + the same step is R(P) - R(U U^T - C0), and
     ||U U^T - C0||_F <= rho, so the bounds cover it too. Each bound adds the
     slack s = 16 (n + 2)^2 eps of `_chart_grid` for the rounding of the node
-    and of the measured defects; a non-standard J adds 16 (n + 2)^1.5 eps to
-    the asymmetry and 64 (n + 2)^2.5 eps to the involution for the two
-    products with r. The check holds the asymmetry to SYM_RTOL m max|eps_t|
-    and eps_t^2 - I to SYM_RTOL m max(max|eps_t|, 1), m = 2n. A column of
-    eps_t has squared norm at least 1 - D, D = inv + sigma (sigma +
-    sqrt(1 + inv)) with sigma = m sym bounding ||eps_t - eps_t^T||_2, so
-    max|eps_t| >= (1 - D) / sqrt(m) (eps more in D covers the rounding of
-    the check's tolerance). The certificate holds iff both bounds sit below
-    the tolerances they get from that.
+    and of the measured defects. The check holds the asymmetry to
+    SYM_RTOL m max|eps_t| and eps_t^2 - I to SYM_RTOL m max(max|eps_t|, 1),
+    m = 2n. A column of eps_t has squared norm at least 1 - D,
+    D = inv + sigma (sigma + sqrt(1 + inv)) with sigma = m sym bounding
+    ||eps_t - eps_t^T||_2, so max|eps_t| >= (1 - D) / sqrt(m) (eps more in D
+    covers the rounding of the check's tolerance). The certificate holds iff
+    both bounds sit below the tolerances they get from that.
     """
     structure, u, e = gen.structure, gen.u, gen.base.matrix
+    if not structure.is_standard():
+        return _NodeCertificate(False, math.nan)
     n = structure.n
     m = max(2 * n, 1)
     eps = np.finfo(float).eps
@@ -181,12 +182,6 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     slack = 16.0 * (n + 2) ** 2 * eps
     sym = max(max_abs(e - e.T), float(_amax(c0 - c0.T))) + slack
     inv = eta * (2.0 + eta) + 2.0 * (1.0 + eta) * rho + rho**2 + slack
-    if not structure.is_standard():
-        r = structure.to_standard
-        omega = float(np.linalg.norm(r.T @ r - np.eye(2 * n)))
-        sym += 16.0 * (n + 2) ** 1.5 * eps
-        inv += (omega * (eta * (2.0 + eta) + 1.0 + (1.0 + omega) * (1.0 + eta) ** 2
-                         + 2.0 * (1.0 + eta) * rho) + 64.0 * (n + 2) ** 2.5 * eps)
     sigma = m * sym
     defect = inv + sigma * (sigma + math.sqrt(1.0 + inv)) + eps
     holds = (defect < 1.0 and sym <= SYM_RTOL * math.sqrt(m) * (1.0 - defect)
@@ -221,11 +216,11 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
     `sample`. It is eps0 plus the realified step C_t - C0, so t = 0 returns
     eps0 itself.
 
-    While the generator's node certificate holds (`_node_certificate`: the
-    record's defects keep every node's asymmetry and involution defect below
-    the `Symmetry` tolerances, for every t) a node with finite entries is
-    returned without the check; otherwise the `Symmetry` constructor checks
-    it and raises as it would on any matrix.
+    While the generator's node certificate holds (`_node_certificate`, for
+    the standard J only: the record's defects keep every node's asymmetry and
+    involution defect below the `Symmetry` tolerances, for every t) a node
+    with finite entries is returned without the check; otherwise the
+    `Symmetry` constructor checks it and raises as it would on any matrix.
     """
     gen = geo.generator
     step = _geodesic_steps(gen, [float(t)])[0]

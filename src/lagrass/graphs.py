@@ -5,20 +5,21 @@ standard split the graph {(xi, a xi)} of a symmetric operator a has the
 symmetry v -> C conj(v) with C = (i - a)(i + a)^(-1), a symmetric unitary
 equal to minus the Cayley image (a - i)(a + i)^(-1). Every graph computation
 reads that one matrix: symmetry and projection are realified C, a basis is
-[Re W; Im W] with W W^T = C, the gap metric is |C_a - C_b| / 2, recovery is
-b = Re(i (I - C)(I + C)^(-1)), and a Lagrangian lies in the chart iff
-dist(-1, spec C) / 2 exceeds the rank cutoff. That margin is the smallest
-singular value of the top n rows of the projection (I + eps) / 2, which
-`is_graph` reads for any half-dimensional subspace. The graph window and the
-safe radius are closed-form verdicts on the generator's spectrum. On a grid
-the caller chooses (the Cayley curve, CLI `spectral-curve`) the nodes are
-read as C_t stacks, with no operator recovery: each node's margin is
-bracketed in the generator's eigenbasis, where I + C_t is diagonal up to
-rounding, and an SVD decides only the nodes whose bracket straddles the
-cutoff. The identity graph's C is iI, so a generator there has its spectral
-record from one real n x n eigh, and the Cayley curve's phases are Rayleigh
-quotients of each node in the real eigenbasis of the half-space block, which
-diagonalises the closed form.
+[Re W; Im W] with W W^T = C, the gap metric is |C_a - C_b| / 2 and recovery
+is b = Re(i (I - C)(I + C)^(-1)). The one chart test, `_chart_margin`, is the
+smallest singular value of the top n rows of the projection (I + eps) / 2,
+([Re C, Im C] + [I 0]) / 2 for a Lagrangian (dist(-1, spec C) / 2 in exact
+arithmetic), against the rank cutoff: `is_graph` and `recover_operator` read
+it off eps, and the chart grid off its nodes' [Re C_t, Im C_t]. The graph
+window and the safe radius are closed-form verdicts on the generator's
+spectrum. On a grid the caller chooses (the Cayley curve, CLI
+`spectral-curve`) the nodes are read as C_t stacks, with no operator
+recovery: a lower bound on each node's margin, read in the generator's
+eigenbasis where I + C_t is diagonal up to rounding, certifies most nodes
+inside, and the SVD runs only on the rest. The identity graph's C is iI, so
+a generator there has its spectral record from one real n x n eigh, and the
+Cayley curve's phases are Rayleigh quotients of each node in the real
+eigenbasis of the half-space block, which diagonalises the closed form.
 """
 
 from __future__ import annotations
@@ -157,11 +158,10 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     It is a graph iff the top n rows of its projection P = (I + eps) / 2 have
     full rank: P = Q Q^T for an orthonormal basis Q = [X; Y], so those rows
     are X Q^T and have the singular values of X, which lie in [0, 1]; the
-    smallest is compared with the absolute cutoff rank_rtol, in (0, 1). This
-    holds for any half-dimensional subspace, Lagrangian or not; for a
-    Lagrangian the smallest is dist(-1, spec C) / 2, the `_chart_margin` that
-    `recover_operator` tests and the chart grid brackets. The zero space is
-    the graph of the 0 x 0 operator.
+    smallest (`_chart_margin`, which `recover_operator` and the chart grid
+    test too) is compared with the absolute cutoff rank_rtol, in (0, 1), for
+    any half-dimensional subspace, Lagrangian or not. The zero space is the
+    graph of the 0 x 0 operator.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
@@ -170,23 +170,24 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     n = eps.ambient_dim // 2
     if eps.plus_dim != n:
         return False
-    top = (eps.matrix[:n] + np.eye(n, 2 * n)) / 2.0
-    return n == 0 or bool(np.linalg.svd(top, compute_uv=False)[-1] > rank_rtol)
+    return bool(_chart_margin(eps.matrix[:n]) > rank_rtol)
 
 
-def _chart_margin(c: np.ndarray) -> np.ndarray:
-    """dist(-1, spec C) / 2 for one conjugation matrix C or a stack: C is
-    normal, so this is the smallest singular value of I + C, over 2."""
-    sigma = np.linalg.svd(np.eye(c.shape[-1]) + c, compute_uv=False)
-    return sigma.min(axis=-1, initial=math.inf) / 2.0
+def _chart_margin(rows: np.ndarray) -> np.ndarray:
+    """The smallest singular value of (rows + [I 0]) / 2, the top rows of the
+    projection (I + eps) / 2, for the top n rows of eps (one (n, 2n) block or
+    a stack; [Re C, Im C] for a Lagrangian). inf for n = 0."""
+    n = rows.shape[-2]
+    sigma = np.linalg.svd((rows + np.eye(n, 2 * n)) / 2.0, compute_uv=False)
+    return sigma.min(axis=-1, initial=math.inf)
 
 
 def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """The unique symmetric b with S = graph(b).
 
     Reads the conjugation matrix C of S in the standard split, refusing a
-    subspace that is not Lagrangian (InvariantViolation) and a Lagrangian
-    whose C has -1 within 2 rank_rtol of its spectrum (NotAGraphError), and
+    subspace that is not Lagrangian (InvariantViolation) and one that
+    `is_graph` refuses, by the same `_chart_margin` (NotAGraphError), and
     returns b = Re(i (I - C)(I + C)^(-1)). b must be symmetric, and the graph
     symmetry of b must reproduce S. rank_rtol must lie in (0, 1).
     """
@@ -203,7 +204,7 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         c = conjugation_matrix(eps.matrix, ComplexStructure.standard(n))
     except InvariantViolation as exc:
         raise InvariantViolation(f"recover_operator: subspace is not Lagrangian ({exc})") from exc
-    if _chart_margin(c) <= rank_rtol:
+    if _chart_margin(eps.matrix[:n]) <= rank_rtol:
         raise NotAGraphError("recover_operator: vertical overlap, not a graph")
     eye = np.eye(n)
     b = (1j * np.linalg.solve(eye + c, eye - c)).real
@@ -288,23 +289,24 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     the generator's node certificate (`geodesics._node_certificate`) bounds
     this for every t at once, and where it fails, or a node is not finite,
     one stacked check validates them, naming the first bad node. A node lies
-    in the graph chart iff its margin dist(-1, spec C_t) / 2 exceeds
-    rank_rtol, the `_chart_margin` test of `recover_operator`.
+    in the graph chart iff `_chart_margin` of its top rows [Re C_t, Im C_t]
+    exceeds rank_rtol, the test `is_graph` runs on evaluate(geo, t).
 
-    The margin is certified in the generator's eigenbasis, without an SVD.
+    Most nodes are certified inside by a lower bound, without an SVD.
     C_t = U e^{2it theta} U^T, so B_t = U^H (I + C_t) conj(U) is diagonal up
     to rounding; one product over the stack forms its transpose, which has
     the same diagonal and singular values. With delta = min_j |b_jj|,
     r = ||offdiag B_t||_F and eta = ||U^H U - I||_F + s (the unitarity
-    defect the certificate measured), Weyl's bound
-    |sigma_i(D + E) - sigma_i(D)| <= ||E||_2 and the singular values of U,
-    within sqrt(1 +- eta) of 1, put the margin in
-    [(delta - r - s) / (2 (1 + eta)), (delta + r + s) / (2 (1 - eta))].
-    The slack s = 16 (n + 2)^2 eps covers the rounding of B_t and of U^H U
-    (about 9 n (n + 2) eps, as ||I + C_t|| <= 2) and the SVD's own error (a
-    few n eps), so a node whose bracket lies wholly on one side of rank_rtol
-    gets the SVD's verdict. The nodes it straddles, and any whose bounds are
-    NaN or whose eta reaches 1, go to `_chart_margin`.
+    defect the certificate measured), Weyl's bound and ||U||^2 <= 1 + eta
+    give sigma_min(I + C_t) / 2 >= (delta - r - s) / (2 (1 + eta)), and so
+    does the top-row margin: T = [Re M, Im M] has T T^T = Re(M M^H), so
+    sigma_min(T) >= sigma_min(M) for any complex M. The slack
+    s = 16 (n + 2)^2 eps covers the rounding of B_t and of U^H U (about
+    9 n (n + 2) eps, as ||I + C_t|| <= 2) and the SVD's own error (a few
+    n eps). Every node the bound does not clear, NaN bounds included, gets
+    `_chart_margin`. No upper bound certifies a node outside: off exact
+    unitarity the top-row margin can exceed sigma_min(I + C_t) / 2 by up to
+    sqrt(||C_t conj(C_t) - I||) / 2.
     """
     if not gen.structure.is_standard():
         raise InvariantViolation("graph chart: requires the standard complex structure")
@@ -315,17 +317,16 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     n = c.shape[-1]
     slack = 16.0 * (n + 2) ** 2 * np.finfo(float).eps
     u_bar = gen.u.conj()
-    eta = certificate.eta + slack
     # B_t^T = (A conj(U))^T conj(U) for A = I + C_t: same diagonal and singular values
     b = _stack_times(np.swapaxes(_stack_times(np.eye(n) + c, u_bar), -1, -2), u_bar)
     diag = np.einsum("...jj->...j", b)
     delta = np.abs(diag).min(axis=-1, initial=math.inf)
     diag[...] = 0.0
     r = np.linalg.norm(b, axis=(-2, -1))
-    inside = delta - r - slack > 2.0 * (1.0 + eta) * rank_rtol
-    undecided = ~inside & ~(delta + r + slack <= 2.0 * (1.0 - eta) * rank_rtol)
-    if undecided.any():
-        inside[undecided] = _chart_margin(c[undecided]) > rank_rtol
+    inside = delta - r - slack > 2.0 * (1.0 + certificate.eta + slack) * rank_rtol
+    if not inside.all():
+        rest = c[~inside]
+        inside[~inside] = _chart_margin(np.concatenate([rest.real, rest.imag], -1)) > rank_rtol
     return c, inside
 
 

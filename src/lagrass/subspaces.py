@@ -40,13 +40,14 @@ from .tolerances import ANGLE_TOL, ANGLE_TOL_FLOOR, SYM_RTOL
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by an orthonormal basis (ambient_dim x k, k may be 0)."""
+    """A subspace given by an orthonormal basis (ambient_dim x k, k may be 0),
+    kept as its own read-only copy, as in `Symmetry`."""
 
     basis: np.ndarray
 
     def __post_init__(self):
         b = require_orthonormal_columns(self.basis, "subspace basis")
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", _read_only(b.copy()))
 
     @classmethod
     def from_columns(cls, cols) -> "Subspace":
@@ -74,7 +75,8 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Projection:
-    """An orthogonal projection: symmetric, idempotent within tolerance."""
+    """An orthogonal projection: symmetric, idempotent within tolerance, kept
+    as its own read-only copy, as in `Symmetry`."""
 
     matrix: np.ndarray
 
@@ -83,7 +85,7 @@ class Projection:
         rtol = SYM_RTOL * max(p.shape[0], 1)
         _check(p, "projection", [("symmetric", rtol, 0.0, "not symmetric" + _EXCEEDS),
                                  ("idempotent", rtol, 1e-300, "not idempotent within tolerance")])
-        object.__setattr__(self, "matrix", p)
+        object.__setattr__(self, "matrix", _read_only(p.copy()))
 
     @property
     def ambient_dim(self) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 from lagrass.complex_structure import ComplexStructure, standard_form
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
-from lagrass.graphs import _chart_margin, _identity_graph
+from lagrass.graphs import _identity_graph
 from lagrass.linalg import (
     _principal_angles,
     apply_function,
@@ -110,13 +110,24 @@ def graph_margin_by_basis(s) -> float:
     return float(np.linalg.svd(basis[:n], compute_uv=False)[-1])
 
 
-def chart_mask_by_svd(c, rank_rtol: float) -> np.ndarray:
-    """The chart mask by a stacked SVD of every node: dist(-1, spec C_t) / 2,
-    the smallest singular value of I + C_t over 2, exceeds rank_rtol.
-    `_chart_grid` certifies the same verdict in the generator's eigenbasis
-    and runs this SVD only on the nodes its bracket leaves undecided.
+def chart_margin_by_svd(c) -> np.ndarray:
+    """The chart margin of each conjugation matrix C_t by a stacked SVD: the
+    smallest singular value of the top n rows ([Re C_t, Im C_t] + [I 0]) / 2
+    of its projection (I + eps_t) / 2, the number `is_graph` compares with
+    its cutoff on the node's real form.
     """
-    return _chart_margin(np.asarray(c)) > rank_rtol
+    c = np.asarray(c)
+    n = c.shape[-1]
+    top = (np.concatenate([c.real, c.imag], axis=-1) + np.eye(n, 2 * n)) / 2.0
+    return np.linalg.svd(top, compute_uv=False).min(axis=-1, initial=math.inf)
+
+
+def chart_mask_by_svd(c, rank_rtol: float) -> np.ndarray:
+    """The chart mask by a stacked SVD of every node: `chart_margin_by_svd`
+    exceeds rank_rtol. `_chart_grid` certifies most nodes inside by a lower
+    bound in the generator's eigenbasis and runs this SVD only on the rest.
+    """
+    return chart_margin_by_svd(c) > rank_rtol
 
 
 def cayley_phases_by_eigvals(c) -> tuple[np.ndarray, float, float]:

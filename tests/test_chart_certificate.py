@@ -1,10 +1,11 @@
 """The chart grid's certified margin and its SVD fallback.
 
-`_chart_grid` brackets each node's chart margin dist(-1, spec C_t) / 2 in
-the generator's eigenbasis and runs the SVD of I + C_t only on the nodes
-whose bracket straddles the rank cutoff. Its mask must equal the stacked-SVD
-mask of every node (`reference_formulas.chart_mask_by_svd`), and a flow away
-from the cutoff must run no SVD at all.
+`_chart_grid` bounds each node's chart margin from below in the generator's
+eigenbasis and runs the SVD of the top rows [Re C_t, Im C_t] (the
+`is_graph` test) only on the nodes that bound does not certify inside. Its
+mask must equal the stacked-SVD mask of every node
+(`reference_formulas.chart_mask_by_svd`), and a flow away from the cutoff
+must run no SVD at all.
 """
 
 import json
@@ -19,7 +20,7 @@ import lagrass.graphs
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
 from lagrass.errors import InvariantViolation
-from lagrass.geodesics import GeodesicGenerator, connect
+from lagrass.geodesics import Geodesic, GeodesicGenerator, connect, evaluate
 from lagrass.graphs import (
     _chart_grid,
     _chart_margin,
@@ -28,19 +29,20 @@ from lagrass.graphs import (
     graph_safe_radius,
     graph_symmetry,
     graph_window,
+    is_graph,
 )
 from lagrass.sampling import random_lagrangian
 from lagrass.subspaces import vertical_symmetry
 from lagrass.tolerances import RANK_RTOL
 
-from reference_formulas import chart_mask_by_svd
+from reference_formulas import chart_margin_by_svd, chart_mask_by_svd
 from spies import CallSpy
 
 SEED = 1616
 EXAMPLES = settings(max_examples=40, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
-# the factors that put rank_rtol at a node's SVD margin: 1e-9 off lies far
-# outside the certificate's band, 1e-15 off and exact lie inside it
+# the factors that put rank_rtol at a node's SVD margin: 1e-9 below lies far
+# outside the lower bound's band, 1e-15 off and exact lie inside it
 PLANTS = st.sampled_from([1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9])
 
 
@@ -71,7 +73,7 @@ def assert_parity(gen, ts, rank_rtol):
 def planted_cutoff(gen, ts, node, factor):
     """rank_rtol at factor times the SVD margin of one grid node."""
     c = _chart_grid(gen, ts, RANK_RTOL)[0]
-    rank_rtol = factor * float(_chart_margin(c[node % len(ts)]))
+    rank_rtol = factor * float(chart_margin_by_svd(c[node % len(ts)]))
     assume(0.0 < rank_rtol < 1.0)
     return rank_rtol
 
@@ -128,6 +130,22 @@ def test_mask_equals_the_svd_mask_at_a_non_identity_base(seed, n, node, factor):
     assert_parity(gen, ts, planted_cutoff(gen, ts, node, factor))
 
 
+@EXAMPLES
+@given(seed=SEEDS, n=st.integers(1, 16), edges=EDGES, node=st.integers(0, 49),
+       factor=st.sampled_from([1.0 - 1e-12, 1.0 + 1e-12]))
+def test_mask_equals_is_graph_at_a_cutoff_planted_at_a_node(seed, n, edges, node, factor):
+    # the cutoff sits at the node's own top-row margin, as is_graph reads it
+    # off the node's real form, so that node is decided by the SVD
+    rng = np.random.default_rng(seed)
+    gen = identity_flow(planted_block(rng, n, edges))
+    geo = Geodesic(gen)
+    ts = np.linspace(-2.0, 2.0, 50)
+    rank_rtol = factor * float(_chart_margin(evaluate(geo, ts[node]).matrix[:n]))
+    assume(0.0 < rank_rtol < 1.0)
+    mask = _chart_grid(gen, ts, rank_rtol)[1]
+    assert mask.tolist() == [is_graph(evaluate(geo, t), rank_rtol) for t in ts]
+
+
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_mask_equals_the_svd_mask_for_a_record_off_unitary(n):
     # U (1 + 1e-11) scales each margin read in its basis by 1 + 2e-11, far
@@ -140,7 +158,7 @@ def test_mask_equals_the_svd_mask_for_a_record_off_unitary(n):
     c = assert_parity(drift, ts, RANK_RTOL)
     for node in (0, 7, 20):
         for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
-            assert_parity(drift, ts, factor * float(_chart_margin(c[node])))
+            assert_parity(drift, ts, factor * float(chart_margin_by_svd(c[node])))
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
@@ -156,7 +174,7 @@ def test_mask_equals_the_svd_mask_on_scaled_non_unitary_nodes(monkeypatch, n):
     c = assert_parity(gen, ts, RANK_RTOL)
     for node in (0, 7, 20):
         for factor in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
-            assert_parity(gen, ts, factor * float(_chart_margin(c[node])))
+            assert_parity(gen, ts, factor * float(chart_margin_by_svd(c[node])))
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +205,29 @@ def test_flows_away_from_the_cutoff_run_no_svd(monkeypatch, tmp_path, capsys, n)
 
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_a_node_inside_the_band_runs_one_svd_on_that_node(monkeypatch, tmp_path, capsys, n):
+    # with the cutoff planted at node 17's margin, the lower bound certifies
+    # every node whose margin clears it by more than its band (about 1e-13
+    # relative) and leaves the k nodes at or below it to one (k, n, 2n) SVD
     rng = np.random.default_rng([SEED + 3, n])
     y = rotated_block(rng.uniform(-0.7, 0.7, n), rng)
     gen = identity_flow(y)
     ts = np.linspace(-1.0, 1.0, 50)
     c = _chart_grid(gen, ts, RANK_RTOL)[0]
-    margin = float(_chart_margin(c[17]))
+    margins = chart_margin_by_svd(c)
+    margin = float(margins[17])
+    below = margins <= margin
+    assert not np.any(~below & (margins <= margin * (1.0 + 1e-9)))
+    k = int(below.sum())
     spy = CallSpy(monkeypatch)
     mask = _chart_grid(gen, ts, margin)[1]
-    assert spy.calls("svd") == [("svd", (1, n, n))]
-    assert np.array_equal(mask, chart_mask_by_svd(c, margin))
+    assert spy.calls("svd") == [("svd", (k, n, 2 * n))]
+    assert np.array_equal(mask, ~below)
     assert not mask[17]
     # CLI spectral-curve with the cutoff planted at the same node
     spy.linalg.clear()
     code = main(["--tol-rank", repr(margin), "spectral-curve", write_block(tmp_path, y),
                  "--grid", "50"])
-    assert spy.calls("svd") == [("svd", (1, n, n))]
+    assert spy.calls("svd") == [("svd", (k, n, 2 * n))]
     assert code == (0 if mask.any() else 4)
     if code == 0:
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 `is_graph` reads the smallest singular value of the top n rows of the
 projection; the reference reads it off an orthonormal basis of the subspace.
+`recover_operator` refuses "not a graph" exactly when `is_graph` says False.
 `codiagonal_generator` at the identity graph builds its record from one n x n
 eigh; the reference is the validated `GeodesicGenerator` constructor. Neither
 `is_graph` nor the spectral curve runs a general eigensolver.
@@ -12,26 +13,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import lagrass.graphs
 from lagrass.cli import main
-from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
-from lagrass.errors import InvariantViolation
+from lagrass.complex_structure import (
+    ComplexStructure,
+    conjugation_matrix,
+    realify_conjugation,
+    standard_form,
+)
+from lagrass.errors import InvariantViolation, NotAGraphError
 from lagrass.geodesics import Geodesic, GeodesicGenerator, evaluate, sample
 from lagrass.graphs import (
-    _chart_margin,
     _identity_graph,
     cayley_curve,
     codiagonal_generator,
     graph_symmetry,
     is_graph,
+    recover_operator,
 )
 from lagrass.linalg import max_abs
 from lagrass.sampling import random_lagrangian
 from lagrass.subspaces import Subspace, Symmetry, symmetry_from_subspace, vertical_symmetry
 from lagrass.tolerances import GENERATOR_ATOL, RANK_RTOL
 
-from reference_formulas import graph_margin_by_basis
+from reference_formulas import chart_margin_by_svd, graph_margin_by_basis
 
 SEED = 1212
 
@@ -45,7 +53,8 @@ def rotated_block(values, rng):
 def assert_matches_reference(s, standard_lagrangian=False):
     """is_graph agrees with the basis reference, at the default cutoff and
     at cutoffs 1e-12 on either side of the reference margin; for a symmetry
-    s of a standard-J Lagrangian the margin is also `_chart_margin(C)`."""
+    s of a standard-J Lagrangian the margin is also read off the top rows
+    [Re C, Im C] of C, as the chart grid reads its nodes."""
     m = graph_margin_by_basis(s)
     assert is_graph(s) == (m > RANK_RTOL)
     if 1e-12 < m < 1.0 - 1e-12:
@@ -54,7 +63,7 @@ def assert_matches_reference(s, standard_lagrangian=False):
     if standard_lagrangian:
         n = s.ambient_dim // 2
         c = conjugation_matrix(s.matrix, ComplexStructure.standard(n))
-        margin = float(_chart_margin(c))
+        margin = float(chart_margin_by_svd(c))
         assert abs(margin - m) <= 1e-12
         assert is_graph(s) == (margin > RANK_RTOL)
     return m
@@ -132,6 +141,53 @@ def test_is_graph_at_a_planted_margin_beside_the_cutoff(n, side):
     assert abs(graph_margin_by_basis(eps) - sigma) <= 1e-14
     assert is_graph(eps) == (side > 0)
     assert_matches_reference(eps, standard_lagrangian=True)
+
+
+def symmetry_at_the_cutoff(seed, n, factor, defect):
+    """A Lagrangian symmetry whose C has -1 at factor RANK_RTOL of its
+    spectrum (margin |cos(phi_0 / 2)| = factor RANK_RTOL), plus a symmetric
+    complex defect of size defect; None where `Symmetry` refuses it."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    phi = rng.uniform(-2.5, 2.5, n)
+    phi[0] = 2.0 * math.acos(RANK_RTOL * factor)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = (q * np.exp(1j * phi)) @ q.T + defect * (e + e.T) / 2.0
+    try:
+        return Symmetry(realify_conjugation(c, ComplexStructure.standard(n)))
+    except InvariantViolation:
+        return None
+
+
+# the seed 139 case: is_graph read 1.0000042e-08 and accepted it, while the
+# SVD of I + C read 9.99982e-09 and recover_operator refused it
+REPRO = dict(seed=139, n=4, delta=1e-5, sign=-1.0, defect=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@example(**REPRO)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       delta=st.floats(-9.0, -3.0).map(lambda x: 10.0 ** x), sign=st.sampled_from([-1.0, 1.0]),
+       defect=st.sampled_from([0.0, 1e-12, 1e-11, 1e-10]))
+def test_recover_operator_refuses_exactly_when_is_graph_does(seed, n, delta, sign, defect):
+    s = symmetry_at_the_cutoff(seed, n, 1.0 + sign * delta, defect)
+    assume(s is not None)
+    try:
+        recover_operator(s)
+    except NotAGraphError:
+        assert not is_graph(s)
+    else:
+        assert is_graph(s)
+
+
+def test_graph_recover_accepts_the_seed_139_subspace(tmp_path, capsys):
+    s = symmetry_at_the_cutoff(139, 4, 1.0 - 1e-5, 1e-10)
+    assert is_graph(s)
+    b = recover_operator(s)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"dim": 8, "subspace": {"symmetry": s.matrix.tolist()}}))
+    assert main(["graph-recover", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["operator"] == b.tolist()
 
 
 def test_is_graph_makes_no_eigh_and_builds_no_basis(monkeypatch):

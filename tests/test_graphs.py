@@ -15,7 +15,6 @@ from lagrass.errors import ComputationError, InvariantViolation, NotAGraphError
 from lagrass.geodesics import Geodesic, GeodesicGenerator, alternate_generators, connect, evaluate
 from lagrass.graphs import (
     _chart_grid,
-    _chart_margin,
     cayley_curve,
     cayley_transform,
     codiagonal_generator,
@@ -41,6 +40,7 @@ from lagrass.subspaces import (
 )
 from lagrass.tolerances import GRAPH_WINDOW_TOL, RANK_RTOL
 
+from reference_formulas import chart_margin_by_svd
 from spies import CallSpy
 from test_chart_certificate import rotated_block
 
@@ -346,7 +346,7 @@ def test_graph_window_flow_stays_off_the_cutoff(n, seed, exponent):
     gen = codiagonal_generator(y, graph_symmetry(np.eye(n)))
     c, mask = _chart_grid(gen, np.linspace(0.0, 1.0, 201), RANK_RTOL)
     assert mask.all()
-    assert np.min(_chart_margin(c)) >= 0.99 * math.sin(GRAPH_WINDOW_TOL)
+    assert np.min(chart_margin_by_svd(c)) >= 0.99 * math.sin(GRAPH_WINDOW_TOL)
 
 
 def identity_base_generator(way, n, rng):
@@ -379,7 +379,7 @@ def test_graph_safe_radius_flow_stays_off_the_cutoff(n, seed, way):
     radius = graph_safe_radius(gen)
     c, mask = _chart_grid(gen, np.linspace(0.0, radius * (1.0 - 1e-3), 201), RANK_RTOL)
     assert mask.all()
-    assert np.min(_chart_margin(c)) >= 0.99 * math.sin(math.pi / 4.0 * 1e-3)
+    assert np.min(chart_margin_by_svd(c)) >= 0.99 * math.sin(math.pi / 4.0 * 1e-3)
 
 
 def test_gap_distance_frozen_and_monotone():

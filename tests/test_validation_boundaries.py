@@ -12,6 +12,7 @@ covered.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lagrass.complex_structure import (
     commutes_with_structure,
     conjugation_matrix,
     is_complex_unitary,
+    standard_form,
 )
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import (
@@ -39,12 +41,14 @@ from lagrass.graphs import (
     _identity_graph,
     cayley_curve,
     codiagonal_generator,
+    graph_window,
     is_graph,
     recover_operator,
 )
 from lagrass.linalg import (
     SpectralDecomposition,
     as_matrix,
+    principal_angles,
     require_antisymmetric,
     require_orthogonal,
     require_orthonormal_columns,
@@ -58,6 +62,9 @@ from lagrass.subspaces import (
     _require_symmetries,
     _require_tangents,
     check_tangent,
+    covariant_derivative,
+    five_way_decompose,
+    is_lagrangian,
     vertical_symmetry,
 )
 from lagrass.sampling import perturbed_curve
@@ -458,6 +465,8 @@ ZERO_DIMENSIONAL_CALLS = {
     # the zero space is the graph of the 0 x 0 operator
     "is_graph": (lambda: is_graph(Symmetry(np.zeros((0, 0)))), True),
     "recover_operator": (lambda: recover_operator(Symmetry(np.zeros((0, 0)))).shape, (0, 0)),
+    "graph_window": (lambda: graph_window(np.zeros((0, 0))),
+                     InvariantViolation("graph_window: empty operator")),
     # as graph_window, the spectral curve refuses the empty operator
     "cayley_curve": (lambda: cayley_curve(codiagonal_generator(np.zeros((0, 0)),
                                                                Symmetry(_identity_graph(0))),
@@ -474,6 +483,46 @@ def test_zero_dimensional_inputs(name):
             call()
     else:
         assert call() == want
+
+
+def line_flow(structure):
+    """The zero generator at the vertical line, on a given J."""
+    return GeodesicGenerator(np.zeros((2, 2)), vertical_symmetry(1), structure)
+
+
+LINE = vertical_symmetry(1).matrix
+# refusals of mismatched or too small inputs, each with its exact message
+REFUSAL_CALLS = {
+    "cayley_curve-rotated_J": (
+        lambda: cayley_curve(line_flow(ComplexStructure(-standard_form(1))), [0.0]),
+        "cayley_curve: requires the standard complex structure"),
+    "cayley_curve-empty_grid": (
+        lambda: cayley_curve(codiagonal_generator(np.zeros((1, 1)), Symmetry(_identity_graph(1))),
+                             []),
+        "cayley_curve: empty grid"),
+    "covariant_derivative-two_samples": (
+        lambda: covariant_derivative([0.0, 1.0], [LINE, LINE], [np.zeros((2, 2))] * 2),
+        "covariant derivative: need at least 3 samples"),
+    "covariant_derivative-mismatched_stacks": (
+        lambda: covariant_derivative([0.0, 0.5, 1.0], [LINE] * 3, [np.zeros((4, 4))] * 3),
+        "covariant derivative: sample counts or shapes differ"),
+    "five_way_decompose-two_dims": (
+        lambda: five_way_decompose(vertical_symmetry(1), vertical_symmetry(2)),
+        "pair decomposition: ambient dimensions differ"),
+    "principal_angles-two_dims": (
+        lambda: principal_angles(np.eye(2)[:, :1], np.eye(4)[:, :1]),
+        "principal angles: ambient dimensions differ"),
+    "is_lagrangian-J_size": (
+        lambda: is_lagrangian(vertical_symmetry(1), ComplexStructure.standard(2)),
+        "is_lagrangian: ambient dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSAL_CALLS))
+def test_refusal_messages(name):
+    call, message = REFUSAL_CALLS[name]
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        call()
 
 
 NONFINITE_CALLS = {
