@@ -40,12 +40,13 @@ from .geodesics import (
 from .graphs import (
     _cayley_result,
     _chart_grid,
+    _conjugation_gap,
     _identity_graph,
     codiagonal_generator,
     graph_symmetry,
     recover_operator,
 )
-from .linalg import max_abs, schatten_norm
+from .linalg import max_abs
 from .sampling import random_lagrangian
 from .subspaces import (
     Projection,
@@ -53,7 +54,6 @@ from .subspaces import (
     Symmetry,
     five_way_decompose,
     is_lagrangian,
-    projection_from_symmetry,
     symmetry_from_projection,
     symmetry_from_subspace,
 )
@@ -255,9 +255,8 @@ def _cmd_distance(args) -> int:
     structure, e0, e1 = _load_pair(args)
     gen = connect(e0, e1, structure)
     d = 2.0 * gen.norm
-    p0 = projection_from_symmetry(e0).matrix
-    p1 = projection_from_symmetry(e1).matrix
-    gap = schatten_norm(p0 - p1, math.inf)
+    gap = _conjugation_gap(_complex_block(e0.matrix, structure),
+                           _complex_block(e1.matrix, structure))
     payload = {
         "distance": d,
         "projection_gap": gap,
@@ -269,8 +268,6 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.grid < 5:
-        raise ParseFailure("sample: --grid must be >= 5")
     structure, e0, e1 = _load_pair(args)
     geo = Geodesic(connect(e0, e1, structure))
     ts = np.linspace(0.0, 1.0, args.grid)
@@ -316,8 +313,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    if args.limit < 1:
-        raise ParseFailure("multiplicity: --limit must be >= 1")
     structure, e0, e1 = _load_pair(args)
     gen = connect(e0, e1, structure)
     report = classify_multiplicity(gen)
@@ -334,28 +329,26 @@ def _cmd_multiplicity(args) -> int:
     return 0
 
 
-def _chart_block_trig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos x, sin x) for the real symmetric x = -H, |H| <= pi/2, with
-    e^{2iH} = s, a symmetric unitary: s = O diag(e^{i phi}) O^T gives
-    H = O diag(phi / 2) O^T."""
-    o, phi = _real_eigenbasis(s)
-    return (o * np.cos(phi / 2.0)) @ o.T, -(o * np.sin(phi / 2.0)) @ o.T
-
-
 def _cmd_graph_recover(args) -> int:
     structure, eps = _load_problem(args.subspace)
     if not structure.is_standard():
         raise InvariantViolation("graph-recover: requires the standard complex structure")
     b = recover_operator(eps, rank_rtol=args.tol_rank)
-    # recover_operator has validated C. The vertical's C is -I and the identity
-    # graph's is iI, so the minimal geodesic from either base to eps has the
-    # chart block x = -H with e^{2iH} = -C and -iC respectively
-    c = _complex_block(eps.matrix, structure)
+    # recover_operator has validated C = O diag(e^{i phi}) O^T. The vertical's
+    # C is -I and the identity graph's is iI, so the minimal geodesic from the
+    # vertical (the identity graph) to eps has the chart block x (y) = -H,
+    # |H| <= pi/2, with e^{2iH} = -C (-iC): H = O diag(psi / 2) O^T for the
+    # phases psi = phi + pi (phi - pi/2), wrapped into (-pi, pi] with -pi
+    # taken as pi, as _real_eigenbasis wraps phi
+    o, phi = _real_eigenbasis(_complex_block(eps.matrix, structure))
+    psi = phi + np.array([[math.pi], [-math.pi / 2.0]])
+    psi = np.where(psi > math.pi, psi - 2.0 * math.pi, psi)
+    psi = np.where(psi <= -math.pi, psi + 2.0 * math.pi, psi)
+    cos_x, cos_y = (o * np.cos(psi / 2.0)[:, None, :]) @ o.T
+    sin_x, sin_y = -(o * np.sin(psi / 2.0)[:, None, :]) @ o.T
     # vertical-chart closed form b sin(x) = cos(x)
-    cos_x, sin_x = _chart_block_trig(-c)
     res_vertical = max_abs(b @ sin_x - cos_x)
     # identity-chart form b (cos y + sin y) = cos y - sin y
-    cos_y, sin_y = _chart_block_trig(-1j * c)
     res_identity = max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y))
 
     payload = {
@@ -369,8 +362,6 @@ def _cmd_graph_recover(args) -> int:
 
 
 def _cmd_spectral_curve(args) -> int:
-    if args.grid < 1:
-        raise ParseFailure("spectral-curve: --grid must be >= 1")
     doc = _load_json(args.operator)
     y = _matrix_from(doc, "matrix", args.operator)
     if y.shape[0] != y.shape[1]:
@@ -405,10 +396,6 @@ def _cmd_spectral_curve(args) -> int:
 
 def _cmd_random_pair(args) -> int:
     n = args.dim_half
-    if n < 1:
-        raise ParseFailure("random-pair: --dim-half must be >= 1")
-    if args.seed < 0:
-        raise ParseFailure("random-pair: --seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     structure = ComplexStructure.standard(n)
     files = []
@@ -433,42 +420,40 @@ def _cmd_random_pair(args) -> int:
 # argument parsing and dispatch
 
 
+def _ranged(convert, low, high, label: str):
+    """An argparse type: convert(text) (int or float) in [low, high), so NaN
+    is refused; label names the range in the message."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan    # not a number: refused with the same message
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be {label}, got {text!r}")
+        return value
+    return parse
+
+
+def _integer_at_least(low: int):
+    return _ranged(int, low, math.inf, f"an integer >= {low}")
+
+
 def _schatten_order(text: str):
     """Parse a Schatten order: 'inf' or an integer >= 1."""
     if text == "inf":
         return math.inf
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0           # not an integer: refused with the same message
-    if k < 1:
-        raise argparse.ArgumentTypeError(
-            f"Schatten order must be an integer >= 1 or inf, got {text!r}")
-    return k
-
-
-def _float_range(low: float, high: float, label: str, what: str):
-    """An argparse type: a positive float in [low, high); label names the range."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not (value > 0.0 and low <= value < high):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite {what} in {label}, got {text!r}")
-        return value
-    return parse
+    return _ranged(int, 1, math.inf, "an integer >= 1 or inf")(text)
 
 
 # --tol-angle is the one bucket width, at 0 and at pi/2, so at
 # pi/4 or above the two buckets overlap; below the floor rounding
 # splits a common direction off as generic
-_angle_tolerance = _float_range(ANGLE_TOL_FLOOR, math.pi / 4.0,
-                                f"[{ANGLE_TOL_FLOOR:g}, pi/4)", "angle")
+_angle_tolerance = _ranged(float, ANGLE_TOL_FLOOR, math.pi / 4.0,
+                           f"a finite angle in [{ANGLE_TOL_FLOOR:g}, pi/4)")
 # --tol-rank is compared with singular values of the top rows of a
-# projection, which lie in [0, 1]
-_rank_tolerance = _float_range(0.0, 1.0, "(0, 1)", "value")
+# projection, which lie in [0, 1]; the range is open at 0, whose least
+# positive neighbour is ulp(0)
+_rank_tolerance = _ranged(float, math.ulp(0.0), 1.0, "a finite value in (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -503,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample the connecting geodesic to CSV")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_integer_at_least(5), default=101)
     p.add_argument("--k", type=_schatten_order, default=math.inf,
                    help="Schatten order for the speed column: an integer >= 1 or inf")
     p.add_argument("--out-prefix", required=True)
@@ -520,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument("--alternates", action="store_true",
                    help="include the sign-flip alternate generators")
-    p.add_argument("--limit", type=int, default=64)
+    p.add_argument("--limit", type=_integer_at_least(1), default=64)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_multiplicity)
 
@@ -531,13 +516,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral-curve", help="Cayley eigenphases along a graph flow")
     p.add_argument("operator", help="JSON file with the symmetric half-space block")
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=_integer_at_least(1), default=50)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectral_curve)
 
     p = sub.add_parser("random-pair", help="write a reproducible random Lagrangian pair")
-    p.add_argument("--dim-half", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--dim-half", type=_integer_at_least(1), required=True)
+    p.add_argument("--seed", type=_integer_at_least(0), required=True)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_random_pair)
 

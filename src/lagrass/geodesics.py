@@ -100,15 +100,16 @@ class GeodesicGenerator:
         k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
         theta, o = np.linalg.eigh(0.5 * k + 0.5 * k.T)
         self._record(z.copy(), w @ o, theta)
-        if not self.norm <= math.pi / 2.0 + GENERATOR_ATOL:
-            raise InvariantViolation("generator: operator norm exceeds pi/2")
 
     def _record(self, z: np.ndarray, u: np.ndarray, theta: np.ndarray) -> None:
-        """Keep the record; z, u and theta are the generator's own arrays."""
+        """Keep the record; z, u and theta are the generator's own arrays.
+        Every construction passes here, so here the norm bound is enforced."""
         object.__setattr__(self, "z", _read_only(z))
         object.__setattr__(self, "u", _read_only(u))
         object.__setattr__(self, "theta", _read_only(theta))
         object.__setattr__(self, "norm", float(np.max(np.abs(theta), initial=0.0)))
+        if not self.norm <= math.pi / 2.0 + GENERATOR_ATOL:
+            raise InvariantViolation("generator: operator norm exceeds pi/2")
 
     @functools.cached_property
     def _nodes(self) -> "_NodeCertificate":
@@ -238,8 +239,10 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
     real symmetry. The generator's record z = iU diag(theta) U^H with
     C0 = U U^T serves the whole grid: U^H C0 = U^T, so each node is a phase
     multiply and one n x n complex matrix product (see `_curve_steps`). C0 is
-    read off the base's blocks, and t = 0 returns it bit for bit. The stack
-    is not checked: every node is a symmetric unitary within the `Symmetry`
+    read off the base's blocks, and t = 0 returns it bit for bit. A grid time
+    that is not finite, or whose phases overflow, is refused
+    (InvariantViolation, see `_geodesic_steps`); otherwise the stack is not
+    checked: every node is a symmetric unitary within the `Symmetry`
     tolerances of its real form wherever the generator's node certificate
     holds (see `evaluate`), which the chart grid relies on.
     """
@@ -248,10 +251,21 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
 
 
 def _geodesic_steps(gen: GeodesicGenerator, ts) -> np.ndarray:
-    """C_t - C0 along the geodesic of gen, one n x n step per node."""
+    """C_t - C0 along the geodesic of gen, one n x n step per node.
+
+    A grid time t whose 2t or phases (2t) theta overflow would give a node
+    with non-finite entries; it is refused before any node is formed, with
+    the message the `Symmetry` check gives such a node, so `sample`,
+    `evaluate` and the chart grid refuse it alike and without a numpy
+    warning. The largest phase is (2 max|t|) ||z||, rounded as the phases
+    are, so it is finite exactly when every phase is.
+    """
     t = np.asarray(ts, dtype=float).reshape(-1)
-    if not np.isfinite(t).all():
+    reach = float(np.abs(t).max(initial=0.0))
+    if not reach < math.inf:
         raise InvariantViolation("sample: grid times must be finite")
+    if not 2.0 * reach * gen.norm < math.inf:
+        raise InvariantViolation("symmetry: entries must be finite")
     return _curve_steps(2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
 
 
@@ -372,6 +386,8 @@ def _node_speeds(samples, dt: float, ks) -> dict:
         raise InvariantViolation("sampled length: need a stack of at least 5 square matrices")
     if not 0.0 < dt < math.inf:
         raise InvariantViolation("sampled length: dt must be positive and finite")
+    if not np.isfinite(stack).all():
+        raise InvariantViolation("sampled length: samples must be finite")
     deriv = np.empty_like(stack)
     deriv[2:-2] = stack[:-4] - stack[4:] + 8.0 * (stack[3:-1] - stack[1:-3])
     deriv[:2] = np.tensordot(_EDGE_STENCILS, stack[:5], axes=1)
@@ -404,7 +420,8 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     samples is the complex stack of conjugation matrices C_t that `sample`
     and `perturbed_curve` return (or a sequence of such n x n matrices), at
     least 5 nodes spaced dt apart. A real stack of symmetries is refused
-    (InvariantViolation): convert it with `conjugation_matrix`. The symmetry
+    (InvariantViolation): convert it with `conjugation_matrix`; so is a stack
+    with an entry that is not finite. The symmetry
     eps_t is `realify_conjugation(C_t)` up to an orthogonal change of basis,
     so each singular value of C'_t is one of eps'_t counted twice and
     ||eps'_t||_k = 2^{1/k} ||C'_t||_k. C'_t is the fourth-order central

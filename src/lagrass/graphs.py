@@ -42,7 +42,6 @@ from .subspaces import (
 )
 from .tolerances import (
     CAYLEY_FORM_TOL,
-    GENERATOR_ATOL,
     GRAPH_RECOVERY_TOL,
     GRAPH_WINDOW_TOL,
     PHASE_GAP_TOL,
@@ -133,11 +132,8 @@ def codiagonal_generator(y, base: Symmetry) -> GeodesicGenerator:
     # |z + z^T| = |y - y^T| is within half its antisymmetry slack, as
     # require_symmetric held y to SYM_RTOL n max|y|.
     theta, o = np.linalg.eigh(-(0.5 * arr + 0.5 * arr.T))
-    gen = GeodesicGenerator._from_record(base, structure, np.exp(0.25j * math.pi) * o,
-                                         theta, z)
-    if not gen.norm <= math.pi / 2.0 + GENERATOR_ATOL:
-        raise InvariantViolation("generator: operator norm exceeds pi/2")
-    return gen
+    return GeodesicGenerator._from_record(base, structure, np.exp(0.25j * math.pi) * o,
+                                          theta, z)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +389,25 @@ def graph_safe_radius(gen: GeodesicGenerator) -> float:
 
 
 def gap_distance(a, b) -> float:
-    """Operator-norm distance between the graph projections of a and b.
-
-    The projections differ by the realified (C_a - C_b) / 2, and realifying
-    repeats each singular value, so this is |C_a - C_b| / 2. Bounded by 1;
-    tends to 1 as one operator blows up toward the vertical. Operators of
-    different sizes are refused (InvariantViolation).
+    """Operator-norm distance between the graph projections of a and b,
+    |C_a - C_b| / 2 (`_conjugation_gap`). Bounded by 1; tends to 1 as one
+    operator blows up toward the vertical. Operators of different sizes are
+    refused (InvariantViolation).
     """
     c_a = _graph_conjugation(a)[0]
     c_b = _graph_conjugation(b)[0]
     if c_a.shape != c_b.shape:
         raise InvariantViolation(f"gap_distance: operator sizes differ, "
                                  f"{c_a.shape[0]} and {c_b.shape[0]}")
-    return float(np.linalg.svd(c_a - c_b, compute_uv=False).max(initial=0.0)) / 2.0
+    return _conjugation_gap(c_a, c_b)
+
+
+def _conjugation_gap(c0: np.ndarray, c1: np.ndarray) -> float:
+    """|C0 - C1| / 2 for the conjugation matrices of two Lagrangians, the
+    operator-norm distance of their projections: p0 - p1 is the realified
+    (C0 - C1) / 2 up to an orthogonal change of basis, and realifying repeats
+    each singular value."""
+    return float(np.linalg.svd(c0 - c1, compute_uv=False).max(initial=0.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -164,19 +164,26 @@ class SpectralDecomposition:
 
 
 def spectral_decompose(a, name: str = "operator") -> SpectralDecomposition:
-    """Eigendecomposition of the symmetric part (a + a^T) / 2 of a matrix that
-    passes `require_symmetric` (its messages labelled with name), with a
+    """Eigendecomposition of the symmetric part a / 2 + a^T / 2 of a matrix
+    that passes `require_symmetric` (its messages labelled with name), with a
     reassembly check.
 
-    The residual of V diag(lam) V^T against that part must stay below
-    RECON_RTOL * n * max|lam|; otherwise the decomposition is refused.
+    An eigenvalue beyond the float range is refused (ComputationError), and
+    so is a residual of V diag(lam) V^T against that part that is not below
+    RECON_RTOL * n * max|lam|, NaN included.
     """
     arr = require_symmetric(a, name)
-    arr = (arr + arr.T) / 2.0
+    arr = 0.5 * arr + 0.5 * arr.T       # halves first: a sum of halves cannot overflow
     lam, vec = np.linalg.eigh(arr)
-    resid = max_abs(vec @ (lam[:, None] * vec.T) - arr)
-    tol = RECON_RTOL * max(arr.shape[0], 1) * max_abs(lam)
-    if resid > max(tol, 1e-300):
+    top = max_abs(lam)
+    if not top < math.inf:
+        raise ComputationError(f"{name}: an eigenvalue overflows the float range")
+    # a reassembly within rounding of the float range may overflow: the
+    # residual is then not finite and refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = max_abs(vec @ (lam[:, None] * vec.T) - arr)
+    tol = RECON_RTOL * max(arr.shape[0], 1) * top
+    if not resid <= max(tol, 1e-300):
         raise ComputationError(
             f"eigen-reassembly residual {resid:.3e} beyond tolerance {tol:.3e}"
         )
@@ -388,8 +395,10 @@ def _speed_norms(values: np.ndarray, k) -> np.ndarray:
         k = int(k)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvariantViolation(f"Schatten order must be an integer >= 1 or inf, got {k!r}")
-    # rescale by the largest singular value to avoid overflow for large k
+    # rescale by the largest singular value to avoid overflow for large k; a
+    # row whose largest value overflowed to inf has norm inf
     top = values.max(axis=1, initial=0.0)
     safe = np.where(top > 0.0, top, 1.0)
-    sums = np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
-    return np.where(top > 0.0, safe * sums, 0.0)
+    with np.errstate(invalid="ignore"):     # inf / inf in such a row
+        norms = safe * np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
+    return np.where((top > 0.0) & (top < math.inf), norms, top)

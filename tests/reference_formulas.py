@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from lagrass.complex_structure import ComplexStructure, standard_form
+from lagrass.complex_structure import ComplexStructure, _real_eigenbasis, standard_form
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import connect
 from lagrass.graphs import _identity_graph
@@ -22,6 +22,7 @@ from lagrass.subspaces import (
     Projection,
     Symmetry,
     _as_symmetry,
+    projection_from_symmetry,
     subspace_from_symmetry,
     vertical_symmetry,
 )
@@ -94,6 +95,31 @@ def graph_chart_residuals(b, eps: Symmetry) -> tuple[float, float]:
     (cos_x, sin_x), (cos_y, sin_y) = blocks
     return (max_abs(b @ sin_x - cos_x),
             max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y)))
+
+
+def graph_chart_residuals_by_two_eigenbases(b, c) -> tuple[float, float]:
+    """The two chart residuals of CLI graph-recover from one real eigenbasis
+    of each of -C and -iC: e^{2iH} = s = O diag(e^{i phi}) O^T gives the
+    chart block x = -H with H = O diag(phi / 2) O^T. CLI graph-recover reads
+    both blocks off one eigenbasis of C, shifting its phases instead.
+    """
+    def trig(s):
+        o, phi = _real_eigenbasis(s)
+        return (o * np.cos(phi / 2.0)) @ o.T, -(o * np.sin(phi / 2.0)) @ o.T
+
+    (cos_x, sin_x), (cos_y, sin_y) = trig(-c), trig(-1j * c)
+    return (max_abs(b @ sin_x - cos_x),
+            max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y)))
+
+
+def projection_gap_by_projections(eps0, eps1) -> float:
+    """sin(d / 2) by its definition: the operator norm of the difference of
+    the two validated 2n x 2n projections, by a 2n x 2n SVD. CLI distance
+    reads it as |C0 - C1| / 2 off the n x n conjugation matrices.
+    """
+    p0 = projection_from_symmetry(_as_symmetry(eps0)).matrix
+    p1 = projection_from_symmetry(_as_symmetry(eps1)).matrix
+    return schatten_norm(p0 - p1, math.inf)
 
 
 def graph_margin_by_basis(s) -> float:

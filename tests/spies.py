@@ -1,21 +1,23 @@
 """Call counting for tests: which identities `linalg._check` held each array
-to, which `numpy.linalg` routines ran on which shapes, and which generators
-had their node certificate computed.
+to, which `numpy.linalg` routines ran on which shapes, which generators
+had their node certificate computed, and which symmetric unitaries
+`_real_eigenbasis` factored.
 
     spy = CallSpy(monkeypatch)
     recover_operator(eps)
     assert spy.symmetric_checks(b) == ["recovered graph operator"]
     assert len(spy.calls("svd")) == 1
 
-Every lagrass module that imported `_check` sees the spy, and so does every
-caller of `np.linalg.<routine>` through the attribute; numpy's own internal
-calls do not.
+Every lagrass module that imported `_check` or `_real_eigenbasis` sees the
+spy, and so does every caller of `np.linalg.<routine>` through the attribute;
+numpy's own internal calls do not.
 """
 
 import sys
 
 import numpy as np
 
+import lagrass.complex_structure
 import lagrass.geodesics
 import lagrass.linalg
 
@@ -27,17 +29,27 @@ class CallSpy:
         self.checks = []    # (name, identity kinds, copy of the checked array)
         self.linalg = []    # (routine, shape of its first argument)
         self.certified = []     # generators whose node certificate was computed
+        self.eigenbases = []    # shape of each matrix `_real_eigenbasis` factored
         check = lagrass.linalg._check
         certify = lagrass.geodesics._node_certificate
+        eigenbasis = lagrass.complex_structure._real_eigenbasis
 
         def spy_check(arr, name, checks=(), *args, **kwargs):
             kinds = tuple(c[0] if isinstance(c[0], str) else c[0][0] for c in checks)
             self.checks.append((name, kinds, np.array(arr, copy=True)))
             return check(arr, name, checks, *args, **kwargs)
 
+        def spy_eigenbasis(c):
+            self.eigenbases.append(np.shape(c))
+            return eigenbasis(c)
+
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("lagrass") and getattr(module, "_check", None) is check:
-                monkeypatch.setattr(module, "_check", spy_check)
+            if not module_name.startswith("lagrass"):
+                continue
+            for name, real, spy in (("_check", check, spy_check),
+                                    ("_real_eigenbasis", eigenbasis, spy_eigenbasis)):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
         for routine in ROUTINES:
             monkeypatch.setattr(np.linalg, routine, self._counting(routine, getattr(np.linalg, routine)))
 

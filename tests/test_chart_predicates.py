@@ -263,6 +263,25 @@ def test_generator_norm_slack_is_the_constructors(base, side):
             codiagonal_generator(y, eps)
 
 
+@pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+def test_a_record_built_past_the_norm_bound_is_refused(side):
+    # the bound pi/2 + GENERATOR_ATOL holds for a generator built from a
+    # record too, as for the flips of `alternate_generators`
+    rng = np.random.default_rng([SEED + 7, side + 1])
+    gen = codiagonal_generator(rotated_block([0.3, 0.2, -1.0], rng), graph_symmetry(np.eye(3)))
+    theta = gen.theta.copy()
+    theta[0] = -(math.pi / 2 + GENERATOR_ATOL * (1.0 + side * 1e-3))
+
+    def build():
+        return GeodesicGenerator._from_record(gen.base, gen.structure, gen.u, theta)
+
+    if side < 0:
+        assert build().norm > math.pi / 2
+    else:
+        with pytest.raises(InvariantViolation, match="generator: operator norm exceeds pi/2"):
+            build()
+
+
 def test_only_the_identity_graph_skips_the_constructor(monkeypatch):
     bases = []
     validate = GeodesicGenerator.__post_init__

@@ -22,14 +22,21 @@ from hypothesis import strategies as st
 
 import lagrass.cli
 from lagrass.cli import main
-from lagrass.complex_structure import ComplexStructure, standard_form
+from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
 from lagrass.geodesics import GeodesicGenerator, connect
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
-from lagrass.subspaces import Subspace, Symmetry, symmetry_from_subspace
+from lagrass.sampling import random_lagrangian
+from lagrass.subspaces import Projection, Subspace, Symmetry, symmetry_from_subspace
 from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
 
-from reference_formulas import graph_chart_residuals
+from reference_formulas import (
+    graph_chart_residuals,
+    graph_chart_residuals_by_two_eigenbases,
+    projection_gap_by_projections,
+)
+from spies import CallSpy
+from test_curve_kernel import rotated_structure
 from test_graphs import near_edge_block
 from test_subspaces import (
     THRESHOLD_CASES,
@@ -307,6 +314,40 @@ def test_distance_payload(tmp_path, capsys):
     assert 0.0 < payload["projection_gap"] <= 1.0
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard-J", "rotated-J"])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_distance_gap_equals_the_projection_reference(n, rotated):
+    rng = np.random.default_rng([SEED, n, rotated])
+    structure = rotated_structure(n, rng)[0] if rotated else ComplexStructure.standard(n)
+    pair = [random_lagrangian(structure, rng) for _ in range(2)]
+    [(code, out, _)] = run_on_pair(pair, ["distance"], structure=structure)
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["projection_gap"] - projection_gap_by_projections(*pair)) <= 1e-14 * n
+    assert payload["sin_norm_residual"] <= 1e-14 * n
+
+
+def test_distance_builds_no_projection_and_no_full_size_svd(monkeypatch):
+    n = 16
+    structure = ComplexStructure.standard(n)
+    rng = np.random.default_rng(SEED + 5)
+    pair = [random_lagrangian(structure, rng) for _ in range(2)]
+    built = []
+    validate = Projection.__post_init__
+
+    def spy(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Projection, "__post_init__", spy)
+    spy_calls = CallSpy(monkeypatch)
+    [(code, _, _)] = run_on_pair(pair, ["distance"])
+    assert code == 0
+    assert built == []
+    # the gap is one n x n SVD of C0 - C1
+    assert spy_calls.calls("svd") == [("svd", (n, n))]
+
+
 def test_decompose_payload(tmp_path, capsys):
     first = write_problem(tmp_path / "a.json", {
         "dim": 4,
@@ -511,6 +552,52 @@ def test_graph_recover_residuals_match_the_geodesic_reference(tmp_path, capsys, 
     assert abs(payload["residual_identity_chart"] - want[1]) <= tol
 
 
+def run_graph_recover(a):
+    """(exit code, stdout) of graph-recover on graph(a)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_problem(Path(tmp) / "g.json",
+                             {"dim": 2 * len(a), "subspace": {"graph_of": a.tolist()}})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["graph-recover", path])
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       scale=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+       planted=st.lists(st.sampled_from([0.0, -1.0]), max_size=3))
+@example(seed=0, n=1, scale=1.0, planted=[0.0])
+@example(seed=0, n=1, scale=1.0, planted=[-1.0])
+@example(seed=1, n=4, scale=1e4, planted=[0.0, -1.0, -1.0])
+def test_graph_recover_residuals_match_the_two_eigenbasis_reference(seed, n, scale, planted):
+    # 0 puts C's phase at 0, where -C has the branch point -1 of the vertical
+    # chart; -1 puts it at -pi/2, where -iC has the identity chart's
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = scale * rng.standard_normal(n)
+    lam[:len(planted)] = planted[:n]
+    a = (q * lam) @ q.T
+    a = 0.5 * a + 0.5 * a.T
+    code, out = run_graph_recover(a)
+    assert code == 0
+    payload = json.loads(out)
+    b = np.array(payload["operator"])
+    c = conjugation_matrix(graph_symmetry(a).matrix, ComplexStructure.standard(n))
+    want = graph_chart_residuals_by_two_eigenbases(b, c)
+    tol = 1e-12 * max(1.0, max_abs(b))
+    assert abs(payload["residual_vertical_chart"] - want[0]) <= tol
+    assert abs(payload["residual_identity_chart"] - want[1]) <= tol
+
+
+def test_graph_recover_factors_one_eigenbasis(monkeypatch):
+    a = np.array([[0.8, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.0]])
+    spy = CallSpy(monkeypatch)
+    code, _ = run_graph_recover(a)
+    assert code == 0
+    assert spy.eigenbases == [(3, 3)]
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf", "abc"])
 def test_tol_rank_outside_unit_interval_exits_2(tmp_path, capsys, value):
     # the plane of x2 and y1 is not a graph; --tol-rank -1 or nan used to
@@ -638,6 +725,48 @@ def test_random_pair_refuses_a_negative_seed(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def range_flag_argv(command, flag, value, pair, block, out):
+    """The command with the flag at value, its inputs and outputs in out."""
+    if command == "random-pair":
+        opts = {"--dim-half": "1", "--seed": "0", flag: value}
+        return ["random-pair", *(x for item in opts.items() for x in item),
+                "--out-prefix", str(out / "pair")]
+    if command == "spectral-curve":
+        return ["spectral-curve", block, "--out", str(out / "curve.csv"), flag, value]
+    if command == "multiplicity":
+        return ["multiplicity", *pair, "--alternates", "--out", str(out / "m.json"), flag, value]
+    return [command, *pair, "--out-prefix", str(out / "run"), flag, value]
+
+
+@pytest.mark.parametrize("command, flag, minimum", [
+    ("sample", "--grid", 5),
+    ("sample", "--k", 1),
+    ("spectral-curve", "--grid", 1),
+    ("multiplicity", "--limit", 1),
+    ("random-pair", "--dim-half", 1),
+    ("random-pair", "--seed", 0),
+])
+def test_a_range_flag_is_checked_at_parse_time(tmp_path, capsys, command, flag, minimum):
+    out = tmp_path / "out"
+    out.mkdir()
+    pair = [line_file(tmp_path, 0.0, "a.json"), line_file(tmp_path, 0.6, "b.json")]
+    block = write_problem(tmp_path / "y.json", {"matrix": [[0.3, 0.0], [0.0, -0.2]]})
+    argv = range_flag_argv(command, flag, str(minimum), pair, block, out)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for path in out.iterdir():
+        path.unlink()
+    # one below the minimum is refused before any input is read: the input
+    # paths do not exist, and the message is argparse's, not "cannot read"
+    missing = str(tmp_path / "missing.json")
+    argv = range_flag_argv(command, flag, str(minimum - 1), [missing, missing], missing, out)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: must be an integer >= {minimum}" in captured.err
+    assert captured.out == ""
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("dim", ["4.9", "1e400", '"4"', "true"])
 def test_dim_must_be_a_json_integer(tmp_path, capsys, dim):
     # int() used to truncate 4.9, accept "4" and true, and overflow on 1e400
@@ -685,12 +814,15 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
-def run_on_pair(pair, commands, *flags):
-    """(exit code, stdout, stderr) of each command on a pair of symmetries."""
+def run_on_pair(pair, commands, *flags, structure=None):
+    """(exit code, stdout, stderr) of each command on a pair of symmetries,
+    with the structure's J in both documents when one is given."""
     results = []
+    doc = {} if structure is None else {"J": structure.matrix.tolist()}
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_problem(Path(tmp) / f"{i}.json",
-                               {"dim": e.ambient_dim, "subspace": {"symmetry": e.matrix.tolist()}})
+                               {"dim": e.ambient_dim, **doc,
+                                "subspace": {"symmetry": e.matrix.tolist()}})
                  for i, e in enumerate(pair)]
         for command in commands:
             out, err = io.StringIO(), io.StringIO()

@@ -299,6 +299,24 @@ def test_sample_and_evaluate_refuse_a_non_finite_time(bad):
         evaluate(Geodesic(gen), bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_sample_refuses_a_time_whose_phases_overflow(t):
+    # 2 t overflows to inf: the nodes used to come back NaN
+    gen, _ = _curve_case()
+    with pytest.raises(InvariantViolation, match="symmetry: entries must be finite"):
+        sample(Geodesic(gen), [0.0, t])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sampled_lengths_refuses_non_finite_samples(bad):
+    # a NaN stack used to measure 0.0, an inf stack 0.0 and NaN
+    stack = np.full((5, 2, 2), bad + 0j)
+    with pytest.raises(InvariantViolation, match="sampled length: samples must be finite"):
+        sampled_lengths(stack, 0.1, [2, math.inf])
+
+
 @NONFINITE
 def test_perturbed_curve_refuses_a_non_finite_amplitude_or_time(bad):
     gen, w = _curve_case()

@@ -482,6 +482,33 @@ def test_cli_graph_recover_checks_each_operator_once(tmp_path, capsys, monkeypat
     assert spy.symmetric_checks(b) == ["recovered graph operator"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_huge_finite_operator_has_the_vertical_as_its_graph():
+    # its spectral decomposition used to overflow into NaN matrices
+    huge = 1e308 * np.eye(2)
+    vertical = vertical_symmetry(2).matrix
+    assert max_abs(graph_symmetry(huge).matrix - vertical) <= 1e-15
+    assert max_abs(cayley_transform(huge).matrix - np.eye(2)) <= 1e-15
+    assert max_abs(graph_basis(huge) - np.eye(4)[:, 2:]) <= 1e-15
+    assert abs(gap_distance(huge, np.eye(2)) - math.sqrt(0.5)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("operator, code", [(1e308 * np.eye(2), 0), (1e308 * np.ones((2, 2)), 4)],
+                         ids=["diagonal", "overflowing-eigenvalue"])
+def test_cli_validate_on_a_huge_graph_operator(tmp_path, capsys, operator, code):
+    # both used to exit 3 with "symmetry: entries must be finite"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"dim": 4, "subspace": {"graph_of": operator.tolist()}}))
+    assert main(["validate", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == ("solver error: graph operator: an eigenvalue overflows "
+                                "the float range\n")
+    else:
+        assert json.loads(captured.out)["lagrangian"] is True
+
+
 NON_SYMMETRIC = [[1.0, 2.0], [2.5, 3.0]]
 NON_SYMMETRIC_MESSAGE = "graph operator: not symmetric (deviation 5.000e-01 > tolerance 6.000e-10)"
 

@@ -63,6 +63,34 @@ def test_spectral_decompose_reads_the_symmetric_part():
     assert max_abs(vec @ np.diag(lam) @ vec.T - sym) <= 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectral_decompose_of_a_huge_finite_operator():
+    # (a + a^T) / 2 used to overflow to inf and give NaN eigenvalues, and a
+    # NaN reassembly residual passed the check
+    dec = spectral_decompose(1e308 * np.eye(2))
+    assert np.array_equal(dec.eigenvalues, [1e308, 1e308])
+    assert np.array_equal(dec.eigenvectors, np.eye(2))
+    with pytest.raises(ComputationError, match="an eigenvalue overflows the float range"):
+        spectral_decompose(1e308 * np.ones((2, 2)))
+    # finite eigenvalues within rounding of the float range whose reassembly
+    # overflows: the residual is inf
+    rng = np.random.default_rng(15)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    lam = np.finfo(float).max * (1.0 - rng.uniform(0.0, 4e-16, 4))
+    with np.errstate(over="ignore"):
+        a = (q * lam) @ q.T
+    assert np.isfinite(a).all()
+    with pytest.raises(ComputationError, match="eigen-reassembly residual inf"):
+        spectral_decompose(a)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2, 7, math.inf])
+def test_schatten_norm_of_an_overflowing_operator_is_inf(k):
+    # the top singular value overflows: rescaling by it used to give inf / inf
+    assert schatten_norm(1e308 * np.ones((3, 3)), k) == math.inf
+
+
 def test_apply_function_matches_direct_evaluation():
     rng = np.random.default_rng(SEED)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))

@@ -217,8 +217,8 @@ def test_an_asymmetry_past_the_bound_is_refused(n, which, rotated):
 
 @pytest.mark.parametrize("t", [1e308, -1e308])
 def test_a_non_finite_node_is_refused_as_by_the_check(t):
-    # 2 t overflows to inf, so the node is NaN even on a certified generator;
-    # numpy's warnings are silenced to reach the check
+    # 2 t overflows to inf, so the node would be NaN even on a certified
+    # generator; every route refuses it with the check's message
     rng = np.random.default_rng(SEED + 1)
     gen = generators("connect", 3, False, rng)[0]
     assert _node_certificate(gen).holds
