@@ -13,7 +13,6 @@ from .complex_structure import (
     ComplexStructure,
     anticommutes_with_structure,
     commutes_with_structure,
-    complex_inner_product,
     complexify,
     conjugation_matrix,
     is_complex_unitary,

@@ -116,13 +116,6 @@ def symplectic_form(structure: ComplexStructure, xi, eta) -> float:
     return float((structure.matrix @ x) @ y)
 
 
-def complex_inner_product(structure: ComplexStructure, xi, eta) -> complex:
-    """<xi, eta>_J = <xi, eta> - i w(xi, eta), complex-linear in xi under J."""
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    y = np.asarray(eta, dtype=float).reshape(-1)
-    return complex(float(x @ y), -symplectic_form(structure, x, y))
-
-
 def commutes_with_structure(a, structure: ComplexStructure) -> bool:
     """True iff a J = J a within SYM_RTOL * dim * max|a| (complex-linear operators)."""
     return _structure_verdict(a, structure, "commutes_with_structure", "commutes")
@@ -177,7 +170,10 @@ def realify(m, structure: ComplexStructure) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (structure.n, structure.n):
         raise InvariantViolation("realify: dimension mismatch")
-    std = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    n = structure.n
+    std = np.empty((2 * n, 2 * n))
+    std[:n, :n] = std[n:, n:] = m.real
+    std[:n, n:], std[n:, :n] = -m.imag, m.imag
     if structure.is_standard():
         return std
     r = structure.to_standard
@@ -250,13 +246,14 @@ def _real_eigenbasis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = c.real, c.imag
     lam, o = np.linalg.eigh(a + _GAMMA * b)
     toward = complex(1.0, -_GAMMA) / math.hypot(1.0, _GAMMA)
-    for block in np.split(np.arange(n), np.flatnonzero(np.diff(lam) >= _CLUSTER_GAP) + 1):
-        if block.size > 1:
-            q = o[:, block]
-            d = math.copysign(1.0, lam[block].mean()) * toward * (q.T @ c @ q)
-            eye = np.eye(block.size)
-            t = (1j * np.linalg.solve(eye + d, eye - d)).real
-            o[:, block] = q @ np.linalg.eigh((t + t.T) / 2.0)[1]
+    # a run of gaps below _CLUSTER_GAP is a cluster, lam[first:last + 1]
+    close = np.concatenate(([False], np.diff(lam) < _CLUSTER_GAP, [False]))
+    for first, last in np.flatnonzero(close[1:] != close[:-1]).reshape(-1, 2):
+        q = o[:, first:last + 1]
+        d = math.copysign(1.0, lam[first:last + 1].mean()) * toward * (q.T @ c @ q)
+        eye = np.eye(q.shape[1])
+        t = (1j * np.linalg.solve(eye + d, eye - d)).real
+        o[:, first:last + 1] = q @ np.linalg.eigh((t + t.T) / 2.0)[1]
     phi = np.arctan2(np.einsum("ij,ij->j", o, b @ o), np.einsum("ij,ij->j", o, a @ o))
     phi[phi == -math.pi] = math.pi
     resid = max(max_abs((o * np.cos(phi)) @ o.T - a), max_abs((o * np.sin(phi)) @ o.T - b))

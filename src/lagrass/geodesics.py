@@ -214,8 +214,9 @@ def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
 
 def evaluate(geo: Geodesic, t: float) -> Symmetry:
     """The symmetry at parameter t: e^{2tz} eps0, the real form of one node of
-    `sample`. It is eps0 plus the realified step C_t - C0, so t = 0 returns
-    eps0 itself.
+    `sample`. It is eps0 plus the realified step
+    C_t - C0 = U (e^{2it theta} - 1) U^T, formed directly as one n x n product
+    behind the guard `sample` uses, so t = 0 returns eps0 itself.
 
     While the generator's node certificate holds (`_node_certificate`, for
     the standard J only: the record's defects keep every node's asymmetry and
@@ -224,7 +225,9 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
     `Symmetry` constructor checks it and raises as it would on any matrix.
     """
     gen = geo.generator
-    step = _geodesic_steps(gen, [float(t)])[0]
+    t = float(t)
+    _require_finite_phases(abs(t), gen.norm)
+    step = (gen.u * (np.exp(1j * (2.0 * t * gen.theta)) - 1.0)) @ gen.u.T
     node = gen.base.matrix + realify_conjugation(step, gen.structure)
     if gen._nodes.holds and np.isfinite(node).all():
         return Symmetry._certified(node)
@@ -251,22 +254,21 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
 
 
 def _geodesic_steps(gen: GeodesicGenerator, ts) -> np.ndarray:
-    """C_t - C0 along the geodesic of gen, one n x n step per node.
-
-    A grid time t whose 2t or phases (2t) theta overflow would give a node
-    with non-finite entries; it is refused before any node is formed, with
-    the message the `Symmetry` check gives such a node, so `sample`,
-    `evaluate` and the chart grid refuse it alike and without a numpy
-    warning. The largest phase is (2 max|t|) ||z||, rounded as the phases
-    are, so it is finite exactly when every phase is.
-    """
+    """C_t - C0 along the geodesic of gen, one n x n step per node."""
     t = np.asarray(ts, dtype=float).reshape(-1)
-    reach = float(np.abs(t).max(initial=0.0))
+    _require_finite_phases(float(np.abs(t).max(initial=0.0)), gen.norm)
+    return _curve_steps(2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
+
+
+def _require_finite_phases(reach: float, norm: float) -> None:
+    """Refuse, before any node is formed and with the message the `Symmetry`
+    check gives a non-finite node, grid times up to reach = max|t| whose
+    phases, at most (2 reach) norm, overflow. With norm = ||z|| that bound is
+    the largest phase of a geodesic, rounded as the phases are."""
     if not reach < math.inf:
         raise InvariantViolation("sample: grid times must be finite")
-    if not 2.0 * reach * gen.norm < math.inf:
+    if not 2.0 * reach * norm < math.inf:
         raise InvariantViolation("symmetry: entries must be finite")
-    return _curve_steps(2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,11 @@ def _graph_eps(a, name: str = "graph operator") -> np.ndarray:
     """The symmetry matrix [[Re C, Im C], [Im C, -Re C]] of graph(a), the lower
     block taken as 0 - Re C so that a zero keeps its + sign."""
     c = _graph_conjugation(a, name)[0]
-    return np.block([[c.real, c.imag], [c.imag, 0.0 - c.real]])
+    n = c.shape[0]
+    eps = np.empty((2 * n, 2 * n))
+    eps[:n, :n], eps[n:, n:] = c.real, 0.0 - c.real
+    eps[:n, n:] = eps[n:, :n] = c.imag
+    return eps
 
 
 def graph_basis(a) -> np.ndarray:

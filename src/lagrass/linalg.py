@@ -42,10 +42,16 @@ def _check(arr: np.ndarray, name: str, checks=(), where: str = " at matrix {} of
     if not arr.size:                    # no entries: every identity holds
         return True if verdict else arr
     scale = _amax(arr)
-    if not np.isfinite(scale).all():
+    top = float(scale.max())
+    if not top < math.inf:
         raise InvariantViolation(f"{name}: entries must be finite")
     for identity, rtol, floor, message in checks:
-        dev = _amax(_deviation(identity, arr))
+        if top < 2.0**500:  # no sum of n < 2^24 products of two entries overflows
+            dev = _amax(_deviation(identity, arr))
+        else:               # a residual may overflow: it reads as inf, with no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = _amax(_deviation(identity, arr))
+            dev = np.where(np.isnan(dev), math.inf, dev)
         tol = rtol if floor is None else rtol * (np.maximum(scale, floor) if floor else scale)
         bad = dev > tol
         if np.count_nonzero(bad):
@@ -153,7 +159,8 @@ class SpectralDecomposition:
         vec = require_orthonormal_columns(self.eigenvectors, "eigenvectors", rtol=1e-12)
         if lam.ndim != 1 or vec.shape != (vec.shape[0], lam.shape[0]):
             raise InvariantViolation("spectral decomposition: inconsistent shapes")
-        if np.count_nonzero(np.diff(lam) < -1e-12 * max(1.0, max_abs(lam))):
+        # halves: their differences cannot overflow, and halving is exact
+        if np.count_nonzero(np.diff(0.5 * lam) < -0.5e-12 * max(1.0, max_abs(lam))):
             raise InvariantViolation("spectral decomposition: eigenvalues not ascending")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)

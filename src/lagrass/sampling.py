@@ -20,8 +20,8 @@ from .complex_structure import (
     realify_conjugation,
 )
 from .errors import InvariantViolation
-from .geodesics import GeodesicGenerator, _curve_steps, _stack_times
-from .linalg import expm_antisymmetric, require_antisymmetric, schatten_norm
+from .geodesics import GeodesicGenerator, _curve_steps, _require_finite_phases, _stack_times
+from .linalg import expm_antisymmetric, max_abs, require_antisymmetric, schatten_norm
 from .subspaces import Symmetry
 
 
@@ -122,17 +122,22 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
 
     w must be an antisymmetric 2n x 2n matrix commuting with J, so every
     node stays Lagrangian, and amplitude and ts finite (InvariantViolation
-    otherwise). With
+    otherwise), and a grid is refused as in `sample` where a bound on the
+    exponents, 2 max|t| (pi + |amplitude| 2n max|w|), overflows. With
     w = iH_w and z = iH_z, H_z = U diag(theta) U^H read off the generator's
     record, one stacked n x n Hermitian eigh of 2t(H_z + rho(t) H_w) gives
     all nodes through the complexified kernel that `sample` uses.
     """
     structure = gen.structure
-    h_w = -1j * complexify(require_antisymmetric(w, "perturbation"), structure)
+    w = require_antisymmetric(w, "perturbation")
+    h_w = -1j * complexify(w, structure)
     h_z = (gen.u * gen.theta) @ gen.u.conj().T
     t = np.asarray(ts, dtype=float).reshape(-1)
     if not (math.isfinite(amplitude) and np.isfinite(t).all()):
         raise InvariantViolation("perturbed curve: amplitude and grid times must be finite")
+    # ||H_z|| <= pi/2 and ||H_w|| = ||w|| <= 2n max|w|; the pi also keeps pi t finite
+    _require_finite_phases(float(np.abs(t).max(initial=0.0)),
+                           math.pi + abs(amplitude) * max_abs(w) * w.shape[0])
     rho = amplitude * np.sin(math.pi * t)
     mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
     c0 = _complex_block(gen.base.matrix, structure)

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 
-from lagrass.complex_structure import ComplexStructure, _real_eigenbasis, standard_form
-from lagrass.errors import InvariantViolation
+from lagrass.complex_structure import (
+    _CLUSTER_GAP,
+    _GAMMA,
+    ComplexStructure,
+    _real_eigenbasis,
+    standard_form,
+    symplectic_form,
+)
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import connect
-from lagrass.graphs import _identity_graph
+from lagrass.graphs import _graph_conjugation, _identity_graph
 from lagrass.linalg import (
     _principal_angles,
     apply_function,
@@ -26,7 +33,7 @@ from lagrass.subspaces import (
     subspace_from_symmetry,
     vertical_symmetry,
 )
-from lagrass.tolerances import ANGLE_TOL
+from lagrass.tolerances import ANGLE_TOL, RECON_RTOL
 
 
 def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
@@ -227,3 +234,55 @@ def random_lagrangian_by_blocks(structure: ComplexStructure, rng,
     r = structure.to_standard
     e = r @ vertical_symmetry(structure.n).matrix @ r.T
     return Symmetry(g @ e @ g.T)
+
+
+def complex_inner_product(structure: ComplexStructure, xi, eta) -> complex:
+    """<xi, eta>_J = <xi, eta> - i w(xi, eta), complex-linear in xi under J."""
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    y = np.asarray(eta, dtype=float).reshape(-1)
+    return complex(float(x @ y), -symplectic_form(structure, x, y))
+
+
+def realify_by_blocks(m, structure: ComplexStructure) -> np.ndarray:
+    """The real 2n x 2n operator of the complex n x n matrix m assembled by
+    np.block, [[Re m, -Im m], [Im m, Re m]] conjugated through `to_standard`.
+    `realify` fills the same blocks by slice assignment."""
+    m = np.asarray(m, dtype=complex)
+    std = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    if structure.is_standard():
+        return std
+    r = structure.to_standard
+    return r @ std @ r.T
+
+
+def graph_eps_by_blocks(a) -> np.ndarray:
+    """The graph symmetry [[Re C, Im C], [Im C, 0 - Re C]] of a assembled by
+    np.block; `graphs._graph_eps` fills the same blocks by slice assignment."""
+    c = _graph_conjugation(a)[0]
+    return np.block([[c.real, c.imag], [c.imag, 0.0 - c.real]])
+
+
+def real_eigenbasis_by_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_real_eigenbasis` with its cluster loop over np.split of every
+    eigenvalue index, singletons included; the library visits only the
+    clusters. The two return the same (O, phi) bitwise."""
+    n = c.shape[0]
+    c = (c + c.T) / 2.0
+    c = c @ (3.0 * np.eye(n) - c.conj().T @ c) / 2.0
+    c = (c + c.T) / 2.0
+    a, b = c.real, c.imag
+    lam, o = np.linalg.eigh(a + _GAMMA * b)
+    toward = complex(1.0, -_GAMMA) / math.hypot(1.0, _GAMMA)
+    for block in np.split(np.arange(n), np.flatnonzero(np.diff(lam) >= _CLUSTER_GAP) + 1):
+        if block.size > 1:
+            q = o[:, block]
+            d = math.copysign(1.0, lam[block].mean()) * toward * (q.T @ c @ q)
+            eye = np.eye(block.size)
+            t = (1j * np.linalg.solve(eye + d, eye - d)).real
+            o[:, block] = q @ np.linalg.eigh((t + t.T) / 2.0)[1]
+    phi = np.arctan2(np.einsum("ij,ij->j", o, b @ o), np.einsum("ij,ij->j", o, a @ o))
+    phi[phi == -math.pi] = math.pi
+    resid = max(max_abs((o * np.cos(phi)) @ o.T - a), max_abs((o * np.sin(phi)) @ o.T - b))
+    if resid > RECON_RTOL * max(n, 1):
+        raise ComputationError(f"reassembly residual {resid:.3e}")
+    return o, phi

@@ -17,7 +17,6 @@ from lagrass.complex_structure import (
     _real_eigenbasis,
     anticommutes_with_structure,
     commutes_with_structure,
-    complex_inner_product,
     complexify,
     conjugation_matrix,
     is_complex_unitary,
@@ -29,6 +28,7 @@ from lagrass.complex_structure import (
 from lagrass.errors import InvariantViolation
 from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.tolerances import RECON_RTOL
+from reference_formulas import complex_inner_product
 
 SEED = 424242
 
