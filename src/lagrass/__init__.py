@@ -19,7 +19,6 @@ from .complex_structure import (
     realify,
     realify_conjugation,
     standard_form,
-    symplectic_form,
 )
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import (
@@ -27,7 +26,6 @@ from .geodesics import (
     GeodesicGenerator,
     Multiplicity,
     MultiplicityReport,
-    alternate_generator,
     alternate_generators,
     classify_multiplicity,
     connect,

@@ -24,6 +24,7 @@ from .complex_structure import (
     ComplexStructure,
     _complex_block,
     _real_eigenbasis,
+    _wrap_phase,
     realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
@@ -338,12 +339,9 @@ def _cmd_graph_recover(args) -> int:
     # C is -I and the identity graph's is iI, so the minimal geodesic from the
     # vertical (the identity graph) to eps has the chart block x (y) = -H,
     # |H| <= pi/2, with e^{2iH} = -C (-iC): H = O diag(psi / 2) O^T for the
-    # phases psi = phi + pi (phi - pi/2), wrapped into (-pi, pi] with -pi
-    # taken as pi, as _real_eigenbasis wraps phi
+    # phases psi = phi + pi (phi - pi/2), wrapped into (-pi, pi] as phi is
     o, phi = _real_eigenbasis(_complex_block(eps.matrix, structure))
-    psi = phi + np.array([[math.pi], [-math.pi / 2.0]])
-    psi = np.where(psi > math.pi, psi - 2.0 * math.pi, psi)
-    psi = np.where(psi <= -math.pi, psi + 2.0 * math.pi, psi)
+    psi = _wrap_phase(phi + np.array([[math.pi], [-math.pi / 2.0]]))
     cos_x, cos_y = (o * np.cos(psi / 2.0)[:, None, :]) @ o.T
     sin_x, sin_y = -(o * np.sin(psi / 2.0)[:, None, :]) @ o.T
     # vertical-chart closed form b sin(x) = cos(x)

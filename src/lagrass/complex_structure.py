@@ -107,15 +107,6 @@ def _standardizing_basis(j: np.ndarray) -> np.ndarray:
     return r
 
 
-def symplectic_form(structure: ComplexStructure, xi, eta) -> float:
-    """w(xi, eta) = <J xi, eta>. Antisymmetric and J-invariant."""
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    y = np.asarray(eta, dtype=float).reshape(-1)
-    if x.shape[0] != structure.dim or y.shape[0] != structure.dim:
-        raise InvariantViolation("symplectic form: vector dimension mismatch")
-    return float((structure.matrix @ x) @ y)
-
-
 def commutes_with_structure(a, structure: ComplexStructure) -> bool:
     """True iff a J = J a within SYM_RTOL * dim * max|a| (complex-linear operators)."""
     return _structure_verdict(a, structure, "commutes_with_structure", "commutes")
@@ -216,6 +207,12 @@ def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarra
     return out
 
 
+def _wrap_phase(phi: np.ndarray) -> np.ndarray:
+    """phi moved by one turn into (-pi, pi]; -pi + 2 pi is pi exactly in floats."""
+    phi = np.where(phi > math.pi, phi - 2.0 * math.pi, phi)
+    return np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
+
+
 # Re C + _GAMMA Im C separates the phases of a symmetric unitary C (an
 # irrational weight: no structured input ties two phases in it), except
 # within clusters of its eigenvalues narrower than _CLUSTER_GAP
@@ -255,7 +252,7 @@ def _real_eigenbasis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = (1j * np.linalg.solve(eye + d, eye - d)).real
         o[:, first:last + 1] = q @ np.linalg.eigh((t + t.T) / 2.0)[1]
     phi = np.arctan2(np.einsum("ij,ij->j", o, b @ o), np.einsum("ij,ij->j", o, a @ o))
-    phi[phi == -math.pi] = math.pi
+    phi = _wrap_phase(phi)
     resid = max(max_abs((o * np.cos(phi)) @ o.T - a), max_abs((o * np.sin(phi)) @ o.T - b))
     if resid > RECON_RTOL * max(n, 1):
         raise ComputationError(f"symmetric unitary eigenbasis: reassembly residual "

@@ -14,8 +14,8 @@ class ComputationError(RuntimeError):
     """A solver step failed on valid-looking input.
 
     Examples: principal logarithm requested at an eigenvalue -1, a geodesic
-    endpoint residual beyond tolerance, an unexpected pi-rotation plane in a
-    block that the angle bucketing declared generic.
+    endpoint residual beyond tolerance, a five-way decomposition whose blocks
+    do not fill the ambient space.
     """
 
 

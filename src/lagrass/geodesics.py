@@ -141,6 +141,7 @@ def _real_form(c: np.ndarray) -> np.ndarray:
 class _NodeCertificate(NamedTuple):
     holds: bool     # every node with finite entries passes the Symmetry check
     eta: float      # ||U^H U - I||_F, the record's unitarity defect (NaN off the standard J)
+    slack: float    # s = 16 (n + 2)^2 eps, its bounds' and the chart grid's rounding slack
 
 
 def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
@@ -162,8 +163,8 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
         eta (2 + eta) + 2 (1 + eta) rho + rho^2.
     C_t = C0 + the same step is R(P) - R(U U^T - C0), and
     ||U U^T - C0||_F <= rho, so the bounds cover it too. Each bound adds the
-    slack s = 16 (n + 2)^2 eps of `_chart_grid` for the rounding of the node
-    and of the measured defects. The check holds the asymmetry to
+    slack s for the rounding of the node and of the measured defects, and
+    `_chart_grid` reads it from here. The check holds the asymmetry to
     SYM_RTOL m max|eps_t| and eps_t^2 - I to SYM_RTOL m max(max|eps_t|, 1),
     m = 2n. A column of eps_t has squared norm at least 1 - D,
     D = inv + sigma (sigma + sqrt(1 + inv)) with sigma = m sym bounding
@@ -173,7 +174,7 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     """
     structure, u, e = gen.structure, gen.u, gen.base.matrix
     if not structure.is_standard():
-        return _NodeCertificate(False, math.nan)
+        return _NodeCertificate(False, math.nan, math.nan)
     n = structure.n
     m = max(2 * n, 1)
     eps = np.finfo(float).eps
@@ -187,7 +188,7 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     defect = inv + sigma * (sigma + math.sqrt(1.0 + inv)) + eps
     holds = (defect < 1.0 and sym <= SYM_RTOL * math.sqrt(m) * (1.0 - defect)
              and inv <= SYM_RTOL * m)
-    return _NodeCertificate(bool(holds), eta)
+    return _NodeCertificate(bool(holds), eta, slack)
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,6 @@ class Geodesic:
     """The curve t -> e^{2tz} eps0 determined by a generator."""
 
     generator: GeodesicGenerator
-
-    @property
-    def base(self) -> Symmetry:
-        return self.generator.base
 
 
 def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
@@ -363,11 +360,15 @@ def length(geo: Geodesic, k=math.inf, t0: float = 0.0, t1: float = 1.0) -> float
 
     The speed ||2z||_k is constant along the curve, so the closed form is
     |t1 - t0| * ||2z||_k; the singular values of 2z are |2 theta_j|, each twice.
+    A width beyond the float range is read off the halved times (halving is
+    exact), so the length is inf only where it overflows itself.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvariantViolation("length: t0 and t1 must be finite")
     values = np.repeat(2.0 * np.abs(geo.generator.theta), 2)[None, :]
-    return abs(float(t1) - float(t0)) * float(_speed_norms(values, k)[0])
+    t0, t1 = float(t0), float(t1)
+    scale = 1.0 if abs(t1 - t0) < math.inf else 0.5
+    return abs(scale * t1 - scale * t0) * float(_speed_norms(values, k)[0]) / scale
 
 
 # five-point one-sided first-derivative stencils (times 12 h) at the first two
@@ -376,20 +377,9 @@ _EDGE_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
                            [-3.0, -10.0, 18.0, -6.0, 1.0]])
 
 
-def _node_speeds(samples, dt: float, ks) -> dict:
-    """Per-node Schatten k-speeds ||eps'_t||_k of a sampled curve, one array
-    per k; the kernel of `sampled_lengths`, which states the contract."""
-    stack = np.asarray(samples)
-    if stack.dtype.kind != "c":
-        raise InvariantViolation(
-            "sampled length: need the complex stack of conjugation matrices C_t "
-            "(conjugation_matrix of each real symmetry), got a real stack")
-    if stack.ndim != 3 or stack.shape[0] < 5 or stack.shape[1] != stack.shape[2]:
-        raise InvariantViolation("sampled length: need a stack of at least 5 square matrices")
-    if not 0.0 < dt < math.inf:
-        raise InvariantViolation("sampled length: dt must be positive and finite")
-    if not np.isfinite(stack).all():
-        raise InvariantViolation("sampled length: samples must be finite")
+def _node_speeds(stack: np.ndarray, dt: float, ks) -> dict:
+    """Per-node Schatten k-speeds ||eps'_t||_k of a finite complex stack, one
+    array per k; the kernel of `sampled_lengths`, which states the contract."""
     deriv = np.empty_like(stack)
     deriv[2:-2] = stack[:-4] - stack[4:] + 8.0 * (stack[3:-1] - stack[1:-3])
     deriv[:2] = np.tensordot(_EDGE_STENCILS, stack[:5], axes=1)
@@ -423,7 +413,8 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     and `perturbed_curve` return (or a sequence of such n x n matrices), at
     least 5 nodes spaced dt apart. A real stack of symmetries is refused
     (InvariantViolation): convert it with `conjugation_matrix`; so is a stack
-    with an entry that is not finite. The symmetry
+    with an entry that is not finite. A length that fits in a float is finite,
+    for any dt and any scale of C. The symmetry
     eps_t is `realify_conjugation(C_t)` up to an orthogonal change of basis,
     so each singular value of C'_t is one of eps'_t counted twice and
     ||eps'_t||_k = 2^{1/k} ||C'_t||_k. C'_t is the fourth-order central
@@ -436,9 +427,28 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     times the top speed: speeds for k >= 2 are good to about 1e-12 of the top
     speed, k = 1 speeds only to about 1e-7 of it.
     """
-    speeds = _node_speeds(samples, dt, ks)
-    weights = dt * _simpson_weights(len(samples))
-    return {k: float(s @ weights) for k, s in speeds.items()}
+    stack = np.asarray(samples)
+    if stack.dtype.kind != "c":
+        raise InvariantViolation(
+            "sampled length: need the complex stack of conjugation matrices C_t "
+            "(conjugation_matrix of each real symmetry), got a real stack")
+    if stack.ndim != 3 or stack.shape[0] < 5 or stack.shape[1] != stack.shape[2]:
+        raise InvariantViolation("sampled length: need a stack of at least 5 square matrices")
+    if not 0.0 < dt < math.inf:
+        raise InvariantViolation("sampled length: dt must be positive and finite")
+    # max|entry| over the real and imaginary parts: NaN or inf exactly when an entry is
+    top = float(np.abs(np.ascontiguousarray(stack).view(stack.real.dtype)).max(initial=0.0))
+    if not top < math.inf:
+        raise InvariantViolation("sampled length: samples must be finite")
+    unit, dt = 1.0, float(dt)
+    # C'_t has entries up to 128 top / (12 dt): off these bounds C'^H C' may under- or
+    # overflow, or a length overflow, so C / unit is measured at dt = 1 instead
+    if not all(2.0**-400 < v < 2.0**400 for v in (top, dt, top / dt)):
+        unit = 2.0 ** min(max(math.frexp(top)[1], -1000), 1000)
+        stack, dt = stack / unit, 1.0
+    speeds = _node_speeds(stack, dt, ks)
+    weights = dt * _simpson_weights(len(stack))
+    return {k: float(s @ weights) * unit for k, s in speeds.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -482,50 +492,23 @@ def classify_multiplicity(gen: GeodesicGenerator) -> MultiplicityReport:
     return MultiplicityReport(cls, d, math.pi / 2.0 - gen.norm)
 
 
-def alternate_generator(gen: GeodesicGenerator, signs) -> GeodesicGenerator:
-    """Flip the sign of z on the selected pi-rotation planes.
-
-    signs has one entry of +-1 per plane (ordered as in the multiplicity
-    report); -1 flips. The endpoint e^{2z} eps0 and every Schatten norm of z
-    are unchanged. Requires ||z|| = pi/2 within tolerance (otherwise there is
-    no plane to flip).
-    """
-    planes = _pi_planes(gen)
-    d = planes.size
-    if d == 0:
-        raise InvariantViolation(
-            "alternate generator: operator norm below pi/2, no pi-rotation plane"
-        )
-    sign_arr = np.asarray(signs, dtype=float).reshape(-1)
-    if sign_arr.shape[0] != d or not np.all(np.isin(sign_arr, (-1.0, 1.0))):
-        raise InvariantViolation(
-            f"alternate generator: need {d} signs of +-1, got {signs!r}"
-        )
-    return _flipped(gen, planes, sign_arr)
-
-
-def _flipped(gen: GeodesicGenerator, planes: np.ndarray, signs) -> GeodesicGenerator:
-    """The generator with z negated on the planes whose sign is -1."""
-    flip = planes[np.asarray(signs) < 0]
-    if flip.size == 0:
-        return gen
-    theta = gen.theta.copy()
-    theta[flip] -= math.pi * np.sign(theta[flip])
-    return GeodesicGenerator._from_record(gen.base, gen.structure, gen.u, theta)
-
-
 def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[GeodesicGenerator]:
     """All sign-pattern alternates, at most `limit` (>= 1) of the 2^d patterns.
 
-    With d = 0 the geodesic is unique and the list is just [gen]. The
-    pi-rotation planes are found once and shared by every pattern.
+    A pattern's -1 flips z on its pi-rotation plane, theta -> theta - pi
+    sign(theta), keeping the endpoint e^{2z} eps0 and every Schatten norm of
+    z. The all-plus pattern is gen itself, so with d = 0 the list is [gen].
+    The planes are found once and shared by every pattern.
     """
     if not isinstance(limit, (int, np.integer)) or limit < 1:
         raise InvariantViolation(
             f"alternate generators: limit must be an integer >= 1, got {limit!r}")
     planes = _pi_planes(gen)
-    d = planes.size
-    if d == 0:
-        return [gen]
-    patterns = itertools.islice(itertools.product((1, -1), repeat=d), limit)
-    return [_flipped(gen, planes, pattern) for pattern in patterns]
+    alternates = []
+    for pattern in itertools.islice(itertools.product((1, -1), repeat=planes.size), limit):
+        flip = planes[np.less(pattern, 0)]
+        theta = gen.theta.copy()
+        theta[flip] -= math.pi * np.sign(theta[flip])
+        alternates.append(GeodesicGenerator._from_record(gen.base, gen.structure, gen.u, theta)
+                          if flip.size else gen)
+    return alternates

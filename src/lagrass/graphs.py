@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, conjugation_matrix, is_complex_unitary
+from .complex_structure import (
+    ComplexStructure,
+    _wrap_phase,
+    conjugation_matrix,
+    is_complex_unitary,
+)
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, _stack_times, sample
 from .linalg import _as_2d, max_abs, require_square, require_symmetric, spectral_decompose
@@ -300,7 +305,7 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     defect the certificate measured), Weyl's bound and ||U||^2 <= 1 + eta
     give sigma_min(I + C_t) / 2 >= (delta - r - s) / (2 (1 + eta)), and so
     does the top-row margin: T = [Re M, Im M] has T T^T = Re(M M^H), so
-    sigma_min(T) >= sigma_min(M) for any complex M. The slack
+    sigma_min(T) >= sigma_min(M) for any complex M. The certificate's slack
     s = 16 (n + 2)^2 eps covers the rounding of B_t and of U^H U (about
     9 n (n + 2) eps, as ||I + C_t|| <= 2) and the SVD's own error (a few
     n eps). Every node the bound does not clear, NaN bounds included, gets
@@ -315,7 +320,7 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     if not (certificate.holds and np.isfinite(c).all()):
         _require_conjugation_symmetries(c)
     n = c.shape[-1]
-    slack = 16.0 * (n + 2) ** 2 * np.finfo(float).eps
+    slack = certificate.slack
     u_bar = gen.u.conj()
     # B_t^T = (A conj(U))^T conj(U) for A = I + C_t: same diagonal and singular values
     b = _stack_times(np.swapaxes(_stack_times(np.eye(n) + c, u_bar), -1, -2), u_bar)
@@ -430,10 +435,6 @@ class CayleyTransform:
 
     matrix: np.ndarray
     eigenphases: np.ndarray
-
-
-def _wrap_phase(phi: np.ndarray) -> np.ndarray:
-    return np.where(phi > -math.pi, phi, phi + 2.0 * math.pi)
 
 
 def cayley_transform(a) -> CayleyTransform:

@@ -165,10 +165,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
-
 
 def spectral_decompose(a, name: str = "operator") -> SpectralDecomposition:
     """Eigendecomposition of the symmetric part a / 2 + a^T / 2 of a matrix
@@ -403,9 +399,9 @@ def _speed_norms(values: np.ndarray, k) -> np.ndarray:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvariantViolation(f"Schatten order must be an integer >= 1 or inf, got {k!r}")
     # rescale by the largest singular value to avoid overflow for large k; a
-    # row whose largest value overflowed to inf has norm inf
+    # row whose largest value or whose norm overflows has norm inf
     top = values.max(axis=1, initial=0.0)
     safe = np.where(top > 0.0, top, 1.0)
-    with np.errstate(invalid="ignore"):     # inf / inf in such a row
+    with np.errstate(invalid="ignore", over="ignore"):     # inf / inf, or inf norms
         norms = safe * np.sum((values / safe[:, None]) ** k, axis=1) ** (1.0 / k)
     return np.where((top > 0.0) & (top < math.inf), norms, top)

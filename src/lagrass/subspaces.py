@@ -49,21 +49,6 @@ class Subspace:
         b = require_orthonormal_columns(self.basis, "subspace basis")
         object.__setattr__(self, "basis", _read_only(b.copy()))
 
-    @classmethod
-    def from_columns(cls, cols) -> "Subspace":
-        """Orthonormalize a spanning set (rank decided at 1e-10 of the top
-        singular value) and wrap it. Distinct from the validating constructor."""
-        arr = as_matrix(cols, "columns")
-        if arr.shape[1] == 0:
-            return cls(arr)
-        u, s, _ = np.linalg.svd(arr, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-        return cls(u[:, :rank])
-
-    @classmethod
-    def trivial(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0)))
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]

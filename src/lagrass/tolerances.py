@@ -24,7 +24,8 @@ ANGLE_TOL = 1e-8
 # below that reads them as generic
 ANGLE_TOL_FLOOR = 1e-12
 
-# smallest singular value <= RANK_RTOL * largest  -> block treated as singular
+# graph-chart cutoff, absolute: a half-dimensional subspace is a graph iff the
+# smallest singular value of its projection's top rows (in [0, 1]) exceeds it
 RANK_RTOL = 1e-8
 
 # principal log guard: rotation angle within this of pi is refused

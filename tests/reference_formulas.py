@@ -10,7 +10,6 @@ from lagrass.complex_structure import (
     ComplexStructure,
     _real_eigenbasis,
     standard_form,
-    symplectic_form,
 )
 from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import connect
@@ -234,6 +233,15 @@ def random_lagrangian_by_blocks(structure: ComplexStructure, rng,
     r = structure.to_standard
     e = r @ vertical_symmetry(structure.n).matrix @ r.T
     return Symmetry(g @ e @ g.T)
+
+
+def symplectic_form(structure: ComplexStructure, xi, eta) -> float:
+    """w(xi, eta) = <J xi, eta>. Antisymmetric and J-invariant."""
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    y = np.asarray(eta, dtype=float).reshape(-1)
+    if x.shape[0] != structure.dim or y.shape[0] != structure.dim:
+        raise InvariantViolation("symplectic form: vector dimension mismatch")
+    return float((structure.matrix @ x) @ y)
 
 
 def complex_inner_product(structure: ComplexStructure, xi, eta) -> complex:

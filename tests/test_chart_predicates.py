@@ -94,7 +94,7 @@ def test_is_graph_matches_reference_on_graphs_of_nonsymmetric_operators(n, scale
     # such a graph is half-dimensional and a graph, but not Lagrangian
     rng = np.random.default_rng([SEED + 1, n])
     b = scale * rng.standard_normal((n, n))
-    sub = Subspace.from_columns(np.vstack([np.eye(n), b]))
+    sub = Subspace(np.linalg.qr(np.vstack([np.eye(n), b]))[0])
     m = assert_matches_reference(sub)
     assert m > 0.0
 

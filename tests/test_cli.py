@@ -235,6 +235,63 @@ def test_a_malformed_j_keeps_its_message(tmp_path, capsys, j, message):
     assert f"invariant violation: {message}" in captured.err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top-level JSON object expected"),
+    ('{"subspace": {"symmetry": [[1.0]]}}', "missing key 'dim'"),
+    ('{"dim": 3, "subspace": {"symmetry": [[1.0]]}}',
+     "'dim' must be an even integer >= 2, got 3"),
+    ('{"dim": 0, "subspace": {"symmetry": [[1.0]]}}',
+     "'dim' must be an even integer >= 2, got 0"),
+    ('{"dim": 2}', "missing 'subspace' object"),
+    ('{"dim": 2, "subspace": [[1.0, 0.0], [0.0, -1.0]]}', "missing 'subspace' object"),
+    ('{"dim": 2, "subspace": {}}',
+     "'subspace' needs exactly one of basis/projection/symmetry/graph_of"),
+    ('{"dim": 2, "subspace": {"symmetry": [[1.0, 0.0], [0.0, -1.0]], "graph_of": [[0.5]]}}',
+     "'subspace' needs exactly one of basis/projection/symmetry/graph_of"),
+    ('{"dim": 2, "subspace": {"symmetry": [["a", 0.0], [0.0, -1.0]]}}',
+     "'symmetry' is not a numeric matrix: could not convert string to float: 'a'"),
+    ('{"dim": 2, "subspace": {"symmetry": [1.0, -1.0]}}', "'symmetry' must be a 2-d matrix"),
+], ids=["not-an-object", "no-dim", "odd-dim", "zero-dim", "no-subspace", "subspace-not-object",
+        "no-kind", "two-kinds", "not-numeric", "not-2d"])
+def test_a_malformed_subspace_document_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"operator": [[0.1]]}', "missing key 'matrix'"),
+    ('{"matrix": [[0.1, 0.2], [0.3]]}', "'matrix' is not a numeric matrix"),
+    ('{"matrix": [0.1, 0.2]}', "'matrix' must be a 2-d matrix"),
+    ('{"matrix": [[0.1, 0.2]]}', "'matrix' must be square"),
+], ids=["no-matrix", "ragged", "not-2d", "not-square"])
+def test_a_malformed_operator_document_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "block.json"
+    path.write_text(text)
+    code = main(["spectral-curve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}")
+
+
+def test_graph_recover_refuses_a_non_standard_j(tmp_path, capsys):
+    # a line is Lagrangian for every J on the plane, -J among them
+    path = write_problem(tmp_path / "doc.json", {
+        "dim": 2, "J": (-standard_form(1)).tolist(),
+        "subspace": {"symmetry": line_symmetry(0.3)}})
+    code = main(["graph-recover", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("invariant violation: graph-recover: requires the standard "
+                            "complex structure\n")
+
+
 # ---------------------------------------------------------------------------
 # connect, distance, decompose, multiplicity
 
@@ -481,6 +538,20 @@ def test_sample_large_k_speed_stays_finite(tmp_path, capsys):
     speeds = [float(line.split(",")[1]) for line in speed_lines[2:]]
     assert all(math.isfinite(v) for v in speeds)
     assert abs(speeds[10] - closed) < 5e-3
+
+
+def test_sample_takes_k_inf_as_text(tmp_path, capsys):
+    first = line_file(tmp_path, 0.0, "a.json")
+    second = line_file(tmp_path, 0.6, "b.json")
+    prefix = tmp_path / "run"
+    code = main(["sample", first, second, "--k", "inf", "--out-prefix", str(prefix)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert abs(json.loads(captured.out)["closed_form_speed"] - 2.0 * 0.6) < 1e-12
+    speed_lines = (tmp_path / "run_speed.csv").read_text().splitlines()
+    assert speed_lines[0].endswith(" grid=101 k=inf")
+    assert speed_lines[1] == "t,speed_inf"
 
 
 @pytest.mark.parametrize("argv, want", [

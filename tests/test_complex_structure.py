@@ -15,6 +15,7 @@ from lagrass.complex_structure import (
     _GAMMA,
     ComplexStructure,
     _real_eigenbasis,
+    _wrap_phase,
     anticommutes_with_structure,
     commutes_with_structure,
     complexify,
@@ -23,12 +24,11 @@ from lagrass.complex_structure import (
     realify,
     realify_conjugation,
     standard_form,
-    symplectic_form,
 )
 from lagrass.errors import InvariantViolation
 from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.tolerances import RECON_RTOL
-from reference_formulas import complex_inner_product
+from reference_formulas import complex_inner_product, symplectic_form
 
 SEED = 424242
 
@@ -275,7 +275,27 @@ def test_real_eigenbasis_separates_planted_phases(seed, n, offset, kind):
         assert abs(want.pop(k) - value) <= RECON_RTOL * n
 
 
+def test_wrap_phase_is_each_former_wrap_bit_for_bit():
+    # the three hand-written wraps it replaced, each on the phases it saw
+    pi = math.pi
+    ulp = math.ulp(pi)
+    arctan2_range = np.array([-pi, -pi + ulp, -1.0, 0.0, -0.0, 1.0, pi - ulp, pi])
+    former = arctan2_range.copy()
+    former[former == -pi] = pi      # _real_eigenbasis
+    assert _wrap_phase(arctan2_range).tobytes() == former.tobytes()
+    assert _wrap_phase(np.array([-pi]))[0] == pi
+    cayley_range = -pi + 2.0 * np.arctan(np.array([-1e300, -3.0, -1.0, 0.0, 1e-9, 1.0, 1e300]))
+    former = np.where(cayley_range > -pi, cayley_range, cayley_range + 2.0 * pi)  # graphs
+    assert _wrap_phase(cayley_range).tobytes() == former.tobytes()
+    shifted = arctan2_range + np.array([[pi], [-pi / 2.0]])
+    former = np.where(shifted > pi, shifted - 2.0 * pi, shifted)     # CLI graph-recover
+    former = np.where(former <= -pi, former + 2.0 * pi, former)
+    assert _wrap_phase(shifted).tobytes() == former.tobytes()
+    assert np.all((-pi < _wrap_phase(shifted)) & (_wrap_phase(shifted) <= pi))
+
+
 if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-v"]))
+

@@ -22,7 +22,6 @@ from lagrass.geodesics import (
     GeodesicGenerator,
     Multiplicity,
     _connect,
-    alternate_generator,
     alternate_generators,
     classify_multiplicity,
     connect,
@@ -371,8 +370,6 @@ def test_multiplicity_unique_for_short_geodesics():
     assert rep.minus_one_dim_complex == 0
     assert abs(rep.norm_gap - (math.pi / 2 - 0.8)) < 1e-12
     assert alternate_generators(gen) == [gen]
-    with pytest.raises(InvariantViolation):
-        alternate_generator(gen, [])
 
 
 def test_multiplicity_exactly_two_half_space_reflection():
@@ -401,25 +398,23 @@ def test_multiplicity_infinite_two_flip_planes():
     assert rep.minus_one_dim_complex == 2
     alts = alternate_generators(gen)
     assert len(alts) == 4
-    # the list shares one pi-plane search; each entry is its sign pattern's flip
+    # each entry is its sign pattern's flip theta -> theta - pi sign(theta),
+    # bit for bit, on the two planes and nowhere else
+    planes = np.flatnonzero(np.abs(gen.theta) >= math.pi / 2 - 1e-8)
+    assert planes.size == 2
+    assert alts[0] is gen
     for alt, pattern in zip(alts, [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-        assert np.array_equal(alt.z, alternate_generator(gen, pattern).z)
+        want = gen.theta.copy()
+        flip = planes[np.less(pattern, 0)]
+        want[flip] -= math.pi * np.sign(want[flip])
+        assert np.array_equal(alt.theta, want)
+        assert np.array_equal(alt.u, gen.u)
     target = e_e.matrix
     for alt in alts:
         endpoint = expm_antisymmetric(2 * alt.z, validate=False) @ e_i.matrix
         assert max_abs(endpoint - target) < 1e-9
         for k in (1, 2, math.inf):
             assert abs(schatten_norm(alt.z, k) - schatten_norm(gen.z, k)) < 1e-9
-
-
-def test_alternate_generator_sign_validation():
-    structure = ComplexStructure.standard(2)
-    gen = connect(graph_symmetry(np.eye(2)),
-                  graph_symmetry(np.diag([1.0, -1.0])), structure)
-    with pytest.raises(InvariantViolation):
-        alternate_generator(gen, [1, 1])      # wrong length
-    with pytest.raises(InvariantViolation):
-        alternate_generator(gen, [0])         # not a sign
 
 
 def test_alternate_generators_cap():
