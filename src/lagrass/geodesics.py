@@ -142,6 +142,16 @@ class _NodeCertificate(NamedTuple):
     holds: bool     # every node with finite entries passes the Symmetry check
     eta: float      # ||U^H U - I||_F, the record's unitarity defect (NaN off the standard J)
     slack: float    # s = 16 (n + 2)^2 eps, its bounds' and the chart grid's rounding slack
+    rho: float = math.nan   # ||R(U U^T) - eps0||_F, the base residual
+    g: np.ndarray | None = None     # diag(G) for G = U^H conj(U)
+    r: float = math.nan     # ||offdiag G||_F
+
+    def chart_floor(self, d: np.ndarray) -> float:
+        """floor_t, the lower bound on the top-row chart margin of the node
+        with phases d = e^{2it theta} (see `_node_certificate`)."""
+        eta = self.eta
+        edge = np.abs(self.g + d).min(initial=math.inf) - self.r - eta * (2.0 + eta)
+        return float(edge / (1.0 + eta) - self.rho - self.slack) / 2.0
 
 
 def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
@@ -171,6 +181,15 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     ||eps_t - eps_t^T||_2, so max|eps_t| >= (1 - D) / sqrt(m) (eps more in D
     covers the rounding of the check's tolerance). The certificate holds iff
     both bounds sit below the tolerances they get from that.
+
+    It also bounds every node's chart margin. The node's top rows plus
+    [I 0] are T - Phi_top, T = [Re M, Im M], M = I + P. With G = U^H conj(U),
+    g = diag(G), r = ||offdiag G||_F and d = e^{i mu}, U^H M conj(U) is
+    G + diag(d) up to eta (2 + eta) and ||U||^2 <= 1 + eta, so by Weyl
+    sigma_min(M) >= (min_j |g_j + d_j| - r - eta (2 + eta)) / (1 + eta);
+    T T^T = Re(M M^H) gives sigma_min(T) >= sigma_min(M), and ||Phi|| = rho,
+    so the margin sigma_min(T - Phi_top) / 2 is at least floor_t =
+    (that - rho - s) / 2, s covering the rounding of the node, G and the SVD.
     """
     structure, u, e = gen.structure, gen.u, gen.base.matrix
     if not structure.is_standard():
@@ -188,7 +207,10 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     defect = inv + sigma * (sigma + math.sqrt(1.0 + inv)) + eps
     holds = (defect < 1.0 and sym <= SYM_RTOL * math.sqrt(m) * (1.0 - defect)
              and inv <= SYM_RTOL * m)
-    return _NodeCertificate(bool(holds), eta, slack)
+    gram = u.conj().T @ u.conj()
+    g = gram.diagonal().copy()
+    r = float(np.linalg.norm(gram - np.diag(g)))
+    return _NodeCertificate(bool(holds), eta, slack, rho, g, r)
 
 
 @dataclass(frozen=True)
@@ -218,16 +240,19 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
     While the generator's node certificate holds (`_node_certificate`, for
     the standard J only: the record's defects keep every node's asymmetry and
     involution defect below the `Symmetry` tolerances, for every t) a node
-    with finite entries is returned without the check; otherwise the
-    `Symmetry` constructor checks it and raises as it would on any matrix.
+    with finite entries is returned without the check, with the chart floor
+    the certificate reads off its phases in O(n), which `is_graph` and
+    `recover_operator` read before their SVD; otherwise the `Symmetry`
+    constructor checks it and raises as it would on any matrix.
     """
     gen = geo.generator
     t = float(t)
     _require_finite_phases(abs(t), gen.norm)
-    step = (gen.u * (np.exp(1j * (2.0 * t * gen.theta)) - 1.0)) @ gen.u.T
-    node = gen.base.matrix + realify_conjugation(step, gen.structure)
-    if gen._nodes.holds and np.isfinite(node).all():
-        return Symmetry._certified(node)
+    d = np.exp(1j * (2.0 * t * gen.theta))
+    node = gen.base.matrix + realify_conjugation((gen.u * (d - 1.0)) @ gen.u.T, gen.structure)
+    certificate = gen._nodes
+    if certificate.holds and np.isfinite(node).all():
+        return Symmetry._certified(node, certificate.chart_floor(d))
     return Symmetry(node)
 
 
@@ -379,12 +404,21 @@ _EDGE_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
 
 def _node_speeds(stack: np.ndarray, dt: float, ks) -> dict:
     """Per-node Schatten k-speeds ||eps'_t||_k of a finite complex stack, one
-    array per k; the kernel of `sampled_lengths`, which states the contract."""
-    deriv = np.empty_like(stack)
+    array per k, as `sampled_lengths` (which states the contract) forms them."""
+    return _speeds(_differences(stack) / (12.0 * dt), ks)
+
+
+def _differences(stack: np.ndarray) -> np.ndarray:
+    """12 dt C'_t for a stack spaced dt apart, C-contiguous."""
+    deriv = np.empty(stack.shape, stack.dtype)
     deriv[2:-2] = stack[:-4] - stack[4:] + 8.0 * (stack[3:-1] - stack[1:-3])
     deriv[:2] = np.tensordot(_EDGE_STENCILS, stack[:5], axes=1)
     deriv[-2:] = -np.tensordot(_EDGE_STENCILS[::-1, ::-1], stack[-5:], axes=1)
-    deriv /= 12.0 * dt
+    return deriv
+
+
+def _speeds(deriv: np.ndarray, ks) -> dict:
+    """Schatten k-norms of the realified C'_t, per node, from the stack C'_t."""
     gram = np.matmul(np.swapaxes(deriv.conj(), -1, -2), deriv)
     sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
     # eps'_t is C'_t realified: each singular value of C'_t appears twice
@@ -414,7 +448,7 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     least 5 nodes spaced dt apart. A real stack of symmetries is refused
     (InvariantViolation): convert it with `conjugation_matrix`; so is a stack
     with an entry that is not finite. A length that fits in a float is finite,
-    for any dt and any scale of C. The symmetry
+    for any dt, any scale of C and any scale of C'. The symmetry
     eps_t is `realify_conjugation(C_t)` up to an orthogonal change of basis,
     so each singular value of C'_t is one of eps'_t counted twice and
     ||eps'_t||_k = 2^{1/k} ||C'_t||_k. C'_t is the fourth-order central
@@ -440,15 +474,22 @@ def sampled_lengths(samples, dt: float, ks) -> dict:
     top = float(np.abs(np.ascontiguousarray(stack).view(stack.real.dtype)).max(initial=0.0))
     if not top < math.inf:
         raise InvariantViolation("sampled length: samples must be finite")
-    unit, dt = 1.0, float(dt)
-    # C'_t has entries up to 128 top / (12 dt): off these bounds C'^H C' may under- or
-    # overflow, or a length overflow, so C / unit is measured at dt = 1 instead
-    if not all(2.0**-400 < v < 2.0**400 for v in (top, dt, top / dt)):
-        unit = 2.0 ** min(max(math.frexp(top)[1], -1000), 1000)
-        stack, dt = stack / unit, 1.0
-    speeds = _node_speeds(stack, dt, ks)
-    weights = dt * _simpson_weights(len(stack))
-    return {k: float(s @ weights) * unit for k, s in speeds.items()}
+    dt, scale, unit = float(dt), 1.0, 1.0
+    if top > 2.0**1000:     # the differences, up to 128 top, could overflow
+        stack, unit = stack * 2.0**-100, 2.0**100
+    deriv = _differences(stack)
+    parts = deriv.view(deriv.real.dtype)
+    peak = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    weights = _simpson_weights(len(stack))
+    # off these bounds on dt and max|C'|, C'^H C' may under- or overflow or a length
+    # overflow, so 12 dt C' is measured over a power of two near its largest entry
+    if all(2.0**-400 < v < 2.0**400 for v in (dt, peak / (12.0 * dt))):
+        deriv /= 12.0 * dt
+        weights *= dt
+    else:
+        scale = 2.0 ** max(math.frexp(peak)[1], -1000)
+        deriv /= 12.0 * scale
+    return {k: float(s @ weights) * scale * unit for k, s in _speeds(deriv, ks).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ is b = Re(i (I - C)(I + C)^(-1)). The one chart test, `_chart_margin`, is the
 smallest singular value of the top n rows of the projection (I + eps) / 2,
 ([Re C, Im C] + [I 0]) / 2 for a Lagrangian (dist(-1, spec C) / 2 in exact
 arithmetic), against the rank cutoff: `is_graph` and `recover_operator` read
-it off eps, and the chart grid off its nodes' [Re C_t, Im C_t]. The graph
+it off eps, unless eps is a node of `evaluate` whose chart floor, read off the
+generator's record in O(n), clears the cutoff; the chart grid reads it off
+its nodes' [Re C_t, Im C_t], after a bound of its own. The graph
 window and the safe radius are closed-form verdicts on the generator's
 spectrum. On a grid the caller chooses (the Cayley curve, CLI
 `spectral-curve`) the nodes are read as C_t stacks, with no operator
@@ -165,8 +167,9 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     are X Q^T and have the singular values of X, which lie in [0, 1]; the
     smallest (`_chart_margin`, which `recover_operator` and the chart grid
     test too) is compared with the absolute cutoff rank_rtol, in (0, 1), for
-    any half-dimensional subspace, Lagrangian or not. The zero space is the
-    graph of the 0 x 0 operator.
+    any half-dimensional subspace, Lagrangian or not; a node of `evaluate`
+    whose chart floor (a lower bound on it) clears the cutoff is inside with
+    no SVD. The zero space is the graph of the 0 x 0 operator.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)
@@ -175,7 +178,15 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     n = eps.ambient_dim // 2
     if eps.plus_dim != n:
         return False
-    return bool(_chart_margin(eps.matrix[:n]) > rank_rtol)
+    return _in_chart(eps, rank_rtol)
+
+
+def _in_chart(eps: Symmetry, rank_rtol: float) -> bool:
+    """Whether a half-dimensional symmetry's top-row margin exceeds
+    rank_rtol: at once when its chart floor (a certified geodesic node's,
+    see `geodesics.evaluate`) does, otherwise by `_chart_margin`."""
+    return bool(eps._chart_floor > rank_rtol
+                or _chart_margin(eps.matrix[:eps.ambient_dim // 2]) > rank_rtol)
 
 
 def _chart_margin(rows: np.ndarray) -> np.ndarray:
@@ -192,7 +203,7 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
 
     Reads the conjugation matrix C of S in the standard split, refusing a
     subspace that is not Lagrangian (InvariantViolation) and one that
-    `is_graph` refuses, by the same `_chart_margin` (NotAGraphError), and
+    `is_graph` refuses, by the same test `_in_chart` (NotAGraphError), and
     returns b = Re(i (I - C)(I + C)^(-1)). b must be symmetric, and the graph
     symmetry of b must reproduce S. rank_rtol must lie in (0, 1).
     """
@@ -209,7 +220,7 @@ def recover_operator(s, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         c = conjugation_matrix(eps.matrix, ComplexStructure.standard(n))
     except InvariantViolation as exc:
         raise InvariantViolation(f"recover_operator: subspace is not Lagrangian ({exc})") from exc
-    if _chart_margin(eps.matrix[:n]) <= rank_rtol:
+    if not _in_chart(eps, rank_rtol):
         raise NotAGraphError("recover_operator: vertical overlap, not a graph")
     eye = np.eye(n)
     b = (1j * np.linalg.solve(eye + c, eye - c)).real

@@ -87,17 +87,22 @@ class Symmetry:
     """
 
     matrix: np.ndarray
+    _chart_floor = -math.inf    # a lower bound on the chart margin; not a field
 
     def __post_init__(self):
         e = _require_symmetries(_as_2d(self.matrix, "symmetry"))
         object.__setattr__(self, "matrix", _read_only(e.copy()))
 
     @classmethod
-    def _certified(cls, matrix: np.ndarray) -> "Symmetry":
+    def _certified(cls, matrix: np.ndarray, chart_floor: float = -math.inf) -> "Symmetry":
         """The symmetry of a fresh float matrix already known to pass the
-        check (a certified geodesic node), unvalidated and not copied."""
+        check (a certified geodesic node), unvalidated and not copied, with a
+        lower bound on its top-row chart margin that `is_graph` and
+        `recover_operator` read before their SVD (see `geodesics.evaluate`).
+        Every other symmetry has the class default -inf; == and repr ignore it."""
         sym = object.__new__(cls)
         object.__setattr__(sym, "matrix", _read_only(matrix))
+        object.__setattr__(sym, "_chart_floor", chart_floor)
         return sym
 
     @property

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lagrass.cli
@@ -973,6 +973,33 @@ def test_decompose_buckets_match_the_connect_record(seed, angles):
     zero = int(np.sum(theta <= ANGLE_TOL))
     right = int(np.sum(theta >= math.pi / 2 - ANGLE_TOL))
     assert dims == block_dims(zero, zero, right, right, 2 * (len(angles) - zero - right))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 6), right=st.integers(0, 6),
+       generic=st.integers(0, 4))
+def test_distance_and_decompose_keep_their_contract_on_planted_clusters(seed, zero, right,
+                                                                       generic):
+    # clusters of angles at 0 and pi/2 beside generic ones, n <= 16: on exit 0
+    # the printed numbers must satisfy the contract, recomputed from them alone
+    n = zero + right + generic
+    assume(n > 0)
+    rng = np.random.default_rng(seed)
+    angles = [0.0] * zero + [math.pi / 2] * right + list(rng.uniform(0.1, 1.4, generic))
+    (code_d, out_d, _), (code_s, out_s, _) = run_on_pair(planted_angle_pair(angles, rng),
+                                                         ["distance", "decompose"])
+    assert code_d == code_s == 0
+    dist = json.loads(out_d)
+    assert abs(math.sin(dist["distance"] / 2.0) - dist["projection_gap"]) <= 1e-8
+    assert dist["distance"] <= math.pi
+    assert abs(dist["distance"] - 2.0 * max(angles)) <= 1e-8
+    dec = json.loads(out_s)
+    assert dec["dims"] == block_dims(zero, zero, right, right, 2 * generic)
+    assert sum(dec["dims"].values()) == 2 * n
+    bases = {name: np.array(basis).reshape(2 * n, -1) for name, basis in dec["bases"].items()}
+    assert {name: b.shape[1] for name, b in bases.items()} == dec["dims"]
+    joint = np.hstack(list(bases.values()))
+    assert np.abs(joint.T @ joint - np.eye(2 * n)).max() <= 1e-10
 
 
 if __name__ == "__main__":

@@ -25,7 +25,16 @@ from hypothesis import strategies as st
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
 from lagrass.errors import InvariantViolation
-from lagrass.geodesics import Geodesic, connect, distance, length, sample, sampled_lengths
+from lagrass.geodesics import (
+    Geodesic,
+    _node_speeds,
+    _simpson_weights,
+    connect,
+    distance,
+    length,
+    sample,
+    sampled_lengths,
+)
 from lagrass.graphs import cayley_transform, gap_distance, graph_symmetry, graph_window
 from lagrass.linalg import schatten_norm, spectral_decompose
 from lagrass.sampling import random_lagrangian_pair
@@ -162,6 +171,29 @@ def test_sampled_lengths_at_normal_scales_are_unchanged_by_the_edge_path():
     for e in (-40, 0, 40, 480):
         got = sampled_lengths(c * 2.0**e, 1.0 / 32, KS)
         assert got == {k: base[k] * 2.0**e for k in KS}
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_a_slow_curve_at_entries_of_order_one_keeps_its_length(scale):
+    # one constant entry of 1 beside a geodesic moving at scale: max|C| is 1,
+    # but C'^H C' underflows unless C' itself is rescaled
+    c = sample(unit_pair(), np.linspace(0.0, 1.0, 9))
+    slow = c * scale
+    slow[:, 0, 0] = c[:, 0, 0] = 1.0
+    want = sampled_lengths(c, 0.125, KS)
+    got = sampled_lengths(slow, 0.125, KS)
+    for k in KS:
+        assert want[k] > 0.0
+        assert abs(got[k] / scale - want[k]) <= 1e-14 * want[k]
+
+
+@pytest.mark.parametrize("dt", [1.0 / 32, 0.1, 3.0])
+def test_sampled_lengths_that_need_no_rescaling_are_the_speeds_integrated(dt):
+    # bit for bit the per-node speeds of `_node_speeds` times Simpson's weights
+    c = sample(unit_pair(3), np.linspace(0.0, 1.0, 33))
+    got = sampled_lengths(c, dt, KS)
+    speeds = _node_speeds(c, dt, KS)
+    assert got == {k: float(speeds[k] @ (dt * _simpson_weights(33))) for k in KS}
 
 
 def test_schatten_norm_overflow_is_inf_without_a_warning():
