@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InvariantViolation
-from .linalg import _as_2d, _check, _read_only, max_abs, require_square
+from .linalg import _as_2d, _check, _eq_by_value, _read_only, max_abs, require_square
 from .tolerances import RECON_RTOL, SYM_RTOL
 
 
@@ -48,6 +48,7 @@ class ComplexStructure:
     coordinates through that change of basis.
     """
 
+    __eq__ = _eq_by_value
     matrix: np.ndarray
     n: int = field(init=False)
     to_standard: np.ndarray = field(init=False)

@@ -37,6 +37,7 @@ from .linalg import (
     _amax,
     _as_2d,
     _check,
+    _eq_by_value,
     _read_only,
     _speed_norms,
     expm_antisymmetric,
@@ -77,6 +78,7 @@ class GeodesicGenerator:
     they run it.
     """
 
+    __eq__ = _eq_by_value
     z: np.ndarray
     base: Symmetry
     structure: ComplexStructure
@@ -141,17 +143,17 @@ def _real_form(c: np.ndarray) -> np.ndarray:
 class _NodeCertificate(NamedTuple):
     holds: bool     # every node with finite entries passes the Symmetry check
     eta: float      # ||U^H U - I||_F, the record's unitarity defect (NaN off the standard J)
-    slack: float    # s = 16 (n + 2)^2 eps, its bounds' and the chart grid's rounding slack
+    slack: float    # s = 16 (n + 2)^2 eps, the rounding slack of its bounds
     rho: float = math.nan   # ||R(U U^T) - eps0||_F, the base residual
     g: np.ndarray | None = None     # diag(G) for G = U^H conj(U)
     r: float = math.nan     # ||offdiag G||_F
 
-    def chart_floor(self, d: np.ndarray) -> float:
+    def chart_floor(self, d: np.ndarray) -> np.ndarray:
         """floor_t, the lower bound on the top-row chart margin of the node
-        with phases d = e^{2it theta} (see `_node_certificate`)."""
+        with phases d = e^{2it theta}, one per row of d (`_node_certificate`)."""
         eta = self.eta
-        edge = np.abs(self.g + d).min(initial=math.inf) - self.r - eta * (2.0 + eta)
-        return float(edge / (1.0 + eta) - self.rho - self.slack) / 2.0
+        edge = np.abs(self.g + d).min(axis=-1, initial=math.inf) - self.r - eta * (2.0 + eta)
+        return (edge / (1.0 + eta) - self.rho - self.slack) / 2.0
 
 
 def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
@@ -172,9 +174,9 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
         ||P|| <= 1 + eta bound ||eps_t^2 - I||_2 by
         eta (2 + eta) + 2 (1 + eta) rho + rho^2.
     C_t = C0 + the same step is R(P) - R(U U^T - C0), and
-    ||U U^T - C0||_F <= rho, so the bounds cover it too. Each bound adds the
-    slack s for the rounding of the node and of the measured defects, and
-    `_chart_grid` reads it from here. The check holds the asymmetry to
+    ||U U^T - C0||_F <= rho, so the bounds, and the chart floor below, cover
+    it too. Each bound adds the slack s for the rounding of the node and of
+    the measured defects. The check holds the asymmetry to
     SYM_RTOL m max|eps_t| and eps_t^2 - I to SYM_RTOL m max(max|eps_t|, 1),
     m = 2n. A column of eps_t has squared norm at least 1 - D,
     D = inv + sigma (sigma + sqrt(1 + inv)) with sigma = m sym bounding
@@ -225,6 +227,7 @@ def exponential_map(eps: Symmetry, v, structure: ComplexStructure) -> Geodesic:
 
     The generator is z = v eps / 2, so that d/dt|_0 e^{2tz} eps = v.
     """
+    eps = _as_symmetry(eps)
     arr = check_tangent(eps, v, structure)
     z = arr @ eps.matrix / 2.0
     z = (z - z.T) / 2.0
@@ -252,7 +255,7 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
     node = gen.base.matrix + realify_conjugation((gen.u * (d - 1.0)) @ gen.u.T, gen.structure)
     certificate = gen._nodes
     if certificate.holds and np.isfinite(node).all():
-        return Symmetry._certified(node, certificate.chart_floor(d))
+        return Symmetry._certified(node, float(certificate.chart_floor(d)))
     return Symmetry(node)
 
 

@@ -9,19 +9,17 @@ reads that one matrix: symmetry and projection are realified C, a basis is
 is b = Re(i (I - C)(I + C)^(-1)). The one chart test, `_chart_margin`, is the
 smallest singular value of the top n rows of the projection (I + eps) / 2,
 ([Re C, Im C] + [I 0]) / 2 for a Lagrangian (dist(-1, spec C) / 2 in exact
-arithmetic), against the rank cutoff: `is_graph` and `recover_operator` read
-it off eps, unless eps is a node of `evaluate` whose chart floor, read off the
-generator's record in O(n), clears the cutoff; the chart grid reads it off
-its nodes' [Re C_t, Im C_t], after a bound of its own. The graph
-window and the safe radius are closed-form verdicts on the generator's
-spectrum. On a grid the caller chooses (the Cayley curve, CLI
-`spectral-curve`) the nodes are read as C_t stacks, with no operator
-recovery: a lower bound on each node's margin, read in the generator's
-eigenbasis where I + C_t is diagonal up to rounding, certifies most nodes
-inside, and the SVD runs only on the rest. The identity graph's C is iI, so
-a generator there has its spectral record from one real n x n eigh, and the
-Cayley curve's phases are Rayleigh quotients of each node in the real
-eigenbasis of the half-space block, which diagonalises the closed form.
+arithmetic), against the rank cutoff. A geodesic node carries a chart floor,
+a lower bound on that margin read off the generator's record in O(n)
+(`geodesics._node_certificate`): `is_graph` and `recover_operator` on a node
+of `evaluate`, and the chart grid on the C_t stacks of a grid the caller
+chooses (the Cayley curve, CLI `spectral-curve`), answer "inside" from it
+when it clears the cutoff and run the SVD only on the rest. The graph window
+and the safe radius are closed-form verdicts on the generator's spectrum.
+The identity graph's C is iI, so a generator there has its spectral record
+from one real n x n eigh, and the Cayley curve's phases are Rayleigh
+quotients of each node in the real eigenbasis of the half-space block,
+which diagonalises the closed form.
 """
 
 from __future__ import annotations
@@ -306,40 +304,20 @@ def _chart_grid(gen: GeodesicGenerator, ts, rank_rtol: float) -> tuple[np.ndarra
     this for every t at once, and where it fails, or a node is not finite,
     one stacked check validates them, naming the first bad node. A node lies
     in the graph chart iff `_chart_margin` of its top rows [Re C_t, Im C_t]
-    exceeds rank_rtol, the test `is_graph` runs on evaluate(geo, t).
-
-    Most nodes are certified inside by a lower bound, without an SVD.
-    C_t = U e^{2it theta} U^T, so B_t = U^H (I + C_t) conj(U) is diagonal up
-    to rounding; one product over the stack forms its transpose, which has
-    the same diagonal and singular values. With delta = min_j |b_jj|,
-    r = ||offdiag B_t||_F and eta = ||U^H U - I||_F + s (the unitarity
-    defect the certificate measured), Weyl's bound and ||U||^2 <= 1 + eta
-    give sigma_min(I + C_t) / 2 >= (delta - r - s) / (2 (1 + eta)), and so
-    does the top-row margin: T = [Re M, Im M] has T T^T = Re(M M^H), so
-    sigma_min(T) >= sigma_min(M) for any complex M. The certificate's slack
-    s = 16 (n + 2)^2 eps covers the rounding of B_t and of U^H U (about
-    9 n (n + 2) eps, as ||I + C_t|| <= 2) and the SVD's own error (a few
-    n eps). Every node the bound does not clear, NaN bounds included, gets
-    `_chart_margin`. No upper bound certifies a node outside: off exact
-    unitarity the top-row margin can exceed sigma_min(I + C_t) / 2 by up to
-    sqrt(||C_t conj(C_t) - I||) / 2.
+    exceeds rank_rtol, the test `is_graph` runs on evaluate(geo, t). The
+    certificate's chart floor, read off the node's phases e^{2it theta} in
+    O(n) and derived in `geodesics._node_certificate`, bounds that margin
+    from below, so a node whose floor clears rank_rtol is inside with no
+    SVD; only the rest get `_chart_margin`.
     """
     if not gen.structure.is_standard():
         raise InvariantViolation("graph chart: requires the standard complex structure")
-    c = sample(Geodesic(gen), ts)
+    t = np.asarray(ts, dtype=float).reshape(-1)
+    c = sample(Geodesic(gen), t)
     certificate = gen._nodes
     if not (certificate.holds and np.isfinite(c).all()):
         _require_conjugation_symmetries(c)
-    n = c.shape[-1]
-    slack = certificate.slack
-    u_bar = gen.u.conj()
-    # B_t^T = (A conj(U))^T conj(U) for A = I + C_t: same diagonal and singular values
-    b = _stack_times(np.swapaxes(_stack_times(np.eye(n) + c, u_bar), -1, -2), u_bar)
-    diag = np.einsum("...jj->...j", b)
-    delta = np.abs(diag).min(axis=-1, initial=math.inf)
-    diag[...] = 0.0
-    r = np.linalg.norm(b, axis=(-2, -1))
-    inside = delta - r - slack > 2.0 * (1.0 + certificate.eta + slack) * rank_rtol
+    inside = certificate.chart_floor(np.exp(1j * (2.0 * t[:, None] * gen.theta))) > rank_rtol
     if not inside.all():
         rest = c[~inside]
         inside[~inside] = _chart_margin(np.concatenate([rest.real, rest.imag], -1)) > rank_rtol

@@ -8,7 +8,7 @@ Validation rejects bad input loudly; nothing is repaired in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,6 +103,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     result or its own copy): no caller can then change it in place."""
     a.flags.writeable = False
     return a
+
+
+def _eq_by_value(self, other) -> bool:
+    """== by value for a frozen dataclass holding arrays: the same class and
+    `np.array_equal` on every compare=True field. Its hash still raises."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

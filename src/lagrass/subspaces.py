@@ -24,6 +24,7 @@ from .linalg import (
     _EXCEEDS,
     _as_2d,
     _check,
+    _eq_by_value,
     _principal_angles,
     _read_only,
     as_matrix,
@@ -43,6 +44,7 @@ class Subspace:
     """A subspace given by an orthonormal basis (ambient_dim x k, k may be 0),
     kept as its own read-only copy, as in `Symmetry`."""
 
+    __eq__ = _eq_by_value
     basis: np.ndarray
 
     def __post_init__(self):
@@ -63,6 +65,7 @@ class Projection:
     """An orthogonal projection: symmetric, idempotent within tolerance, kept
     as its own read-only copy, as in `Symmetry`."""
 
+    __eq__ = _eq_by_value
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -86,6 +89,7 @@ class Symmetry:
     ValueError.
     """
 
+    __eq__ = _eq_by_value
     matrix: np.ndarray
     _chart_floor = -math.inf    # a lower bound on the chart margin; not a field
 
@@ -261,6 +265,7 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
     if not ANGLE_TOL_FLOOR <= angle_tol < math.pi / 4.0:
         raise InvariantViolation(f"pair decomposition: angle width must lie in "
                                  f"[{ANGLE_TOL_FLOOR:g}, pi/4), got {angle_tol!r}")
+    eps0, eps1 = _as_symmetry(eps0), _as_symmetry(eps1)
     if eps0.ambient_dim != eps1.ambient_dim:
         raise InvariantViolation("pair decomposition: ambient dimensions differ")
     dim = eps0.ambient_dim
@@ -296,6 +301,7 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
 def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None) -> np.ndarray:
     """Validate a tangent vector at eps: symmetric, anticommutes with eps,
     and (when J is supplied) anticommutes with J. Returns v unchanged."""
+    eps = _as_symmetry(eps)
     arr = _as_2d(v, "tangent vector", square=True)
     n = arr.shape[0]
     if n != eps.ambient_dim or (structure is not None and n != structure.dim):
@@ -316,6 +322,7 @@ def tangent_project(eps: Symmetry, a) -> np.ndarray:
     Equals (I-p) a p + p a (I-p) for the projection p onto the subspace;
     idempotent on symmetric inputs and the identity on tangent vectors.
     """
+    eps = _as_symmetry(eps)
     arr = require_square(a, "operator")
     if arr.shape[0] != eps.ambient_dim:
         raise InvariantViolation("tangent projection: dimension mismatch")

@@ -156,8 +156,8 @@ def chart_margin_by_svd(c) -> np.ndarray:
 
 def chart_mask_by_svd(c, rank_rtol: float) -> np.ndarray:
     """The chart mask by a stacked SVD of every node: `chart_margin_by_svd`
-    exceeds rank_rtol. `_chart_grid` certifies most nodes inside by a lower
-    bound in the generator's eigenbasis and runs this SVD only on the rest.
+    exceeds rank_rtol. `_chart_grid` certifies most nodes inside by the node
+    certificate's chart floor and runs this SVD only on the rest.
     """
     return chart_margin_by_svd(c) > rank_rtol
 

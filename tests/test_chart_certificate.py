@@ -1,9 +1,9 @@
 """The chart grid's certified margin and its SVD fallback.
 
-`_chart_grid` bounds each node's chart margin from below in the generator's
-eigenbasis and runs the SVD of the top rows [Re C_t, Im C_t] (the
-`is_graph` test) only on the nodes that bound does not certify inside. Its
-mask must equal the stacked-SVD mask of every node
+`_chart_grid` reads each node's chart floor off the node certificate, the
+floor `evaluate` attaches to the same node, and runs the SVD of the top rows
+[Re C_t, Im C_t] (the `is_graph` test) only on the nodes whose floor does
+not clear the cutoff. Its mask must equal the stacked-SVD mask of every node
 (`reference_formulas.chart_mask_by_svd`), and a flow away from the cutoff
 must run no SVD at all.
 """
@@ -232,6 +232,32 @@ def test_a_node_inside_the_band_runs_one_svd_on_that_node(monkeypatch, tmp_path,
     if code == 0:
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):])["skipped_times"] == np.sum(~mask)
+
+
+@pytest.mark.parametrize("kind", ["identity", "connect"])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_the_grid_reads_the_floor_evaluate_attaches(monkeypatch, kind, n):
+    # one bound: the grid's stacked floors are the nodes' floors bitwise, and
+    # with the cutoff planted at node 17's margin the SVD runs once, on the
+    # k nodes whose floor does not clear it
+    rng = np.random.default_rng([SEED + 5, n])
+    if kind == "identity":
+        gen = identity_flow(planted_block(rng, n, (-math.pi / 4.0,)))
+    else:
+        structure = ComplexStructure.standard(n)
+        gen = connect(random_lagrangian(structure, rng), random_lagrangian(structure, rng),
+                      structure)
+    geo = Geodesic(gen)
+    ts = np.linspace(-2.0, 2.0, 50)
+    floors = np.array([evaluate(geo, t)._chart_floor for t in ts])
+    stacked = gen._nodes.chart_floor(np.exp(1j * (2.0 * ts[:, None] * gen.theta)))
+    assert stacked.tobytes() == floors.tobytes()
+    cutoff = float(_chart_margin(evaluate(geo, ts[17]).matrix[:n]))
+    assert 0.0 < cutoff < 1.0
+    k = int(np.sum(floors <= cutoff))
+    spy = CallSpy(monkeypatch)
+    _chart_grid(gen, ts, cutoff)
+    assert k >= 1 and spy.calls("svd") == [("svd", (k, n, 2 * n))]
 
 
 # ---------------------------------------------------------------------------

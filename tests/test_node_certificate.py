@@ -329,3 +329,26 @@ def test_in_place_writes_are_refused():
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0.0
+
+
+def test_value_objects_compare_by_value_and_stay_unhashable():
+    rng = np.random.default_rng(SEED + 7)
+    structure = rotated_structure(2, rng)
+    e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
+    copy = ComplexStructure(structure.matrix.copy())
+    gen = connect(e0, e1, structure)
+    # (object, an equal one built from copies, a different one)
+    triples = [
+        (e0, Symmetry(e0.matrix.copy()), e1),
+        (Subspace(np.eye(4)[:, :2]), Subspace(np.eye(4)[:, :2]), Subspace(np.eye(4)[:, 2:])),
+        (Projection(np.diag([1.0, 0.0])), Projection(np.diag([1.0, 0.0])),
+         Projection(np.diag([0.0, 1.0]))),
+        (structure, copy, ComplexStructure.standard(2)),
+        (gen, connect(Symmetry(e0.matrix.copy()), Symmetry(e1.matrix.copy()), copy),
+         connect(e1, e0, structure)),
+    ]
+    for obj, same, other in triples:
+        assert obj == same and not obj != same
+        assert obj != other and not obj == other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)

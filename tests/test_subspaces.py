@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lagrass.subspaces
 from lagrass.complex_structure import ComplexStructure, realify_conjugation, standard_form
 from lagrass.errors import ComputationError, InvariantViolation
-from lagrass.geodesics import Geodesic, connect, sample
+from lagrass.geodesics import Geodesic, connect, exponential_map, sample
 from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
 from lagrass.sampling import random_lagrangian, random_lagrangian_pair, random_symmetric
@@ -442,6 +442,29 @@ def test_check_tangent_rejects():
         check_tangent(e0, np.array([[0.0, 1.0], [-1.0, 0.0]]))  # not symmetric
     with pytest.raises(InvariantViolation):
         check_tangent(e0, np.diag([1.0, 1.0]))     # commutes instead
+
+
+@pytest.mark.parametrize("entry", ["five_way_decompose", "check_tangent", "tangent_project",
+                                   "exponential_map"])
+def test_a_symmetry_argument_takes_every_encoding_and_refuses_an_array(entry):
+    rng = np.random.default_rng(SEED + 9)
+    structure = ComplexStructure.standard(2)
+    eps, other = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
+    v = 2.0 * connect(eps, other, structure).z @ eps.matrix   # the velocity toward other
+    call = {"five_way_decompose": lambda e: five_way_decompose(e, other).dims(),
+            "check_tangent": lambda e: check_tangent(e, v, structure),
+            "tangent_project": lambda e: tangent_project(e, v),
+            "exponential_map": lambda e: exponential_map(e, v, structure).generator.z}[entry]
+    expected = call(eps)
+    for encoding in (subspace_from_symmetry(eps), projection_from_symmetry(eps)):
+        got = call(encoding)
+        if entry == "five_way_decompose":
+            assert got == expected
+        else:
+            assert max_abs(got - expected) <= 1e-12
+    with pytest.raises(InvariantViolation, match="expected Subspace/Projection/Symmetry, "
+                                                 "got ndarray"):
+        call(eps.matrix)
 
 
 def test_check_tangent_refuses_a_structure_of_another_size():
