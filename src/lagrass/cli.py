@@ -8,7 +8,9 @@ Input document: {"dim": 2n, "J": optional 2n x 2n rows (default standard),
 "subspace": exactly one of {"basis" | "projection" | "symmetry" | "graph_of"}}.
 The spectral-curve command instead takes {"matrix": n x n symmetric rows}.
 
-Exit codes: 0 success, 2 parse failure, 3 invariant violation, 4 solver error.
+Exit codes: 0 success, 2 parse failure or an output path that cannot be
+written, 3 invariant violation, 4 solver error, 141 (128 + SIGPIPE) stdout
+closed by its reader before all output was written.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,6 +38,7 @@ from .geodesics import (
     alternate_generators,
     classify_multiplicity,
     connect,
+    distance,
     length,
     sample,
 )
@@ -62,7 +66,8 @@ from .tolerances import ANGLE_TOL, ANGLE_TOL_FLOOR, RANK_RTOL, SYM_RTOL
 
 
 class ParseFailure(Exception):
-    """Input file missing, malformed, or not matching the schema."""
+    """Input file missing, malformed or not matching the schema, or an
+    output path that cannot be written: exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +178,8 @@ def _provenance(args, seed=None) -> dict:
     return prov
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_lines(doc: dict) -> list[str]:
+    return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
 
 
 def _csv_header(args, command: str, extra: str = "") -> str:
@@ -190,30 +190,38 @@ def _csv_header(args, command: str, extra: str = "") -> str:
     return line + "\n"
 
 
-def _write_rows(fh, columns: list[str], rows) -> None:
-    """The column line, then one line of repr-exact floats per row."""
-    fh.write(",".join(columns) + "\n")
+def _csv_lines(header: str, columns: list[str], rows):
+    """The header (a comment line or ""), the column line, then one line of
+    repr-exact floats per row."""
+    yield header + ",".join(columns) + "\n"
     for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+        yield ",".join(_fmt(x) for x in row) + "\n"
 
 
-def _write_csv(path: str, header_comment: str, columns: list[str],
-               rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header_comment)
-        _write_rows(fh, columns, rows)
+def _write(path: str | None, lines) -> None:
+    """The one output writer: the lines go to path, or to stdout when path is
+    None. A path that cannot be opened or written is a ParseFailure (exit 2);
+    a failing stdout is left to `main`."""
+    if path is None:
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns the JSON document `main` writes
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     structure, eps = _load_problem(args.subspace)
     j = structure.matrix
     e = eps.matrix
     dim = structure.dim
-    payload = {
+    return {
         "dim": dim,
         "j_antisymmetry": max_abs(j + j.T),
         "j_square_plus_identity": max_abs(j @ j + np.eye(dim)),
@@ -225,17 +233,15 @@ def _cmd_validate(args) -> int:
         "lagrangian": is_lagrangian(eps, structure),
         "provenance": _provenance(args),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_connect(args) -> int:
+def _cmd_connect(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     gen, endpoint = _connect(e0, e1, structure)
     z = gen.z
     j = structure.matrix
     geo = Geodesic(gen)
-    payload = {
+    return {
         "z": z.tolist(),
         "norm_op": gen.norm,
         "residuals": {
@@ -248,27 +254,22 @@ def _cmd_connect(args) -> int:
                    for key, k in (("1", 1), ("2", 2), ("inf", math.inf))},
         "provenance": _provenance(args),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> dict:
     structure, e0, e1 = _load_pair(args)
-    gen = connect(e0, e1, structure)
-    d = 2.0 * gen.norm
+    d = distance(e0, e1, structure)
     gap = _conjugation_gap(_complex_block(e0.matrix, structure),
                            _complex_block(e1.matrix, structure))
-    payload = {
+    return {
         "distance": d,
         "projection_gap": gap,
-        "sin_norm_residual": abs(math.sin(gen.norm) - gap),
+        "sin_norm_residual": abs(math.sin(d / 2.0) - gap),
         "provenance": _provenance(args),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     geo = Geodesic(connect(e0, e1, structure))
     ts = np.linspace(0.0, 1.0, args.grid)
@@ -276,28 +277,20 @@ def _cmd_sample(args) -> int:
     speeds = _node_speeds(c, float(ts[1] - ts[0]), [args.k])[args.k]
     stack = realify_conjugation(c, structure)
     dim = structure.dim
-
-    curve_cols = ["t"] + [f"eps_{i}_{j}" for i in range(dim) for j in range(dim)]
-    curve_rows = ([t] + list(stack[idx].reshape(-1)) for idx, t in enumerate(ts))
-    _write_csv(args.out_prefix + "_curve.csv",
-               _csv_header(args, "sample", f"grid={args.grid} k={args.k}"),
-               curve_cols, curve_rows)
-
-    _write_csv(args.out_prefix + "_speed.csv",
-               _csv_header(args, "sample", f"grid={args.grid} k={args.k}"),
-               ["t", f"speed_{args.k}"],
-               ([t, speeds[idx]] for idx, t in enumerate(ts)))
-    _emit_json({
-        "files": [args.out_prefix + "_curve.csv", args.out_prefix + "_speed.csv"],
-        "closed_form_speed": length(geo, args.k),
-    }, None)
-    return 0
+    header = _csv_header(args, "sample", f"grid={args.grid} k={args.k}")
+    files = [args.out_prefix + "_curve.csv", args.out_prefix + "_speed.csv"]
+    _write(files[0], _csv_lines(
+        header, ["t"] + [f"eps_{i}_{j}" for i in range(dim) for j in range(dim)],
+        ([t] + list(stack[idx].reshape(-1)) for idx, t in enumerate(ts))))
+    _write(files[1], _csv_lines(header, ["t", f"speed_{args.k}"],
+                                ([t, speeds[idx]] for idx, t in enumerate(ts))))
+    return {"files": files, "closed_form_speed": length(geo, args.k)}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     dec = five_way_decompose(e0, e1, args.tol_angle)
-    payload = {
+    return {
         "dims": dec.dims(),
         "bases": {
             "both_plus": dec.both_plus.basis.tolist(),
@@ -309,11 +302,9 @@ def _cmd_decompose(args) -> int:
         "generic_angles": dec.generic_angles.tolist(),
         "provenance": _provenance(args),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_multiplicity(args) -> int:
+def _cmd_multiplicity(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     gen = connect(e0, e1, structure)
     report = classify_multiplicity(gen)
@@ -326,11 +317,10 @@ def _cmd_multiplicity(args) -> int:
     if args.alternates:
         alts = alternate_generators(gen, limit=args.limit)
         payload["alternates"] = [g.z.tolist() for g in alts]
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def _cmd_graph_recover(args) -> int:
+def _cmd_graph_recover(args) -> dict:
     structure, eps = _load_problem(args.subspace)
     if not structure.is_standard():
         raise InvariantViolation("graph-recover: requires the standard complex structure")
@@ -344,22 +334,17 @@ def _cmd_graph_recover(args) -> int:
     psi = _wrap_phase(phi + np.array([[math.pi], [-math.pi / 2.0]]))
     cos_x, cos_y = (o * np.cos(psi / 2.0)[:, None, :]) @ o.T
     sin_x, sin_y = -(o * np.sin(psi / 2.0)[:, None, :]) @ o.T
-    # vertical-chart closed form b sin(x) = cos(x)
-    res_vertical = max_abs(b @ sin_x - cos_x)
-    # identity-chart form b (cos y + sin y) = cos y - sin y
-    res_identity = max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y))
-
-    payload = {
+    return {
         "operator": b.tolist(),
-        "residual_vertical_chart": res_vertical,
-        "residual_identity_chart": res_identity,
+        # vertical-chart closed form b sin(x) = cos(x)
+        "residual_vertical_chart": max_abs(b @ sin_x - cos_x),
+        # identity-chart form b (cos y + sin y) = cos y - sin y
+        "residual_identity_chart": max_abs(b @ (cos_y + sin_y) - (cos_y - sin_y)),
         "provenance": _provenance(args),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_spectral_curve(args) -> int:
+def _cmd_spectral_curve(args) -> dict:
     doc = _load_json(args.operator)
     y = _matrix_from(doc, "matrix", args.operator)
     if y.shape[0] != y.shape[1]:
@@ -370,48 +355,41 @@ def _cmd_spectral_curve(args) -> int:
     c, in_chart = _chart_grid(gen, ts, args.tol_rank)
     if not np.any(in_chart):
         raise ComputationError("spectral-curve: no grid time stays inside the graph chart")
-    skipped = int(np.sum(~in_chart))
     result = _cayley_result(gen, ts[in_chart], c[in_chart])
-    columns = ["t"] + [f"phase_{i}" for i in range(n)] + ["min_gap_to_minus_one"]
-    rows = ([s.t] + list(s.phases) + [s.min_gap_to_minus_one] for s in result.samples)
-    if args.out:
-        _write_csv(args.out, _csv_header(args, "spectral-curve", f"grid={args.grid}"),
-                   columns, rows)
-    else:
-        _write_rows(sys.stdout, columns, rows)
-    verdict = {
+    # the CSV goes to --out after its comment line, or to stdout without it,
+    # ahead of the verdict
+    header = _csv_header(args, "spectral-curve", f"grid={args.grid}") if args.csv else ""
+    _write(args.csv, _csv_lines(
+        header, ["t"] + [f"phase_{i}" for i in range(n)] + ["min_gap_to_minus_one"],
+        ([s.t] + list(s.phases) + [s.min_gap_to_minus_one] for s in result.samples)))
+    return {
         "trivial_flow": result.trivial_flow,
         "min_gap": result.min_gap,
         "closed_form_max_error": result.closed_form_max_error,
         "det_phase_change": result.det_phase_change,
-        "skipped_times": skipped,
+        "skipped_times": int(np.sum(~in_chart)),
         "note": result.note,
         "provenance": _provenance(args),
     }
-    _emit_json(verdict, None)
-    return 0
 
 
-def _cmd_random_pair(args) -> int:
+def _cmd_random_pair(args) -> dict:
     n = args.dim_half
     rng = np.random.default_rng(args.seed)
     structure = ComplexStructure.standard(n)
     files = []
     for tag in ("first", "second"):
         eps = random_lagrangian(structure, rng)
-        doc = {
+        files.append(f"{args.out_prefix}_{tag}.json")
+        _write(files[-1], _json_lines({
             "dim": 2 * n,
             "subspace": {"symmetry": eps.matrix.tolist()},
-        }
-        path = f"{args.out_prefix}_{tag}.json"
-        _emit_json(doc, path)
-        files.append(path)
-    _emit_json({
+        }))
+    return {
         "files": files,
         "seed": args.seed,
         "provenance": _provenance(args, seed=args.seed),
-    }, None)
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +432,46 @@ _angle_tolerance = _ranged(float, ANGLE_TOL_FLOOR, math.pi / 4.0,
 _rank_tolerance = _ranged(float, math.ulp(0.0), 1.0, "a finite value in (0, 1)")
 
 
+def _arg(*flags, **kwargs):
+    """One add_argument call, as (flags, kwargs)."""
+    return flags, kwargs
+
+
+_OUT = _arg("--out")
+_PAIR = (_arg("first"), _arg("second"))
+
+# one row per subcommand: name, handler, help, then its arguments in order.
+# `main` writes the handler's document to --out where the row takes _OUT, and
+# to stdout otherwise
+_COMMANDS = (
+    ("validate", _cmd_validate, "check structure and subspace invariants",
+     _arg("subspace"), _OUT),
+    ("connect", _cmd_connect, "minimal geodesic generator between two subspaces",
+     *_PAIR, _OUT),
+    ("distance", _cmd_distance, "geodesic distance and gap cross-check", *_PAIR, _OUT),
+    ("sample", _cmd_sample, "sample the connecting geodesic to CSV", *_PAIR,
+     _arg("--grid", type=_integer_at_least(5), default=101),
+     _arg("--k", type=_schatten_order, default=math.inf,
+          help="Schatten order for the speed column: an integer >= 1 or inf"),
+     _arg("--out-prefix", required=True)),
+    ("decompose", _cmd_decompose, "five-way decomposition of a subspace pair", *_PAIR, _OUT),
+    ("multiplicity", _cmd_multiplicity, "classify minimal-geodesic multiplicity", *_PAIR,
+     _arg("--alternates", action="store_true",
+          help="include the sign-flip alternate generators"),
+     _arg("--limit", type=_integer_at_least(1), default=64), _OUT),
+    ("graph-recover", _cmd_graph_recover, "recover the graph operator of a subspace",
+     _arg("subspace"), _OUT),
+    # --out names the CSV file here; the verdict document goes to stdout
+    ("spectral-curve", _cmd_spectral_curve, "Cayley eigenphases along a graph flow",
+     _arg("operator", help="JSON file with the symmetric half-space block"),
+     _arg("--grid", type=_integer_at_least(1), default=50), _arg("--out", dest="csv")),
+    ("random-pair", _cmd_random_pair, "write a reproducible random Lagrangian pair",
+     _arg("--dim-half", type=_integer_at_least(1), required=True),
+     _arg("--seed", type=_integer_at_least(0), required=True),
+     _arg("--out-prefix", required=True)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagrass",
@@ -465,76 +483,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-rank", type=_rank_tolerance, default=RANK_RTOL,
                         help="rank cutoff for graph detection")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check structure and subspace invariants")
-    p.add_argument("subspace")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("connect", help="minimal geodesic generator between two subspaces")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_connect)
-
-    p = sub.add_parser("distance", help="geodesic distance and gap cross-check")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("sample", help="sample the connecting geodesic to CSV")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--grid", type=_integer_at_least(5), default=101)
-    p.add_argument("--k", type=_schatten_order, default=math.inf,
-                   help="Schatten order for the speed column: an integer >= 1 or inf")
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("decompose", help="five-way decomposition of a subspace pair")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("multiplicity", help="classify minimal-geodesic multiplicity")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--alternates", action="store_true",
-                   help="include the sign-flip alternate generators")
-    p.add_argument("--limit", type=_integer_at_least(1), default=64)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_multiplicity)
-
-    p = sub.add_parser("graph-recover", help="recover the graph operator of a subspace")
-    p.add_argument("subspace")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_graph_recover)
-
-    p = sub.add_parser("spectral-curve", help="Cayley eigenphases along a graph flow")
-    p.add_argument("operator", help="JSON file with the symmetric half-space block")
-    p.add_argument("--grid", type=_integer_at_least(1), default=50)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_spectral_curve)
-
-    p = sub.add_parser("random-pair", help="write a reproducible random Lagrangian pair")
-    p.add_argument("--dim-half", type=_integer_at_least(1), required=True)
-    p.add_argument("--seed", type=_integer_at_least(0), required=True)
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_random_pair)
-
+    for name, func, help_text, *arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func, out=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code (see the module docstring)."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write(args.out, _json_lines(args.func(args)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early. Python's SIGPIPE recipe: point stdout
+        # at devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141    # 128 + SIGPIPE, what a C tool reports
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -544,6 +514,7 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -540,8 +540,9 @@ def alternate_generators(gen: GeodesicGenerator, limit: int = 64) -> list[Geodes
     """All sign-pattern alternates, at most `limit` (>= 1) of the 2^d patterns.
 
     A pattern's -1 flips z on its pi-rotation plane, theta -> theta - pi
-    sign(theta), keeping the endpoint e^{2z} eps0 and every Schatten norm of
-    z. The all-plus pattern is gen itself, so with d = 0 the list is [gen].
+    sign(theta), keeping the endpoint e^{2z} eps0; |theta| becomes pi - |theta|,
+    so each Schatten norm of z moves by at most 2 GENERATOR_ATOL. The all-plus
+    pattern is gen itself, so with d = 0 the list is [gen].
     The planes are found once and shared by every pattern.
     """
     if not isinstance(limit, (int, np.integer)) or limit < 1:

@@ -37,7 +37,14 @@ from .complex_structure import (
 )
 from .errors import ComputationError, InvariantViolation, NotAGraphError
 from .geodesics import Geodesic, GeodesicGenerator, _stack_times, sample
-from .linalg import _as_2d, max_abs, require_square, require_symmetric, spectral_decompose
+from .linalg import (
+    _as_2d,
+    _eq_by_value,
+    max_abs,
+    require_square,
+    require_symmetric,
+    spectral_decompose,
+)
 from .subspaces import (
     Projection,
     Subspace,
@@ -242,6 +249,7 @@ class TransformedGraph:
     caller can see which, if either, is exact.
     """
 
+    __eq__ = _eq_by_value
     operator: np.ndarray
     residual_first_order: float   # (-y + x a)(x + y a)^(-1)
     residual_second_order: float  # (-y + a x)(x + a y)^(-1)
@@ -332,6 +340,7 @@ class GraphWindowVerdict:
     the margins measure clearance to the window ends.
     """
 
+    __eq__ = _eq_by_value
     ok: bool
     eigenvalues: np.ndarray
     lower_margin: float
@@ -422,6 +431,7 @@ class CayleyTransform:
     finite eigenvalue.
     """
 
+    __eq__ = _eq_by_value
     matrix: np.ndarray
     eigenphases: np.ndarray
 
@@ -445,6 +455,7 @@ class CayleyCurveSample:
     circular distance of the closest phase to pi (the excluded point -1).
     """
 
+    __eq__ = _eq_by_value
     t: float
     phases: np.ndarray
     min_gap_to_minus_one: float
@@ -460,6 +471,7 @@ class CayleyCurveResult:
     along the grid as a winding diagnostic; it is not an index.
     """
 
+    __eq__ = _eq_by_value
     samples: tuple
     trivial_flow: bool
     min_gap: float

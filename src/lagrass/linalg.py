@@ -160,6 +160,7 @@ def require_orthogonal(g, name: str = "matrix") -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
 
+    __eq__ = _eq_by_value
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -332,6 +333,7 @@ class PrincipalAngles:
     generic.
     """
 
+    __eq__ = _eq_by_value
     angles: np.ndarray
     left: np.ndarray
     right: np.ndarray

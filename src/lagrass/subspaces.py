@@ -230,6 +230,7 @@ class FiveWayDecomposition:
                  (0, pi/2) after bucketing
     """
 
+    __eq__ = _eq_by_value
     both_plus: Subspace
     both_minus: Subspace
     plus_minus: Subspace

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and stdout can be
 checked cheaply; one subprocess test confirms the installed entry point.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from lagrass.graphs import graph_symmetry
 from lagrass.linalg import max_abs
 from lagrass.sampling import random_lagrangian
 from lagrass.subspaces import Projection, Subspace, Symmetry, symmetry_from_subspace
-from lagrass.tolerances import ANGLE_TOL, SYM_RTOL
+from lagrass.tolerances import ANGLE_TOL, ENDPOINT_RTOL, GENERATOR_ATOL, SYM_RTOL
 
 from reference_formulas import (
     graph_chart_residuals,
@@ -146,6 +148,40 @@ def test_exit_code_unknown_command(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command, target, written", [
+    (["validate", "{a}", "--out"], "x.json", "x.json"),
+    (["spectral-curve", "{block}", "--out"], "x.csv", "x.csv"),
+    (["sample", "{a}", "{b}", "--out-prefix"], "s", "s_curve.csv"),
+    (["random-pair", "--dim-half", "1", "--seed", "0", "--out-prefix"], "p", "p_first.json"),
+], ids=["validate --out", "spectral-curve --out", "sample --out-prefix",
+        "random-pair --out-prefix"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, command, target,
+                                                       written):
+    # a missing directory used to end in a FileNotFoundError traceback
+    inputs = {"a": line_file(tmp_path, 0.0, "a.json"), "b": line_file(tmp_path, 0.6, "b.json"),
+              "block": write_problem(tmp_path / "y.json", {"matrix": [[0.3, 0.0], [0.0, -0.2]]})}
+    missing = tmp_path / "missing"
+    code = main([arg.format(**inputs) for arg in command] + [str(missing / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {missing / written}: No such file or directory\n"
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly(tmp_path):
+    # 4000 rows are several times the 64 KiB a pipe buffers, so writes meet
+    # the closed pipe; the run used to end in a BrokenPipeError traceback
+    path = write_problem(tmp_path / "y.json", {"matrix": [[0.3, 0.1], [0.1, -0.2]]})
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "lagrass.cli", "spectral-curve", path,
+                                 "--grid", "4000"], stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.read(100).startswith(b"t,phase_0,phase_1,")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert code == 141
+    assert (tmp_path / "stderr.txt").read_bytes() == b""
 
 
 def test_exit_code_invariant_violation(tmp_path, capsys):
@@ -859,6 +895,30 @@ def test_tolerance_flags_recorded(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+def test_each_subcommand_keeps_its_option_strings():
+    # read off the parser, so the command table can neither drop nor rename a
+    # flag; positionals appear by name
+    parser = lagrass.cli._build_parser()
+
+    def options(p):
+        return [s for action in p._actions for s in action.option_strings or [action.dest]]
+
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == ["-h", "--help", "--tol-angle", "--tol-rank", "command"]
+    assert {name: options(p)[2:] for name, p in commands.choices.items()} == {
+        "validate": ["subspace", "--out"],
+        "connect": ["first", "second", "--out"],
+        "distance": ["first", "second", "--out"],
+        "sample": ["first", "second", "--grid", "--k", "--out-prefix"],
+        "decompose": ["first", "second", "--out"],
+        "multiplicity": ["first", "second", "--alternates", "--limit", "--out"],
+        "graph-recover": ["subspace", "--out"],
+        "spectral-curve": ["operator", "--grid", "--out"],
+        "random-pair": ["--dim-half", "--seed", "--out-prefix"],
+    }
+    assert all(options(p)[:2] == ["-h", "--help"] for p in commands.choices.values())
+
+
 def test_installed_entry_point(tmp_path):
     path = line_file(tmp_path, 0.25, "sub.json")
     proc = subprocess.run(
@@ -887,7 +947,8 @@ def test_import_loads_no_scipy():
 
 def run_on_pair(pair, commands, *flags, structure=None):
     """(exit code, stdout, stderr) of each command on a pair of symmetries,
-    with the structure's J in both documents when one is given."""
+    with the structure's J in both documents when one is given. A command
+    is its name and, after spaces, its own flags."""
     results = []
     doc = {} if structure is None else {"J": structure.matrix.tolist()}
     with tempfile.TemporaryDirectory() as tmp:
@@ -898,7 +959,7 @@ def run_on_pair(pair, commands, *flags, structure=None):
         for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*flags, command, *paths])
+                code = main([*flags, *command.split(), *paths])
             results.append((code, out.getvalue(), err.getvalue()))
     return results
 
@@ -1000,6 +1061,80 @@ def test_distance_and_decompose_keep_their_contract_on_planted_clusters(seed, ze
     assert {name: b.shape[1] for name, b in bases.items()} == dec["dims"]
     joint = np.hstack(list(bases.values()))
     assert np.abs(joint.T @ joint - np.eye(2 * n)).max() <= 1e-10
+
+
+def assert_generator_contract(z, e0, e1, structure):
+    """The generator contract, recomputed from a printed z alone: z is
+    antisymmetric, commutes with J and anticommutes with e0 within the
+    generator slack, ||z|| <= pi/2 + GENERATOR_ATOL, and scipy's expm takes
+    e0 to e1: e^{2z} e0 = e1 within ENDPOINT_RTOL * 2n. Returns ||z||."""
+    z = np.array(z)
+    j, e = structure.matrix, e0.matrix
+    for residual in (z + z.T, z @ j - j @ z, z @ e + e @ z):
+        assert max_abs(residual) <= GENERATOR_ATOL
+    norm = np.linalg.norm(z, 2)
+    assert norm <= math.pi / 2 + GENERATOR_ATOL
+    assert max_abs(scipy.linalg.expm(2.0 * z) @ e - e1.matrix) <= ENDPOINT_RTOL * len(z)
+    return norm
+
+
+# a right angle less delta: within GENERATOR_ATOL of pi/2 it is a flip plane
+# of the minimal geodesic, beyond it not
+FLIP_DELTAS = (0.0, 1e-12, 1e-10)
+RIGHT_DELTAS = FLIP_DELTAS + (1e-6, 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 6), right=st.integers(0, 6),
+       generic=st.integers(0, 4), delta=st.sampled_from(RIGHT_DELTAS))
+@example(seed=0, zero=0, right=6, generic=0, delta=1e-12)
+@example(seed=1, zero=1, right=1, generic=1, delta=1e-10)
+@example(seed=2, zero=0, right=2, generic=2, delta=1e-6)
+def test_connect_multiplicity_and_graph_recover_keep_their_contract_near_right_angles(
+        seed, zero, right, generic, delta):
+    # clusters of angles at 0 and at pi/2 - delta beside generic ones, n <= 16:
+    # on exit 0 the printed numbers must satisfy the contract, recomputed
+    # from them and the inputs alone
+    n = zero + right + generic
+    assume(n > 0)
+    rng = np.random.default_rng(seed)
+    angles = [0.0] * zero + [math.pi / 2 - delta] * right + list(rng.uniform(0.1, 1.4, generic))
+    pair = planted_angle_pair(angles, rng)
+    structure = ComplexStructure.standard(n)
+    (code_c, out_c, _), (code_m, out_m, _) = run_on_pair(pair, ["connect",
+                                                               "multiplicity --alternates"])
+    [(code_g, out_g, _)] = run_on_pair(pair[1:], ["graph-recover"])
+    assert code_c == code_m == code_g == 0
+
+    con = json.loads(out_c)
+    norm = assert_generator_contract(con["z"], *pair, structure)
+    assert abs(con["norm_op"] - norm) <= 1e-12
+    assert abs(con["norm_op"] - max(angles)) <= 1e-8
+    singular = np.linalg.svd(2.0 * np.array(con["z"]), compute_uv=False)
+    for key, want in (("1", singular.sum()), ("2", np.linalg.norm(singular)),
+                      ("inf", singular[0])):
+        assert abs(con["norm_k"][key] - want) <= 1e-12 * max(1.0, want)
+
+    mult = json.loads(out_m)
+    flips = right if delta in FLIP_DELTAS else 0
+    assert mult["minus_one_dim_complex"] == flips
+    assert mult["classification"] == {0: "Unique", 1: "ExactlyTwo"}.get(flips, "Infinite")
+    assert mult["norm_gap"] == math.pi / 2 - con["norm_op"]
+    # every sign pattern of the flip planes (2^6 = 64 is the default limit),
+    # each a distinct generator to the same endpoint; a flip takes |theta| =
+    # pi/2 - delta to pi/2 + delta, so the norm moves by at most 2 delta
+    alternates = mult["alternates"]
+    assert len(alternates) == 2 ** flips
+    assert len({json.dumps(z) for z in alternates}) == len(alternates)
+    for z in alternates:
+        assert abs(assert_generator_contract(z, *pair, structure) - norm) <= 2 * delta + 1e-12
+
+    rec = json.loads(out_g)
+    b = np.array(rec["operator"])
+    want = graph_chart_residuals(b, pair[1])
+    tol = 1e-12 * max(1.0, max_abs(b))
+    assert abs(rec["residual_vertical_chart"] - want[0]) <= tol
+    assert abs(rec["residual_identity_chart"] - want[1]) <= tol
 
 
 if __name__ == "__main__":

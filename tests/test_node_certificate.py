@@ -36,8 +36,16 @@ from lagrass.geodesics import (
     evaluate,
     sample,
 )
-from lagrass.graphs import _chart_grid, codiagonal_generator, graph_symmetry
-from lagrass.linalg import max_abs
+from lagrass.graphs import (
+    _chart_grid,
+    cayley_curve,
+    cayley_transform,
+    codiagonal_generator,
+    graph_symmetry,
+    graph_window,
+    transformed_graph_operator,
+)
+from lagrass.linalg import max_abs, principal_angles, spectral_decompose
 from lagrass.sampling import random_horizontal, random_lagrangian
 from lagrass.subspaces import (
     Projection,
@@ -352,3 +360,42 @@ def test_value_objects_compare_by_value_and_stay_unhashable():
         assert obj != other and not obj == other
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
+
+
+def _curve(k):
+    return cayley_curve(codiagonal_generator((k + 1.0) * 0.1 * np.eye(2),
+                                             graph_symmetry(np.eye(2))), [0.0, 0.5, 1.0])
+
+
+def _random_pair(k):
+    rng = np.random.default_rng(SEED + 8)
+    pair = [random_lagrangian(ComplexStructure.standard(2), rng) for _ in range(2)]
+    return pair if k == 0 else pair[::-1]
+
+
+# each builds its result from fresh arrays: k = 0 twice gives two equal
+# values, k = 1 a different one
+RESULTS = {
+    "CayleyTransform": lambda k: cayley_transform((k + 1.0) * np.eye(2)),
+    "GraphWindowVerdict": lambda k: graph_window((k + 1.0) * 0.1 * np.eye(2)),
+    "CayleyCurveSample": lambda k: _curve(k).samples[-1],
+    "CayleyCurveResult": _curve,
+    "FiveWayDecomposition": lambda k: five_way_decompose(*_random_pair(k)),
+    "PrincipalAngles": lambda k: principal_angles(
+        np.eye(3)[:, :1], np.array([[math.cos(k + 0.5)], [math.sin(k + 0.5)], [0.0]])),
+    "SpectralDecomposition": lambda k: spectral_decompose(np.diag([1.0, 2.0 + k])),
+    "TransformedGraph": lambda k: transformed_graph_operator(np.eye(4),
+                                                             (k + 1.0) * 0.2 * np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_results_compare_by_value_and_stay_unhashable(name):
+    # == on two equal results used to raise ValueError ("truth value of an
+    # array with more than one element is ambiguous")
+    value, same, other = (RESULTS[name](k) for k in (0, 0, 1))
+    assert type(value).__name__ == name and value is not same
+    assert value == same and not value != same
+    assert value != other and not value == other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
