@@ -79,7 +79,7 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseFailure(f"cannot read {path}: {exc}") from exc
+        raise ParseFailure(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -228,7 +228,7 @@ def _cmd_validate(args) -> dict:
         "j_orthogonality": max_abs(j @ j.T - np.eye(dim)),
         "symmetry_asymmetry": max_abs(e - e.T),
         "symmetry_square_minus_identity": max_abs(e @ e - np.eye(dim)),
-        "anticommutator_with_j": max_abs(e @ j + j @ e),
+        "anticommutator_with_j": max_abs(structure._residual(e, "anticommutes")),
         "subspace_dim": eps.plus_dim,
         "lagrangian": is_lagrangian(eps, structure),
         "provenance": _provenance(args),
@@ -239,14 +239,13 @@ def _cmd_connect(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     gen, endpoint = _connect(e0, e1, structure)
     z = gen.z
-    j = structure.matrix
     geo = Geodesic(gen)
     return {
         "z": z.tolist(),
         "norm_op": gen.norm,
         "residuals": {
             "antisymmetry": max_abs(z + z.T),
-            "commutator_with_j": max_abs(z @ j - j @ z),
+            "commutator_with_j": max_abs(structure._residual(z, "commutes")),
             "anticommutator_with_base": max_abs(z @ e0.matrix + e0.matrix @ z),
             "endpoint": endpoint,
         },

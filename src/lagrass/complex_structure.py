@@ -12,6 +12,8 @@ complex arrays. A symmetric unitary C, the matrix of a Lagrangian symmetry,
 is O diag(e^{i phi}) O^T with O real orthogonal (`_real_eigenbasis`).
 These four functions read and write standard coordinates: for a non-standard
 J they apply the change of basis `to_standard`, and no other module does.
+Every (anti)commutation check with J takes its residual from `_residual`: the
+n x n blocks for J exactly standard, a product with J only otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InvariantViolation
-from .linalg import _as_2d, _check, _eq_by_value, _read_only, max_abs, require_square
+from .linalg import _as_2d, _check, _deviation, _eq_by_value, _read_only, max_abs, require_square
 from .tolerances import RECON_RTOL, SYM_RTOL
 
 
@@ -53,6 +55,7 @@ class ComplexStructure:
     n: int = field(init=False)
     to_standard: np.ndarray = field(init=False)
     _standard: bool = field(init=False, repr=False, compare=False)
+    _exact: bool = field(init=False, repr=False, compare=False)   # J == standard_form(n)
 
     def __post_init__(self):
         j = require_square(self.matrix, "J")
@@ -69,10 +72,11 @@ class ComplexStructure:
             raise InvariantViolation("J: must be orthogonal")
         object.__setattr__(self, "matrix", _read_only(j.copy()))
         object.__setattr__(self, "n", n)
-        standard = bool(max_abs(j - standard_form(n)) <= 1e-12)
-        r = np.eye(dim) if standard else _standardizing_basis(j)
+        off = max_abs(j - standard_form(n))
+        r = np.eye(dim) if off <= 1e-12 else _standardizing_basis(j)
         object.__setattr__(self, "to_standard", _read_only(r))
-        object.__setattr__(self, "_standard", standard)
+        object.__setattr__(self, "_standard", off <= 1e-12)
+        object.__setattr__(self, "_exact", off == 0.0)
 
     @classmethod
     def standard(cls, n: int) -> "ComplexStructure":
@@ -84,6 +88,7 @@ class ComplexStructure:
         object.__setattr__(structure, "n", j.shape[0] // 2)
         object.__setattr__(structure, "to_standard", _read_only(np.eye(j.shape[0])))
         object.__setattr__(structure, "_standard", True)
+        object.__setattr__(structure, "_exact", True)
         return structure
 
     @property
@@ -92,6 +97,23 @@ class ComplexStructure:
 
     def is_standard(self) -> bool:
         return self._standard
+
+    def _residual(self, a: np.ndarray, kind: str) -> np.ndarray:
+        """a J - J a ("commutes") or a J + J a ("anticommutes"), for one matrix
+        or a stack. For J == standard_form(n) it is read off the blocks
+        [[A, B], [C, D]] of a: [[P, Q], [Q, -P]] with P = B + C, Q = D - A, or
+        [[P, -Q], [Q, P]] with P = B - C, Q = D + A. Each entry of a J and of
+        J a is a single +-a entry, so this is the dense form, bitwise up to the
+        sign of a zero."""
+        if not self._exact:
+            return _deviation((kind, self.matrix), a)
+        n = self.n
+        plus, minus = (np.add, np.subtract) if kind == "commutes" else (np.subtract, np.add)
+        p, q = plus(a[..., :n, n:], a[..., n:, :n]), minus(a[..., n:, n:], a[..., :n, :n])
+        out = np.empty_like(a)
+        out[..., :n, :n], out[..., n:, :n] = p, q
+        out[..., :n, n:], out[..., n:, n:] = (q, -p) if kind == "commutes" else (-q, p)
+        return out
 
 
 def _standardizing_basis(j: np.ndarray) -> np.ndarray:
@@ -125,12 +147,12 @@ def is_complex_unitary(u, structure: ComplexStructure) -> bool:
 
 def _structure_verdict(a, structure: ComplexStructure, name: str, *kinds) -> bool:
     """Whether a satisfies each identity ("commutes" and "anticommutes" taken
-    with J) within SYM_RTOL * dim * max(max|a|, 1e-300)."""
+    with J, by `ComplexStructure._residual`) within SYM_RTOL * dim * max(max|a|, 1e-300)."""
     arr = _as_2d(a, "operator", square=True)
     if arr.shape[0] != structure.dim:
         raise InvariantViolation(f"{name}: dimension mismatch")
     tol = SYM_RTOL * max(arr.shape[0], 1)
-    checks = [(k if k == "orthonormal" else (k, structure.matrix), tol, 1e-300, "") for k in kinds]
+    checks = [(k if k == "orthonormal" else (k, structure), tol, 1e-300, "") for k in kinds]
     return _check(arr, "operator", checks, verdict=True)
 
 
@@ -185,7 +207,7 @@ def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
     dim = structure.dim
     if arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
         raise InvariantViolation("conjugation matrix: dimension mismatch")
-    _check(arr, "conjugation matrix", [(("anticommutes", structure.matrix),
+    _check(arr, "conjugation matrix", [(("anticommutes", structure),
                                         SYM_RTOL * max(dim, 1), 1e-300,
                                         "operator does not anticommute with J")])
     return _complex_block(arr, structure)

@@ -95,7 +95,7 @@ class GeodesicGenerator:
         e = self.base.matrix
         _check(z, "generator", [
             ("antisymmetric", SYM_RTOL * max(z.shape[0], 1), 0.0, "not antisymmetric" + _EXCEEDS),
-            (("commutes", self.structure.matrix), GENERATOR_ATOL, 1.0, "does not commute with J"),
+            (("commutes", self.structure), GENERATOR_ATOL, 1.0, "does not commute with J"),
             (("anticommutes", e), GENERATOR_ATOL, 1.0, "does not anticommute with the base")])
         # z = iH; in a real form W of the base, W^H H W is real symmetric
         w = _real_form(_complex_block(e, self.structure))

@@ -73,10 +73,13 @@ def _amax(x: np.ndarray) -> np.ndarray:
 def _deviation(identity, a: np.ndarray) -> np.ndarray:
     """Residual at a of "symmetric" a = a^T, "antisymmetric" a = -a^T,
     "orthonormal" a^T a = I, "involutive" a conj(a) = I, "idempotent"
-    a a = a, ("commutes", b) a b = b a or ("anticommutes", b) a b = -b a."""
+    a a = a, ("commutes", b) a b = b a or ("anticommutes", b) a b = -b a. A
+    ComplexStructure b forms its own residual (`ComplexStructure._residual`)."""
     kind, b = identity if isinstance(identity, tuple) else (identity, None)
-    if b is not None:
+    if isinstance(b, np.ndarray):
         return a @ b - b @ a if kind == "commutes" else a @ b + b @ a
+    if b is not None:
+        return b._residual(a, kind)
     at = a.swapaxes(-1, -2)
     if kind in ("symmetric", "antisymmetric"):
         return a - at if kind == "symmetric" else a + at
@@ -230,10 +233,12 @@ def apply_function(dec: SpectralDecomposition, f) -> np.ndarray:
 def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     """Exponential of a real antisymmetric matrix (or a stack of them).
 
-    Uses spectral pairing: with M = -z@z symmetric PSD and theta = sqrt(eig M),
-    e^z = cos(sqrt(M)) + z sinc(sqrt(M)). The result lies in SO(n); the public
-    2-d path verifies orthogonality and det +1. Each matrix of a stack is
-    held to its own scale, and the first non-antisymmetric one is named.
+    Uses spectral pairing: with M = z^T z = -z z symmetric PSD, M = Q diag(lam) Q^T
+    and theta = sqrt(lam), e^z = cos(sqrt(M)) + z sinc(sqrt(M))
+    = (Q cos(theta) + (z Q) sinc(theta)) Q^T: three products, the first a
+    syrk for one matrix. The result lies in SO(n); the public 2-d path
+    verifies orthogonality and det +1. Each matrix of a stack is held to its
+    own scale, and the first non-antisymmetric one is named.
     """
     arr = np.asarray(z, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -241,13 +246,11 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     if validate:
         _check(arr, "expm", [("antisymmetric", SYM_RTOL * arr.shape[-1], 0.0,
                               "input not antisymmetric{where} (deviation {dev:.3e})")])
-    m = -np.matmul(arr, arr)
-    lam, q = np.linalg.eigh(m)
+    lam, q = np.linalg.eigh(np.matmul(np.swapaxes(arr, -1, -2), arr))
     theta = np.sqrt(np.clip(lam, 0.0, None))
-    qt = np.swapaxes(q, -1, -2)
-    cos_part = np.matmul(q * np.cos(theta)[..., None, :], qt)
-    sinc_part = np.matmul(q * np.sinc(theta / np.pi)[..., None, :], qt)
-    out = cos_part + np.matmul(arr, sinc_part)
+    out = q * np.cos(theta)[..., None, :]
+    out += np.matmul(arr, q) * np.sinc(theta / np.pi)[..., None, :]
+    out = np.matmul(out, np.swapaxes(q, -1, -2))
     if validate and arr.ndim == 2:
         n = arr.shape[0]
         dev = max_abs(out.T @ out - np.eye(n))

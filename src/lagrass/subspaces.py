@@ -312,7 +312,7 @@ def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None) -
               (("anticommutes", eps.matrix), tol, 1e-300,
                "does not anticommute with the base symmetry")]
     if structure is not None:
-        checks.append((("anticommutes", structure.matrix), tol, 1e-300,
+        checks.append((("anticommutes", structure), tol, 1e-300,
                        "does not anticommute with J"))
     return _check(arr, "tangent vector", checks)
 

@@ -144,6 +144,20 @@ def test_exit_code_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "graph-recover"])
+@pytest.mark.parametrize("target, reason", [("absent.json", "No such file or directory"),
+                                            ("", "Is a directory")], ids=["missing", "directory"])
+def test_an_input_that_cannot_be_read_exits_2_naming_it_once(tmp_path, capsys, command, target,
+                                                            reason):
+    # the message used to name the path twice: "cannot read P: [Errno 2] ...: 'P'"
+    path = str(tmp_path / target)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: {reason}\n"
+
+
 def test_exit_code_unknown_command(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()

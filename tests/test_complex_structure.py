@@ -294,6 +294,77 @@ def test_wrap_phase_is_each_former_wrap_bit_for_bit():
     assert np.all((-pi < _wrap_phase(shifted)) & (_wrap_phase(shifted) <= pi))
 
 
+# ---------------------------------------------------------------------------
+# the one J-residual: blocks for the standard J, products otherwise
+
+
+def dense_residual(a, j, kind):
+    return a @ j - j @ a if kind == "commutes" else a @ j + j @ a
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 64),
+       stack=st.sampled_from([(), (1,), (3,)]), low=st.integers(-200, 200),
+       span=st.integers(0, 40), kind=st.sampled_from(["commutes", "anticommutes"]))
+def test_the_block_residual_is_the_dense_one_bitwise(seed, n, stack, low, span, kind):
+    # entries at scales 10^low ... 10^(low + span) within [1e-200, 1e200], a
+    # fifth of them signed zeros: |a J -+ J a| read off the blocks equals the
+    # dense products' bit for bit, and a rotated J keeps the dense form itself
+    rng = np.random.default_rng(seed)
+    shape = stack + (2 * n, 2 * n)
+    exponents = rng.uniform(low, min(low + span, 200), shape)
+    a = rng.standard_normal(shape) * 10.0 ** exponents
+    zeros = rng.random(shape) < 0.2
+    a[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    for structure in (ComplexStructure.standard(n), ComplexStructure(standard_form(n))):
+        got = structure._residual(a, kind)
+        assert got.shape == a.shape
+        assert np.abs(got).tobytes() == np.abs(dense_residual(a, standard_form(n), kind)).tobytes()
+    if n:
+        rotated = nonstandard_structure(n, seed)
+        want = dense_residual(a, rotated.matrix, kind)
+        assert rotated._residual(a, kind).tobytes() == want.tobytes()
+
+
+def test_a_j_off_the_standard_form_keeps_the_dense_residual():
+    # within 1e-12 of the standard form J is standard (its change of basis is
+    # I), but only J == standard_form(n) takes the block residual
+    n = 3
+    rng = np.random.default_rng(SEED)
+    nudge = rng.standard_normal((2 * n, 2 * n))
+    j = expm_antisymmetric(1e-14 * (nudge - nudge.T)) @ standard_form(n)
+    structure = ComplexStructure(j)
+    assert structure.is_standard() and not structure._exact
+    assert ComplexStructure(standard_form(n))._exact and ComplexStructure.standard(n)._exact
+    a = rng.standard_normal((2, 2 * n, 2 * n))
+    for kind in ("commutes", "anticommutes"):
+        want = dense_residual(a, structure.matrix, kind)
+        assert structure._residual(a, kind).tobytes() == want.tobytes()
+
+
+def test_the_spy_reports_j_checks_under_their_kinds(monkeypatch):
+    from lagrass.geodesics import GeodesicGenerator
+    from lagrass.subspaces import check_tangent, is_lagrangian, vertical_symmetry
+    from spies import CallSpy
+
+    spy = CallSpy(monkeypatch)
+    structure = ComplexStructure.standard(2)
+    base = vertical_symmetry(2)
+    is_lagrangian(base, structure)
+    is_complex_unitary(np.eye(4), structure)
+    conjugation_matrix(np.stack([base.matrix] * 2), structure)
+    check_tangent(base, np.zeros((4, 4)), structure)
+    GeodesicGenerator(np.zeros((4, 4)), base, structure)
+    assert [(name, kinds) for name, kinds, _ in spy.checks if name != "symmetry"] == [
+        ("operator", ("anticommutes",)),
+        ("operator", ("orthonormal", "commutes")),
+        ("conjugation matrix", ("anticommutes",)),
+        ("tangent vector", ("symmetric", "anticommutes", "anticommutes")),
+        ("operator", ("anticommutes",)),
+        ("generator", ("antisymmetric", "commutes", "anticommutes")),
+    ]
+
+
 if __name__ == "__main__":
     import sys
 

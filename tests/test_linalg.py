@@ -152,6 +152,35 @@ def test_expm_antisymmetric_stacked():
         assert max_abs(stack[i] - expm_antisymmetric(t * z)) < 1e-13
 
 
+def antisymmetric_at_norm(rng, dim, norm):
+    """A random antisymmetric dim x dim matrix of operator norm `norm`."""
+    a = rng.standard_normal((dim, dim))
+    z = a - a.T
+    top = np.linalg.norm(z, 2) if dim > 1 else 0.0
+    return z * (norm / top) if top else z
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 128, 256])
+def test_expm_antisymmetric_in_three_products_matches_scipy(dim):
+    # M = z^T z, e^z = (Q cos + (z Q) sinc) Q^T: against scipy's Pade expm at
+    # norms 1, pi - 1e-6 and pi (eigenvalues of e^z at -1), one matrix and a
+    # stack of them with the zero matrix first; the zero matrix maps to I exactly
+    import scipy.linalg
+
+    rng = np.random.default_rng([SEED, dim])
+    zs = np.stack([np.zeros((dim, dim))] + [antisymmetric_at_norm(rng, dim, norm)
+                                            for norm in (1.0, math.pi - 1e-6, math.pi)])
+    stacked = expm_antisymmetric(zs)
+    assert np.array_equal(stacked[0], np.eye(dim))
+    for z, got_in_stack in zip(zs, stacked):
+        got = expm_antisymmetric(z)
+        assert max_abs(got - scipy.linalg.expm(z)) <= 1e-12
+        assert max_abs(got_in_stack - scipy.linalg.expm(z)) <= 1e-12
+        for g in (got, got_in_stack):
+            assert max_abs(g.T @ g - np.eye(dim)) <= 1e-12 * dim
+            assert np.linalg.det(g) > 0.0
+
+
 def test_logm_rotation_is_half_angle():
     # returns half the principal log: e^{2 z} reproduces the input
     g = rotation2(0.8)
