@@ -147,6 +147,7 @@ class _NodeCertificate(NamedTuple):
     rho: float = math.nan   # ||R(U U^T) - eps0||_F, the base residual
     g: np.ndarray | None = None     # diag(G) for G = U^H conj(U)
     r: float = math.nan     # ||offdiag G||_F
+    plus_dim: int = 0       # the base's, which every node shares
 
     def chart_floor(self, d: np.ndarray) -> np.ndarray:
         """floor_t, the lower bound on the top-row chart margin of the node
@@ -212,7 +213,7 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     gram = u.conj().T @ u.conj()
     g = gram.diagonal().copy()
     r = float(np.linalg.norm(gram - np.diag(g)))
-    return _NodeCertificate(bool(holds), eta, slack, rho, g, r)
+    return _NodeCertificate(bool(holds), eta, slack, rho, g, r, gen.base.plus_dim)
 
 
 @dataclass(frozen=True)
@@ -242,21 +243,33 @@ def evaluate(geo: Geodesic, t: float) -> Symmetry:
 
     While the generator's node certificate holds (`_node_certificate`, for
     the standard J only: the record's defects keep every node's asymmetry and
-    involution defect below the `Symmetry` tolerances, for every t) a node
-    with finite entries is returned without the check, with the chart floor
-    the certificate reads off its phases in O(n), which `is_graph` and
-    `recover_operator` read before their SVD; otherwise the `Symmetry`
-    constructor checks it and raises as it would on any matrix.
+    involution defect below the `Symmetry` tolerances, for every t) the node
+    is returned unchecked and unformed. It keeps the generator and the
+    phases d = e^{2it theta}, forms its matrix on the first read, bitwise as
+    below, reports 2n and the base's plus_dim (the step has trace 0) without
+    it, and carries the chart floor the certificate reads off d in O(n),
+    which `is_graph` and `recover_operator` read before their SVD. Finite d
+    makes a finite node: a NaN or inf in U makes eta non-finite and the
+    certificate fail, the base is a validated symmetry, and
+    ||U||^2 <= 1 + eta < 2 keeps the step from overflowing. Otherwise the
+    node is formed at once and the `Symmetry` constructor checks it, raising
+    as it would on any matrix.
     """
     gen = geo.generator
     t = float(t)
     _require_finite_phases(abs(t), gen.norm)
     d = np.exp(1j * (2.0 * t * gen.theta))
-    node = gen.base.matrix + realify_conjugation((gen.u * (d - 1.0)) @ gen.u.T, gen.structure)
+    form = functools.partial(_node_matrix, gen, d)
     certificate = gen._nodes
-    if certificate.holds and np.isfinite(node).all():
-        return Symmetry._certified(node, float(certificate.chart_floor(d)))
-    return Symmetry(node)
+    if certificate.holds and np.isfinite(d).all():
+        return Symmetry._certified(form, (gen.base.ambient_dim, certificate.plus_dim),
+                                   float(certificate.chart_floor(d)))
+    return Symmetry(form())
+
+
+def _node_matrix(gen: GeodesicGenerator, d: np.ndarray) -> np.ndarray:
+    """eps0 + R(U (d - 1) U^T), the node of gen with phases d (`evaluate`)."""
+    return gen.base.matrix + realify_conjugation((gen.u * (d - 1.0)) @ gen.u.T, gen.structure)
 
 
 def sample(geo: Geodesic, ts) -> np.ndarray:

@@ -14,7 +14,8 @@ a lower bound on that margin read off the generator's record in O(n)
 (`geodesics._node_certificate`): `is_graph` and `recover_operator` on a node
 of `evaluate`, and the chart grid on the C_t stacks of a grid the caller
 chooses (the Cayley curve, CLI `spectral-curve`), answer "inside" from it
-when it clears the cutoff and run the SVD only on the rest. The graph window
+when it clears the cutoff and run the SVD only on the rest; that `is_graph`
+forms no 2n x 2n matrix of the node (see `geodesics.evaluate`). The graph window
 and the safe radius are closed-form verdicts on the generator's spectrum.
 The identity graph's C is iI, so a generator there has its spectral record
 from one real n x n eigh, and the Cayley curve's phases are Rayleigh
@@ -174,7 +175,8 @@ def is_graph(s, rank_rtol: float = RANK_RTOL) -> bool:
     test too) is compared with the absolute cutoff rank_rtol, in (0, 1), for
     any half-dimensional subspace, Lagrangian or not; a node of `evaluate`
     whose chart floor (a lower bound on it) clears the cutoff is inside with
-    no SVD. The zero space is the graph of the 0 x 0 operator.
+    no SVD and no 2n x 2n matrix formed, as its dimensions need none. The
+    zero space is the graph of the 0 x 0 operator.
     """
     _require_rank_cutoff(rank_rtol, "is_graph")
     eps = _as_symmetry(s)

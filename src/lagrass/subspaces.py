@@ -86,36 +86,50 @@ class Symmetry:
 
     matrix is the symmetry's own read-only copy of its input: a later change
     to the caller's array does not reach it, and a write to it raises
-    ValueError.
+    ValueError. A certified geodesic node (`_certified`) forms its matrix on
+    first read, and reports its dimensions before that.
     """
 
     __eq__ = _eq_by_value
     matrix: np.ndarray
     _chart_floor = -math.inf    # a lower bound on the chart margin; not a field
+    _form = _dims = None    # a node's form and (ambient_dim, plus_dim); not fields
 
     def __post_init__(self):
         e = _require_symmetries(_as_2d(self.matrix, "symmetry"))
         object.__setattr__(self, "matrix", _read_only(e.copy()))
 
     @classmethod
-    def _certified(cls, matrix: np.ndarray, chart_floor: float = -math.inf) -> "Symmetry":
-        """The symmetry of a fresh float matrix already known to pass the
-        check (a certified geodesic node), unvalidated and not copied, with a
-        lower bound on its top-row chart margin that `is_graph` and
-        `recover_operator` read before their SVD (see `geodesics.evaluate`).
-        Every other symmetry has the class default -inf; == and repr ignore it."""
+    def _certified(cls, form, dims: tuple | None = None,
+                   chart_floor: float = -math.inf) -> "Symmetry":
+        """The symmetry whose matrix form() gives: a fresh float matrix known
+        to pass the check (a certified geodesic node), unvalidated, formed on
+        the first read of `matrix` and not copied. dims, when given, are its
+        (ambient_dim, plus_dim), answered without it. chart_floor bounds its
+        top-row chart margin from below for `is_graph` and `recover_operator`
+        (see `geodesics.evaluate`); every other symmetry has the class
+        default -inf, and == and repr read the matrix only."""
         sym = object.__new__(cls)
-        object.__setattr__(sym, "matrix", _read_only(matrix))
-        object.__setattr__(sym, "_chart_floor", chart_floor)
+        for name, value in (("_form", form), ("_dims", dims), ("_chart_floor", chart_floor)):
+            object.__setattr__(sym, name, value)
         return sym
+
+    def __getattr__(self, name: str):
+        # only a missing attribute lands here: an unformed node's matrix
+        if name != "matrix" or self._form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "matrix", _read_only(self._form()))
+        return self.matrix
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._dims[0] if self._dims else self.matrix.shape[0]
 
     @property
     def plus_dim(self) -> int:
-        """Dimension of the +1 eigenspace, from the trace."""
+        """Dimension of the +1 eigenspace, from the trace or a node's dims."""
+        if self._dims:
+            return self._dims[1]
         n = self.ambient_dim
         return int(round((n + float(np.trace(self.matrix))) / 2.0))
 

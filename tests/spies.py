@@ -1,7 +1,8 @@
 """Call counting for tests: which identities `linalg._check` held each array
 to, which `numpy.linalg` routines ran on which shapes, which generators
-had their node certificate computed, and which symmetric unitaries
-`_real_eigenbasis` factored.
+had their node certificate computed, which symmetric unitaries
+`_real_eigenbasis` factored, and which geodesic nodes had their 2n x 2n
+matrix formed.
 
     spy = CallSpy(monkeypatch)
     recover_operator(eps)
@@ -10,7 +11,8 @@ had their node certificate computed, and which symmetric unitaries
 
 Every lagrass module that imported `_check` or `_real_eigenbasis` sees the
 spy, and so does every caller of `np.linalg.<routine>` through the attribute;
-numpy's own internal calls do not.
+numpy's own internal calls do not. `formed` has the generator of each node
+matrix formed, for the nodes `evaluate` built while the spy was on.
 """
 
 import sys
@@ -30,8 +32,10 @@ class CallSpy:
         self.linalg = []    # (routine, shape of its first argument)
         self.certified = []     # generators whose node certificate was computed
         self.eigenbases = []    # shape of each matrix `_real_eigenbasis` factored
+        self.formed = []    # generator of each geodesic node whose matrix was formed
         check = lagrass.linalg._check
         certify = lagrass.geodesics._node_certificate
+        form = lagrass.geodesics._node_matrix
         eigenbasis = lagrass.complex_structure._real_eigenbasis
 
         def spy_check(arr, name, checks=(), *args, **kwargs):
@@ -58,6 +62,12 @@ class CallSpy:
             return certify(gen)
 
         monkeypatch.setattr(lagrass.geodesics, "_node_certificate", spy_certify)
+
+        def spy_form(gen, d):
+            self.formed.append(gen)
+            return form(gen, d)
+
+        monkeypatch.setattr(lagrass.geodesics, "_node_matrix", spy_form)
 
     def _counting(self, routine, real):
         def call(a, *args, **kwargs):

@@ -149,8 +149,8 @@ def test_only_a_certified_node_carries_a_floor():
     others = [Symmetry(node.matrix), symmetry_from_projection(projection_from_symmetry(node)),
               symmetry_from_subspace(subspace_from_symmetry(node)), graph_symmetry(np.eye(n)),
               vertical_symmetry(n), random_lagrangian(ComplexStructure.standard(n), rng),
-              Symmetry._certified(node.matrix)]
+              Symmetry._certified(node.matrix.copy)]
     assert [e._chart_floor for e in others] == [-math.inf] * len(others)
     # the floor is not part of the value: == and repr read the matrix only
-    assert node == others[-1] and Symmetry._certified(node.matrix, 0.5) == node
+    assert node == others[-1] and Symmetry._certified(node.matrix.copy, None, 0.5) == node
     assert repr(node) == repr(others[-1]) == repr(Symmetry(node.matrix))

@@ -25,12 +25,24 @@ from hypothesis import strategies as st
 import lagrass.cli
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure, conjugation_matrix, standard_form
-from lagrass.geodesics import GeodesicGenerator, connect
-from lagrass.graphs import graph_symmetry
+from lagrass.geodesics import Geodesic, GeodesicGenerator, connect, evaluate
+from lagrass.graphs import codiagonal_generator, graph_symmetry, is_graph
 from lagrass.linalg import max_abs
 from lagrass.sampling import random_lagrangian
-from lagrass.subspaces import Projection, Subspace, Symmetry, symmetry_from_subspace
-from lagrass.tolerances import ANGLE_TOL, ENDPOINT_RTOL, GENERATOR_ATOL, SYM_RTOL
+from lagrass.subspaces import (
+    Projection,
+    Subspace,
+    Symmetry,
+    is_lagrangian,
+    symmetry_from_subspace,
+)
+from lagrass.tolerances import (
+    ANGLE_TOL,
+    CAYLEY_FORM_TOL,
+    ENDPOINT_RTOL,
+    GENERATOR_ATOL,
+    SYM_RTOL,
+)
 
 from reference_formulas import (
     graph_chart_residuals,
@@ -38,6 +50,7 @@ from reference_formulas import (
     projection_gap_by_projections,
 )
 from spies import CallSpy
+from test_chart_certificate import planted_block
 from test_curve_kernel import rotated_structure
 from test_graphs import near_edge_block
 from test_subspaces import (
@@ -1149,6 +1162,102 @@ def test_connect_multiplicity_and_graph_recover_keep_their_contract_near_right_a
     tol = 1e-12 * max(1.0, max_abs(b))
     assert abs(rec["residual_vertical_chart"] - want[0]) <= tol
     assert abs(rec["residual_identity_chart"] - want[1]) <= tol
+
+
+# eigenvalues at -pi/4 + side * delta: the node at t = 1 of the identity
+# graph's flow lies about delta inside or outside the chart's edge
+EDGE_DELTAS = (0.0, 1e-12, 1e-6, 1e-3)
+EDGE_CASES = dict(seed=st.integers(0, 2**32 - 1), delta=st.sampled_from(EDGE_DELTAS),
+                  sides=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=8),
+                  generic=st.integers(0, 8))
+
+
+def edge_block(seed, delta, sides, generic):
+    """A rotated block with eigenvalues -pi/4 + side * delta, one per side,
+    beside `generic` ones drawn from [-pi/2, pi/2]; n <= 16."""
+    edges = [-math.pi / 4 + side * delta for side in sides]
+    return planted_block(np.random.default_rng(seed), len(sides) + generic, edges)
+
+
+def circular_mismatch(got, want):
+    """The largest distance on the circle between two phase lists, sorted and
+    matched up to a cyclic shift (a phase near pi may sort to either end)."""
+    got, want = np.sort(got), np.sort(np.remainder(want, 2 * math.pi))
+    return min(max(abs(math.remainder(g - w, 2 * math.pi)) for g, w in zip(got, np.roll(want, k)))
+               for k in range(len(want)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**EDGE_CASES, grid=st.sampled_from([3, 21, 50]))
+@example(seed=0, delta=0.0, sides=[1.0, 1.0], generic=0, grid=50)
+@example(seed=1, delta=1e-12, sides=[-1.0, 1.0, 1.0], generic=13, grid=21)
+def test_spectral_curve_keeps_its_contract_near_the_chart_edge(seed, delta, sides, generic,
+                                                                grid):
+    # on exit 0 the printed rows must satisfy the contract, recomputed from
+    # them and the input block alone
+    y = edge_block(seed, delta, sides, generic)
+    n = len(y)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_problem(Path(tmp) / "y.json", {"matrix": y.tolist()})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectral-curve", path, "--grid", str(grid)])
+    assert code == 0, err.getvalue()
+    text = out.getvalue()
+    lines = text[:text.index("{")].splitlines()
+    verdict = json.loads(text[text.index("{"):])
+    assert lines[0] == ",".join(["t"] + [f"phase_{i}" for i in range(n)]
+                                + ["min_gap_to_minus_one"])
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+    geo = Geodesic(codiagonal_generator(y, graph_symmetry(np.eye(n))))
+    kept = [t for t in np.linspace(-1.0, 1.0, grid).tolist() if is_graph(evaluate(geo, t))]
+    assert [row[0] for row in rows] == kept
+    assert verdict["skipped_times"] == grid - len(kept)
+    mus = np.linalg.eigvalsh(y)
+    for t, *phases, gap in rows:
+        assert phases == sorted(phases)
+        assert all(-math.pi < p <= math.pi for p in phases)
+        assert gap == min(math.pi - abs(p) for p in phases)
+        assert circular_mismatch(phases, -math.pi / 2 - 2.0 * t * mus) <= n * CAYLEY_FORM_TOL
+    assert verdict["min_gap"] == min(row[-1] for row in rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**EDGE_CASES)
+@example(seed=2, delta=0.0, sides=[-1.0] * 8, generic=8)
+def test_sample_keeps_its_contract_to_the_chart_edge(seed, delta, sides, generic):
+    # the pair is the identity graph and the node at t = 1 of the planted
+    # block's flow, at the chart's edge: on exit 0 every printed node must be
+    # a Lagrangian symmetry, the end nodes the inputs, and the speeds the
+    # closed-form length
+    y = edge_block(seed, delta, sides, generic)
+    n = len(y)
+    e0 = graph_symmetry(np.eye(n))
+    pair = (e0, Symmetry(evaluate(Geodesic(codiagonal_generator(y, e0)), 1.0).matrix))
+    with tempfile.TemporaryDirectory() as tmp:
+        [(code, out, err)] = run_on_pair(pair, [f"sample --out-prefix {tmp}/run"])
+        assert code == 0, err
+        curve, speed = ([[float(x) for x in line.split(",")] for line in
+                         Path(name).read_text().splitlines()[2:]]
+                        for name in json.loads(out)["files"])
+    closed = json.loads(out)["closed_form_speed"]
+    ts = np.linspace(0.0, 1.0, 101).tolist()
+    assert [row[0] for row in curve] == [row[0] for row in speed] == ts
+
+    structure = ComplexStructure.standard(n)
+    nodes = [np.array(row[1:]).reshape(2 * n, 2 * n) for row in curve]
+    assert all(is_lagrangian(Symmetry(e), structure) for e in nodes)
+    for e, end in ((nodes[0], pair[0]), (nodes[-1], pair[1])):
+        assert max_abs(e - end.matrix) <= ENDPOINT_RTOL * 2 * n
+    # the minimal geodesic's principal angles are |mu|, so its speed is
+    # 2 max |mu|. By Taylor's remainder, the one-sided five-point stencil
+    # [-25, 48, -36, 16, -3] / 12h misses C'_t by at most
+    # sum |c_j| (j h)^5 / 5! / 12h ||C^(5)|| = (17/3) h^4 speed^5, the
+    # central one by less, and the norm moves by no more than that
+    assert abs(closed - 2.0 * max_abs(np.linalg.eigvalsh(y))) <= 1e-9
+    tol = 17.0 / 3.0 * ts[1] ** 4 * closed ** 5 + 1e-10
+    assert max(abs(row[1] - closed) for row in speed) <= tol
 
 
 if __name__ == "__main__":

@@ -204,7 +204,7 @@ def test_a_base_asymmetry_at_the_tolerance_is_certified_or_checked(seed, n, kind
                                                                     which, factor):
     rng = np.random.default_rng(seed)
     gen = generators(kind, n, rotated, rng)[-1]
-    base = Symmetry._certified(planted_base(gen, which, factor, rng))
+    base = Symmetry._certified(planted_base(gen, which, factor, rng).copy)
     planted = GeodesicGenerator._from_record(base, gen.structure, gen.u, gen.theta)
     if which != "base" and factor > 1.0:
         assert not _node_certificate(planted).holds
@@ -217,7 +217,7 @@ def test_a_base_asymmetry_at_the_tolerance_is_certified_or_checked(seed, n, kind
 def test_an_asymmetry_past_the_bound_is_refused(n, which, rotated):
     rng = np.random.default_rng([SEED + 7, n, rotated])
     gen = generators("connect", n, rotated, rng)[0]
-    base = Symmetry._certified(planted_base(gen, which, 1.0 + 1e-3, rng))
+    base = Symmetry._certified(planted_base(gen, which, 1.0 + 1e-3, rng).copy)
     planted = GeodesicGenerator._from_record(base, gen.structure, gen.u, gen.theta)
     assert not _node_certificate(planted).holds
     assert_matches_the_check(planted, [0.0, 0.4, -2.5])
