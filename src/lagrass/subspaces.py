@@ -183,11 +183,23 @@ def symmetry_from_subspace(s: Subspace) -> Symmetry:
 
 
 def subspace_from_symmetry(eps: Symmetry) -> Subspace:
-    """Orthonormal basis of the +1 eigenspace; eigenvalues must sit near +-1."""
-    lam, vec = np.linalg.eigh(eps.matrix)
-    if np.count_nonzero(np.abs(np.abs(lam) - 1.0) > 1e-8):
+    """Orthonormal basis of the +1 eigenspace; eigenvalues near +-1 (`_eigenbases`)."""
+    return Subspace(_eigenbases(eps)[0])
+
+
+def _eigenbases(eps: Symmetry) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and -1 eigenvector bases (q, m) of a symmetry from one eigh, as
+    C-contiguous copies. It refuses an eigenvalue off +-1 by over t (3 + t),
+    t = SYM_RTOL d^2 max(max|e|, 1), as no `Symmetry` has: its check held
+    e e - I and e - e^T to t / d entrywise, so to t in the 2-norm; for a unit
+    eigenvector v of the h = e + E eigh reads off e's lower triangle, lam^2 - 1
+    = v^T (e e - I) v + 2 lam v^T E v - |E v|^2 <= t + 2 |lam| t + t^2."""
+    e = eps.matrix
+    t = SYM_RTOL * e.shape[0] ** 2 * max(max_abs(e), 1.0)
+    lam, vec = np.linalg.eigh(e)
+    if np.count_nonzero(np.abs(np.abs(lam) - 1.0) > t * (3.0 + t)):
         raise InvariantViolation("symmetry: eigenvalues not at +-1")
-    return Subspace(vec[:, lam > 0.0])
+    return vec[:, lam > 0.0].copy(), vec[:, lam <= 0.0].copy()
 
 
 def vertical_symmetry(n: int) -> Symmetry:
@@ -270,12 +282,14 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
     the one width angle_tol: an angle at most angle_tol is a common
     direction, one within angle_tol of pi/2 a swapped one, and so is a
     column the pairing leaves over when the dimensions differ. One complete
-    QR of these columns and the S1 partners of the generic angles finishes
-    the split: the partners' columns of Q join the generic basis and the
-    rest of Q is both_minus, with no rank decision. angle_tol must lie in
-    [ANGLE_TOL_FLOOR, pi/4) (InvariantViolation). More columns than
-    dimensions, which only common directions whose computed angles exceed
-    the width can give, is a ComputationError.
+    QR of y = m0^T C finishes the split, m0 the -1 eigenvectors of eps0 and C
+    the swapped S1 columns and the S1 partners of the generic angles: as
+    span(S0 u C) = S0 + (I - P0) C, m0 times the partners' columns of Q joins
+    the generic basis and m0 times the rest is both_minus, with no rank
+    decision. y is (dim - dim S0) x k, n x n for Lagrangians of R^2n.
+    angle_tol must lie in [ANGLE_TOL_FLOOR, pi/4) (InvariantViolation). More
+    columns than dimensions, which only common directions whose computed
+    angles exceed the width can give, is a ComputationError.
     """
     if not ANGLE_TOL_FLOOR <= angle_tol < math.pi / 4.0:
         raise InvariantViolation(f"pair decomposition: angle width must lie in "
@@ -283,27 +297,28 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
     eps0, eps1 = _as_symmetry(eps0), _as_symmetry(eps1)
     if eps0.ambient_dim != eps1.ambient_dim:
         raise InvariantViolation("pair decomposition: ambient dimensions differ")
-    dim = eps0.ambient_dim
-    pa = _principal_angles(subspace_from_symmetry(eps0).basis, subspace_from_symmetry(eps1).basis)
+    q0, m0 = _eigenbases(eps0)
+    pa = _principal_angles(q0, _eigenbases(eps1)[0])
     zero = pa.angles <= angle_tol
     right = pa.angles >= math.pi / 2.0 - angle_tol
     generic = ~(zero | right)
 
     blocks = [pa.left[:, zero], np.hstack([pa.left[:, right], pa.left_unpaired]),
               np.hstack([pa.right[:, right], pa.right_unpaired]), pa.left[:, generic]]
-    collected = np.hstack(blocks + [pa.right[:, generic]])
-    k, g = collected.shape[1], blocks[3].shape[1]
-    if k > dim:
-        raise ComputationError(
-            f"five-way decomposition incomplete: blocks sum to {k}, ambient {dim}")
+    y = m0.T @ np.hstack([blocks[2], pa.right[:, generic]])
+    k, g = y.shape[1], blocks[3].shape[1]
+    if k > y.shape[0]:
+        raise ComputationError(f"five-way decomposition incomplete: blocks sum to "
+                               f"{q0.shape[1] + k}, ambient {eps0.ambient_dim}")
     # the S1 partners, orthonormal to all of S0 and the swapped S1 columns
     # by construction: their rounding error, about eps / sin(angle), is
     # left only inside the generic and both_minus blocks, so a tiny
     # generic angle keeps every block orthonormal and invariant
-    q, r = np.linalg.qr(collected, mode="complete")
-    blocks[3] = np.hstack([blocks[3], q[:, k - g:k] * np.copysign(1.0, np.diagonal(r)[k - g:])])
-
-    both_plus, plus_minus, minus_plus, gen, both_minus = (Subspace(b) for b in blocks + [q[:, k:]])
+    q, r = np.linalg.qr(y, mode="complete")
+    q[:, k - g:k] *= np.copysign(1.0, np.diagonal(r)[k - g:])
+    q = m0 @ q[:, k - g:]
+    blocks[3] = np.hstack([blocks[3], q[:, :g]])
+    both_plus, plus_minus, minus_plus, gen, both_minus = (Subspace(b) for b in blocks + [q[:, g:]])
     return FiveWayDecomposition(both_plus=both_plus, both_minus=both_minus,
                                 plus_minus=plus_minus, minus_plus=minus_plus, generic=gen,
                                 generic_angles=pa.angles[generic])

@@ -28,6 +28,7 @@ from lagrass.subspaces import (
     Projection,
     Symmetry,
     _as_symmetry,
+    _eigenbases,
     projection_from_symmetry,
     subspace_from_symmetry,
     vertical_symmetry,
@@ -52,35 +53,37 @@ def tangent_project_offdiagonal(p: Projection, a) -> np.ndarray:
 
 def five_way_by_svd_null_space(eps0: Symmetry, eps1: Symmetry,
                                angle_tol: float = ANGLE_TOL) -> dict:
-    """The five blocks from two factorizations: the generic partners from a
-    reduced QR, both_minus from the SVD null space of the other columns, at
-    the rank cutoff sigma_max eps max(shape).
+    """The five blocks from two factorizations in the coordinates of S0's
+    complement, the -1 eigenvectors m0 of eps0: with y = m0^T [swapped S1
+    columns | S1 partners], the generic partners from a reduced QR of y, and
+    both_minus from m0 times the SVD null space of y^T, at the rank cutoff
+    sigma_max eps max(shape).
 
-    `five_way_decompose` takes both from one complete QR; with no angle at 0
-    and no swapped direction of unequal subspaces the two agree bitwise.
+    `five_way_decompose` takes both from one complete QR of y; with no angle
+    at 0 and no swapped direction of unequal subspaces the two agree bitwise.
     """
-    dim = eps0.ambient_dim
-    pa = _principal_angles(subspace_from_symmetry(eps0).basis, subspace_from_symmetry(eps1).basis)
+    q0, m0 = _eigenbases(eps0)
+    pa = _principal_angles(q0, _eigenbases(eps1)[0])
     zero = pa.angles <= angle_tol
     right = pa.angles >= math.pi / 2.0 - angle_tol
     generic = ~(zero | right)
     blocks = [pa.left[:, zero], np.hstack([pa.left[:, right], pa.left_unpaired]),
               np.hstack([pa.right[:, right], pa.right_unpaired]), pa.left[:, generic]]
+    y = m0.T @ np.hstack([blocks[2], pa.right[:, generic]])
     g = blocks[3].shape[1]
     if g:
-        q, r = np.linalg.qr(np.hstack(blocks + [pa.right[:, generic]]))
-        blocks[3] = np.hstack([blocks[3], q[:, -g:] * np.copysign(1.0, np.diagonal(r)[-g:])])
-    collected = np.hstack(blocks)
-    if collected.shape[1] == 0:
-        both_minus = np.eye(dim)
-    elif collected.shape[1] >= dim:
-        both_minus = np.zeros((dim, 0))
+        q, r = np.linalg.qr(y)
+        blocks[3] = np.hstack([blocks[3], m0 @ (q[:, -g:] * np.copysign(1.0, np.diagonal(r)[-g:]))])
+    if y.shape[1] == 0:
+        null = np.eye(y.shape[0])
+    elif y.shape[1] >= y.shape[0]:
+        null = np.zeros((y.shape[0], 0))
     else:
-        _, s, vt = np.linalg.svd(collected.T, full_matrices=True)
-        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(collected.shape))))
-        both_minus = vt[rank:].T
+        _, s, vt = np.linalg.svd(y.T, full_matrices=True)
+        rank = int(np.sum(s > s[0] * (np.finfo(float).eps * max(y.shape))))
+        null = vt[rank:].T
     return dict(zip(("both_plus", "plus_minus", "minus_plus", "generic", "both_minus"),
-                    blocks + [both_minus]))
+                    blocks + [m0 @ null]))
 
 
 def graph_chart_residuals(b, eps: Symmetry) -> tuple[float, float]:

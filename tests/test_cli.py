@@ -61,6 +61,7 @@ from test_subspaces import (
     involution_defect,
     perturbed_three_spaces,
     planted_angle_pair,
+    scaled_lagrangian_pair,
     threshold_case,
 )
 
@@ -972,23 +973,25 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_on_pair(pair, commands, *flags, structure=None):
     """(exit code, stdout, stderr) of each command on a pair of symmetries,
     with the structure's J in both documents when one is given. A command
     is its name and, after spaces, its own flags."""
-    results = []
     doc = {} if structure is None else {"J": structure.matrix.tolist()}
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_problem(Path(tmp) / f"{i}.json",
                                {"dim": e.ambient_dim, **doc,
                                 "subspace": {"symmetry": e.matrix.tolist()}})
                  for i, e in enumerate(pair)]
-        for command in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*flags, *command.split(), *paths])
-            results.append((code, out.getvalue(), err.getvalue()))
-    return results
+        return [run_captured([*flags, *command.split(), *paths]) for command in commands]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1199,11 +1202,8 @@ def test_spectral_curve_keeps_its_contract_near_the_chart_edge(seed, delta, side
     n = len(y)
     with tempfile.TemporaryDirectory() as tmp:
         path = write_problem(Path(tmp) / "y.json", {"matrix": y.tolist()})
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["spectral-curve", path, "--grid", str(grid)])
-    assert code == 0, err.getvalue()
-    text = out.getvalue()
+        code, text, err = run_captured(["spectral-curve", path, "--grid", str(grid)])
+    assert code == 0, err
     lines = text[:text.index("{")].splitlines()
     verdict = json.loads(text[text.index("{"):])
     assert lines[0] == ",".join(["t"] + [f"phase_{i}" for i in range(n)]
@@ -1258,6 +1258,113 @@ def test_sample_keeps_its_contract_to_the_chart_edge(seed, delta, sides, generic
     assert abs(closed - 2.0 * max_abs(np.linalg.eigvalsh(y))) <= 1e-9
     tol = 17.0 / 3.0 * ts[1] ** 4 * closed ** 5 + 1e-10
     assert max(abs(row[1] - closed) for row in speed) <= tol
+
+
+def test_decompose_takes_a_symmetry_at_the_constructor_edge():
+    # eigenvalues 1.2e-8 off +-1 at n = 128, within the constructor's
+    # tolerance: validate and distance took the pair, decompose used to
+    # refuse it with "eigenvalues not at +-1" (exit 3)
+    n = 128
+    _, e0, e1 = scaled_lagrangian_pair(n, 1.0 + 1.2e-8, SEED)
+    [(code_v, out_v, _)] = run_on_pair((e1,), ["validate"])
+    (code_d, _, _), (code_s, out_s, err_s) = run_on_pair((e0, e1), ["distance", "decompose"])
+    assert code_v == code_d == code_s == 0, err_s
+    assert json.loads(out_v)["lagrangian"] is True
+    assert json.loads(out_s)["dims"] == block_dims(0, 0, 0, 0, 2 * n)
+
+
+# the symmetry scaled so that max|eps^2 - I| is this fraction of the
+# constructor's tolerance SYM_RTOL dim: inside it, at it, or beyond it
+EDGE_FRACTIONS = (0.0, 0.99, 1.01)
+
+
+def validate_input(seed, n, rotated, kind, edge):
+    """A validate document, standard or rotated J: a random Lagrangian or
+    the symmetry of a random subspace of any dimension, scaled by
+    sqrt(1 + edge SYM_RTOL 2n)."""
+    rng = np.random.default_rng(seed)
+    structure = rotated_structure(n, rng)[0] if rotated else ComplexStructure.standard(n)
+    if kind == "lagrangian":
+        e = random_lagrangian(structure, rng).matrix
+    else:
+        b = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0][:, :rng.integers(0, 2 * n + 1)]
+        e = 2.0 * (b @ b.T) - np.eye(2 * n)
+    e = e * math.sqrt(1.0 + edge * SYM_RTOL * 2 * n)
+    doc = {"dim": 2 * n, "subspace": {"symmetry": e.tolist()}}
+    if rotated:
+        doc["J"] = structure.matrix.tolist()
+    return doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 8, 32, 64]),
+       rotated=st.booleans(), kind=st.sampled_from(["lagrangian", "subspace"]),
+       edge=st.sampled_from(EDGE_FRACTIONS))
+@example(seed=0, n=64, rotated=True, kind="lagrangian", edge=0.99)
+@example(seed=1, n=64, rotated=False, kind="subspace", edge=1.01)
+def test_validate_keeps_its_contract_at_the_constructor_edge(seed, n, rotated, kind, edge):
+    # on exit 0 every printed number is recomputed from the input document
+    # alone; beyond the constructor's tolerance the symmetry is refused
+    doc = validate_input(seed, n, rotated, kind, edge)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_captured(["validate", write_problem(Path(tmp) / "s.json", doc)])
+    if edge > 1.0:
+        assert (code, out) == (3, "")
+        assert err.startswith("invariant violation: symmetry: eps^2 != I")
+        return
+    assert code == 0, err
+    dim = 2 * n
+    e = np.array(doc["subspace"]["symmetry"])
+    j = np.array(doc["J"]) if rotated else standard_form(n)
+    identity = np.eye(dim)
+    report = json.loads(out)
+    assert {key: report[key] for key in (
+        "dim", "j_antisymmetry", "j_square_plus_identity", "j_orthogonality",
+        "symmetry_asymmetry", "symmetry_square_minus_identity", "anticommutator_with_j")} == {
+        "dim": dim, "j_antisymmetry": max_abs(j + j.T),
+        "j_square_plus_identity": max_abs(j @ j + identity),
+        "j_orthogonality": max_abs(j @ j.T - identity),
+        "symmetry_asymmetry": max_abs(e - e.T),
+        "symmetry_square_minus_identity": max_abs(e @ e - identity),
+        "anticommutator_with_j": max_abs(e @ j + j @ e)}
+    # the +1 eigenspace, and whether J maps it onto its complement: the
+    # symplectic form vanishes on it, to rounding here or O(1) off it
+    lam, vec = np.linalg.eigh((e + e.T) / 2.0)
+    basis = vec[:, lam > 0.0]
+    assert report["subspace_dim"] == basis.shape[1]
+    assert report["lagrangian"] is (basis.shape[1] == n
+                                    and max_abs(basis.T @ j @ basis) <= 1e-6)
+    if kind == "lagrangian":
+        assert report["lagrangian"] is True
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**63), dim_half=st.sampled_from([1, 2, 5, 16, 64]))
+@example(seed=0, dim_half=64)
+def test_random_pair_writes_a_reproducible_lagrangian_pair(seed, dim_half):
+    # equal seeds write identical bytes, the next seed other files, and each
+    # file passes validate as a Lagrangian of dim 2 --dim-half
+    dim = 2 * dim_half
+    with tempfile.TemporaryDirectory() as tmp:
+        written = {}
+        for tag, s in (("a", seed), ("b", seed), ("c", seed + 1)):
+            prefix = str(Path(tmp) / tag)
+            code, out, err = run_captured(["random-pair", "--dim-half", str(dim_half),
+                                           "--seed", str(s), "--out-prefix", prefix])
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["files"] == [prefix + "_first.json", prefix + "_second.json"]
+            assert payload["seed"] == payload["provenance"]["seed"] == s
+            written[tag] = [Path(name).read_bytes() for name in payload["files"]]
+            for name in payload["files"]:
+                code, out, err = run_captured(["validate", name])
+                assert code == 0, err
+                report = json.loads(out)
+                assert (report["dim"], report["subspace_dim"], report["lagrangian"]) == (
+                    dim, dim_half, True)
+    assert written["a"] == written["b"]
+    assert written["a"][0] != written["a"][1]
+    assert all(c != a for c, a in zip(written["c"], written["a"]))
 
 
 if __name__ == "__main__":

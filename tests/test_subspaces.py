@@ -207,6 +207,54 @@ def test_five_way_refuses_more_columns_than_dimensions(monkeypatch):
                         str(exc.value))
 
 
+def scaled_lagrangian_pair(n, factor, seed):
+    """A random Lagrangian pair of R^2n with the second symmetry scaled by
+    factor and symmetrised: its eigenvalues sit |factor - 1| off +-1."""
+    structure, e0, e1 = random_lagrangian_pair(n, np.random.default_rng(seed))
+    e = e1.matrix * factor
+    return structure, e0, Symmetry((e + e.T) / 2.0)
+
+
+def test_five_way_takes_a_symmetry_at_the_constructor_edge():
+    # at n = 128 the constructor allows max|e e - I| up to SYM_RTOL 2n =
+    # 2.56e-8; scaled by 1 + 1.2e-8 the symmetry passes with eigenvalues
+    # 1.2e-8 off +-1, and a fixed eigenvalue bound of 1e-8 used to refuse it
+    n = 128
+    structure, e0, e1 = scaled_lagrangian_pair(n, 1.0 + 1.2e-8, SEED + 29)
+    assert is_lagrangian(e1, structure)
+    assert subspace_from_symmetry(e1).dim == n
+    for pair in ((e0, e1), (e1, e0)):
+        assert five_way_decompose(*pair).dims() == block_dims(0, 0, 0, 0, 2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 128])
+@pytest.mark.parametrize("kind", ["scale", "asymmetry"])
+def test_eigenbases_take_every_symmetry_the_constructor_accepts(n, kind):
+    # at 0.99 of the constructor's tolerance r = SYM_RTOL 2n: a scaled
+    # symmetry (|eps^2 - I| about 0.99 r) and one with an asymmetric entry
+    # of 0.99 r max|eps| below the diagonal, the triangle eigh reads
+    r = SYM_RTOL * 2 * n
+    _, _, e = random_lagrangian_pair(n, np.random.default_rng([SEED + 31, n]))
+    e = e.matrix
+    if kind == "scale":
+        e = e * math.sqrt(1.0 + 0.99 * r)
+    else:
+        i = np.unravel_index(np.argmax(np.abs(np.tril(e, -1))), e.shape)
+        e = e.copy()
+        e[i] += 0.99 * r * max_abs(e)
+    eps = Symmetry(e)
+    q, m = lagrass.subspaces._eigenbases(eps)
+    assert (q.shape[1], m.shape[1]) == (n, n)
+    assert q.flags.c_contiguous and m.flags.c_contiguous
+
+
+def test_eigenbases_refuse_an_eigenvalue_off_plus_minus_one():
+    # a certified symmetry is not validated: an eigenvalue 1/2 is refused
+    eps = Symmetry._certified(lambda: np.diag([1.0, -1.0, 0.5]))
+    with pytest.raises(InvariantViolation, match=r"symmetry: eigenvalues not at \+-1"):
+        subspace_from_symmetry(eps)
+
+
 def _factorization_pairs():
     _, e0, e1 = random_lagrangian_pair(3, np.random.default_rng(SEED + 17))
     yield pytest.param(e0, e1, 0, ["svd", "svd", "qr"], id="random")
@@ -220,14 +268,23 @@ def _factorization_pairs():
     # pi/4: no sine SVD
     yield pytest.param(graph_symmetry(np.diag([0.0, 0.5, -0.3])), vertical_symmetry(3), 0,
                        ["svd", "qr"], id="wide")
+    # S0 the whole space, containing S1: every angle 0, a QR of no rows
+    yield pytest.param(Symmetry(np.eye(4)), vertical_symmetry(2), 0, ["svd", "svd", "qr"],
+                       id="whole")
 
 
 @pytest.mark.parametrize("e0, e1, both_minus, routines", list(_factorization_pairs()))
 def test_five_way_makes_one_angle_svd_and_one_qr(monkeypatch, e0, e1, both_minus, routines):
-    # the cosine SVD and the QR, plus one sine SVD when an angle is below pi/4
+    # the cosine SVD and the QR, plus one sine SVD when an angle is below pi/4;
+    # one eigh per symmetry, and the QR in the coordinates of S0's complement,
+    # on 2n - r0 rows
     spy = CallSpy(monkeypatch)
     dec = five_way_decompose(e0, e1)
     assert [routine for routine, _ in spy.calls("svd", "qr")] == routines
+    dim = e0.ambient_dim
+    assert spy.calls("eigh") == [("eigh", (dim, dim))] * 2
+    [(_, qr_shape)] = spy.calls("qr")
+    assert qr_shape[0] == dim - e0.plus_dim
     assert dec.both_minus.dim == both_minus
 
 
@@ -308,6 +365,10 @@ def _reference_pairs():
     yield pytest.param(Symmetry(-np.eye(4)), Symmetry(-np.eye(4)), id="both zero")
     yield pytest.param(Symmetry(np.eye(4)), Symmetry(np.eye(4)), id="both whole")
     yield pytest.param(line(0.0), line(math.pi / 2), id="swapped lines")
+    # S0 the whole space or {0}: the complement coordinates have no rows or
+    # all of them
+    yield pytest.param(Symmetry(np.eye(4)), Symmetry(-np.eye(4)), id="whole/zero")
+    yield pytest.param(Symmetry(-np.eye(4)), vertical_symmetry(2), id="zero/vertical")
 
 
 @pytest.mark.parametrize("e0, e1", list(_reference_pairs()))
@@ -612,7 +673,8 @@ def test_five_way_buckets_land_on_the_planted_side(seed, tol, zero_side, right_s
     assert_blocks_invariant(dec, e0, e1, tol)
 
 
-@pytest.mark.parametrize("angle, tol", [(1.001e-8, ANGLE_TOL), (1.001e-10, 1e-10)])
+@pytest.mark.parametrize("angle, tol", [(1.001e-8, ANGLE_TOL), (1.001e-10, 1e-10),
+                                        (1e-10, 1e-11)])
 def test_five_way_keeps_a_generic_angle_just_above_the_width(angle, tol):
     # the partner of a generic angle has a part orthogonal to S0 of length
     # sin(angle), so its rounding error is about eps / sin(angle) relative:
@@ -672,7 +734,13 @@ def assert_blocks_invariant(dec, e0, e1, tol, defect=0.0):
     within 2 sin(tol), the distance |eps v - v| of a direction v bucketed at
     an angle up to tol, and map the generic block into itself. defect adds
     the inputs' own departure from an involution, for inputs accepted
-    within tolerance of one."""
+    within tolerance of one. The blocks are orthonormal bases that fill the
+    space and are mutually orthogonal, but for the swapped columns: a
+    plus_minus and a minus_plus column bucketed at an angle pi/2 - a, a up
+    to tol, have inner product sin(a)."""
+    joint = np.hstack([getattr(dec, name).basis for name in (*BLOCK_SIGNS, "generic")])
+    assert joint.shape == (e0.ambient_dim, e0.ambient_dim)
+    assert max_abs(joint.T @ joint - np.eye(e0.ambient_dim)) <= math.sin(tol) + 1e-12
     slack = 2.0 * math.sin(tol) + 1e-12 + defect
     for name, signs in BLOCK_SIGNS.items():
         b = getattr(dec, name).basis
@@ -699,6 +767,28 @@ def _unequal_pairs():
     yield pytest.param(plane, zero, block_dims(0, 2, 2, 0, 0), [], id="plane/zero")
     yield pytest.param(tilted, plane, block_dims(0, 1, 0, 1, 2), [math.acos(0.6)],
                        id="tilted/plane")
+    # S0 the whole space or {0}, against a Lagrangian and against each other
+    whole = Subspace(e)
+    lag = Subspace(np.array([[math.cos(0.3), 0.0], [0.0, math.cos(1.1)],
+                             [math.sin(0.3), 0.0], [0.0, math.sin(1.1)]]))
+    for (name0, s0), (name1, s1), dims in (
+            (("whole", whole), ("lagrangian", lag), block_dims(2, 0, 2, 0, 0)),
+            (("lagrangian", lag), ("whole", whole), block_dims(2, 0, 0, 2, 0)),
+            (("zero", zero), ("lagrangian", lag), block_dims(0, 2, 0, 2, 0)),
+            (("lagrangian", lag), ("zero", zero), block_dims(0, 2, 2, 0, 0)),
+            (("whole", whole), ("zero", zero), block_dims(0, 0, 4, 0, 0)),
+            (("zero", zero), ("whole", whole), block_dims(0, 0, 0, 4, 0)),
+            (("zero", zero), ("zero", zero), block_dims(0, 4, 0, 0, 0))):
+        yield pytest.param(s0, s1, dims, [], id=f"{name0}/{name1}")
+    # swapped and unpaired columns beside a generic angle: a 3-space of R^6
+    # and a plane through a line at arccos 0.6 from it and one orthogonal to it
+    e = np.eye(6)
+    space = Subspace(e[:, :3])
+    tilted_plane = Subspace(np.hstack([0.6 * e[:, :1] + 0.8 * e[:, 3:4], e[:, 4:5]]))
+    yield pytest.param(space, tilted_plane, block_dims(0, 1, 2, 1, 2), [math.acos(0.6)],
+                       id="space/tilted plane")
+    yield pytest.param(tilted_plane, space, block_dims(0, 1, 1, 2, 2), [math.acos(0.6)],
+                       id="tilted plane/space")
 
 
 @pytest.mark.parametrize("s0, s1, dims, angles", list(_unequal_pairs()))
