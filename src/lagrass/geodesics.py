@@ -279,7 +279,7 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
     The node at t acts as v -> C_t conj(v); `realify_conjugation` gives its
     real symmetry. The generator's record z = iU diag(theta) U^H with
     C0 = U U^T serves the whole grid: U^H C0 = U^T, so each node is a phase
-    multiply and one n x n complex matrix product (see `_curve_steps`). C0 is
+    multiply and one n x n complex matrix product (see `_geodesic_steps`). C0 is
     read off the base's blocks, and t = 0 returns it bit for bit. A grid time
     that is not finite, or whose phases overflow, is refused
     (InvariantViolation, see `_geodesic_steps`); otherwise the stack is not
@@ -292,10 +292,12 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
 
 
 def _geodesic_steps(gen: GeodesicGenerator, ts) -> np.ndarray:
-    """C_t - C0 along the geodesic of gen, one n x n step per node."""
+    """C_t - C0 = U (e^{2it theta} - 1) U^T along the geodesic of gen, one
+    n x n step per node; a node at t = 0 has a zero step."""
     t = np.asarray(ts, dtype=float).reshape(-1)
     _require_finite_phases(float(np.abs(t).max(initial=0.0)), gen.norm)
-    return _curve_steps(2.0 * t[:, None] * gen.theta, gen.u, gen.u.T)
+    phases = np.exp(1j * (2.0 * t[:, None] * gen.theta)) - 1.0
+    return _stack_times(gen.u * phases[:, None, :], gen.u.T)
 
 
 def _require_finite_phases(reach: float, norm: float) -> None:
@@ -329,18 +331,6 @@ def _stack_times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     rows = stack.reshape(math.prod(stack.shape[:-1]), stack.shape[-1]) @ b
     return rows.reshape(stack.shape[:-1] + b.shape[-1:])
-
-
-def _curve_steps(angles: np.ndarray, u: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Steps C_t - C0 = U (e^{i angles} - 1) U^H C0 of e^{iH} eps0 for
-    H = U diag(angles) U^H, one per node.
-
-    angles has one row per node; u is one unitary shared by every node or a
-    stack with one per node, and right is the matching U^H C0. A node with
-    zero angles has a zero step.
-    """
-    scaled = u * (np.exp(1j * angles) - 1.0)[..., None, :]
-    return _stack_times(scaled, right) if right.ndim == 2 else np.matmul(scaled, right)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from .complex_structure import (
     realify_conjugation,
 )
 from .errors import InvariantViolation
-from .geodesics import GeodesicGenerator, _curve_steps, _require_finite_phases, _stack_times
-from .linalg import expm_antisymmetric, max_abs, require_antisymmetric, schatten_norm
+from .geodesics import GeodesicGenerator, _require_finite_phases, _stack_times
+from .linalg import _check, expm_antisymmetric, max_abs, require_antisymmetric, schatten_norm
 from .subspaces import Symmetry
+from .tolerances import GENERATOR_ATOL
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -120,26 +121,41 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     (len(ts), n, n) in the standard split, as `sample` does; C0 is read off
     the base's blocks and returned bit for bit wherever the exponent vanishes.
 
-    w must be an antisymmetric 2n x 2n matrix commuting with J, so every
-    node stays Lagrangian, and amplitude and ts finite (InvariantViolation
+    w must be horizontal at the base: antisymmetric, commuting with J and
+    anticommuting with eps0 within the slack z gets, GENERATOR_ATOL
+    max(max|w|, 1). amplitude and ts must be finite (InvariantViolation
     otherwise), and a grid is refused as in `sample` where a bound on the
     exponents, 2 max|t| (pi + |amplitude| 2n max|w|), overflows. With
-    w = iH_w and z = iH_z, H_z = U diag(theta) U^H read off the generator's
-    record, one stacked n x n Hermitian eigh of 2t(H_z + rho(t) H_w) gives
-    all nodes through the complexified kernel that `sample` uses.
+    w = iH_w and C0 = U U^T for the record U, w eps0 = -eps0 w reads
+    H_w C0 = C0 conj(H_w), so U^H H_w U is its own conjugate: real symmetric.
+    Its real part K drops exactly the part of w that commutes with eps0,
+    which the slack bounds. One stacked real eigh of 2t(diag(theta) + rho K)
+    = O diag(mu) O^T gives every node, C_t = C0 + U O (e^{i mu} - 1) O^T U^T.
     """
     structure = gen.structure
     w = require_antisymmetric(w, "perturbation")
     h_w = -1j * complexify(w, structure)
-    h_z = (gen.u * gen.theta) @ gen.u.conj().T
     t = np.asarray(ts, dtype=float).reshape(-1)
     if not (math.isfinite(amplitude) and np.isfinite(t).all()):
         raise InvariantViolation("perturbed curve: amplitude and grid times must be finite")
     # ||H_z|| <= pi/2 and ||H_w|| = ||w|| <= 2n max|w|; the pi also keeps pi t finite
     _require_finite_phases(float(np.abs(t).max(initial=0.0)),
                            math.pi + abs(amplitude) * max_abs(w) * w.shape[0])
-    rho = amplitude * np.sin(math.pi * t)
-    mu, u = np.linalg.eigh(2.0 * t[:, None, None] * (h_z + rho[:, None, None] * h_w))
-    c0 = _complex_block(gen.base.matrix, structure)
-    right = _stack_times(np.swapaxes(u.conj(), -1, -2), c0)
-    return c0 + _curve_steps(mu, u, right)
+    # w / max|w| from here on, max|w| folded into rho: nothing below overflows;
+    # h_w is divided as real pairs, as a complex division forms 1 / max|w|
+    scale = max_abs(w) or 1.0
+    _check(w / scale, "perturbation", [(("anticommutes", gen.base.matrix), GENERATOR_ATOL,
+                                        1.0 / scale, "does not anticommute with the base")])
+    k = (gen.u.conj().T @ (h_w.view(float) / scale).view(complex) @ gen.u).real
+    rho = amplitude * scale * np.sin(math.pi * t)[:, None, None]
+    a = 2.0 * t[:, None, None] * (np.diag(gen.theta) + rho * ((k + k.T) / 2.0))
+    mu, o = np.linalg.eigh(a)
+    # D = O (e^{i mu} - 1) O^T filled in place; (D U^T)^T = U D as D = D^T
+    e, ot = np.exp(1j * mu) - 1.0, np.swapaxes(o, -1, -2)
+    d = np.empty(o.shape, dtype=complex)
+    np.matmul(o * e.real[..., None, :], ot, out=d.real)
+    np.matmul(o * e.imag[..., None, :], ot, out=d.imag)
+    d[...] = np.swapaxes(_stack_times(d, gen.u.T), -1, -2)
+    steps = _stack_times(d, gen.u.T)
+    steps += _complex_block(gen.base.matrix, structure)
+    return steps

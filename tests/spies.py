@@ -1,6 +1,6 @@
 """Call counting for tests: which identities `linalg._check` held each array
-to, which `numpy.linalg` routines ran on which shapes, which generators
-had their node certificate computed, which symmetric unitaries
+to, which `numpy.linalg` routines ran on which shapes and dtypes, which
+generators had their node certificate computed, which symmetric unitaries
 `_real_eigenbasis` factored, and which geodesic nodes had their 2n x 2n
 matrix formed.
 
@@ -8,6 +8,7 @@ matrix formed.
     recover_operator(eps)
     assert spy.symmetric_checks(b) == ["recovered graph operator"]
     assert len(spy.calls("svd")) == 1
+    assert spy.dtypes("svd") == [np.dtype(np.float64)]
 
 Every lagrass module that imported `_check` or `_real_eigenbasis` sees the
 spy, and so does every caller of `np.linalg.<routine>` through the attribute;
@@ -29,7 +30,7 @@ ROUTINES = ("eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "svd")
 class CallSpy:
     def __init__(self, monkeypatch):
         self.checks = []    # (name, identity kinds, copy of the checked array)
-        self.linalg = []    # (routine, shape of its first argument)
+        self.linalg = []    # (routine, shape, dtype of its first argument)
         self.certified = []     # generators whose node certificate was computed
         self.eigenbases = []    # shape of each matrix `_real_eigenbasis` factored
         self.formed = []    # generator of each geodesic node whose matrix was formed
@@ -71,7 +72,7 @@ class CallSpy:
 
     def _counting(self, routine, real):
         def call(a, *args, **kwargs):
-            self.linalg.append((routine, np.shape(a)))
+            self.linalg.append((routine, np.shape(a), np.asarray(a).dtype))
             return real(a, *args, **kwargs)
         return call
 
@@ -87,4 +88,8 @@ class CallSpy:
 
     def calls(self, *routines) -> list:
         """(routine, shape) of every call of the named numpy.linalg routines."""
-        return [(r, shape) for r, shape in self.linalg if r in routines]
+        return [(r, shape) for r, shape, _ in self.linalg if r in routines]
+
+    def dtypes(self, *routines) -> list:
+        """dtype of the first argument of every call of the named routines."""
+        return [dtype for r, _, dtype in self.linalg if r in routines]

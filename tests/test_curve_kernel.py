@@ -1,8 +1,9 @@
 """The complexified curve kernel against the real-arithmetic reference.
 
-`sample`, `evaluate` and `perturbed_curve` compute e^{2t(...)} eps0 from an
-n x n Hermitian eigendecomposition, and `sampled_lengths` measures the
-conjugation matrices C_t they return. The references here are the real
+`sample` and `evaluate` compute e^{2tz} eps0 from the generator's n x n
+record, `perturbed_curve` computes e^{2t(z + rho w)} eps0 for a horizontal w
+from one real n x n eigendecomposition per node, and `sampled_lengths`
+measures the conjugation matrices C_t they return. The references here are the real
 2n x 2n stack `expm_antisymmetric(...) @ eps0` and the eigenvalues of the
 real 2n x 2n derivative, which the library no longer uses.
 """
@@ -40,8 +41,10 @@ from lagrass.sampling import (
     random_complex_antisymmetric,
     random_horizontal,
     random_lagrangian,
+    random_lagrangian_pair,
 )
 from lagrass.subspaces import Symmetry
+from spies import ROUTINES, CallSpy
 
 SEED = 31337
 TOL = 1e-12
@@ -141,8 +144,9 @@ def test_random_generators_on_rotated_structures_match_reference(seed, n, norm, 
     z = np.zeros((2 * n, 2 * n))
     if norm > 0.0:
         z = random_horizontal(structure, e0, rng, norm=norm)
-    # w only has to commute with J; it need not anticommute with the base
-    w = random_complex_antisymmetric(structure, rng, norm=w_norm)
+    w = np.zeros((2 * n, 2 * n))
+    if w_norm > 0.0:
+        w = random_horizontal(structure, e0, rng, norm=w_norm)
     assert_matches_reference(GeodesicGenerator(z, e0, structure), w, rng)
 
 
@@ -161,6 +165,50 @@ def test_perturbed_curve_refuses_directions_that_do_not_commute_with_j():
     for bad in (off, horizontal + 0.1 * off, np.eye(4), np.zeros((3, 3))):
         with pytest.raises(InvariantViolation):
             perturbed_curve(gen, bad, 0.4, TS)
+
+
+def test_perturbed_curve_refuses_directions_that_are_not_horizontal():
+    # such a w used to come back as nodes 0.416 away from symmetric, which
+    # sampled_lengths measured at k = inf as 1.09 against the geodesic's 0.338
+    rng = np.random.default_rng(3)
+    structure, e0, e1 = random_lagrangian_pair(4, rng)
+    gen = connect(e0, e1, structure)
+    w = random_complex_antisymmetric(structure, rng)
+    with pytest.raises(InvariantViolation,
+                       match="^perturbation: does not anticommute with the base$"):
+        perturbed_curve(gen, w, 0.4, np.linspace(0.0, 1.0, 21))
+    # the refusal is not one of scale: w / max|w| is held to the same slack
+    with pytest.raises(InvariantViolation, match="does not anticommute with the base"):
+        perturbed_curve(gen, w * 1e300, 0.0, TS)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard-J", "rotated-J"])
+def test_every_j_commuting_direction_is_horizontal_at_n1(rotated):
+    # at n = 1 a J-commuting antisymmetric w is a multiple of J, and every
+    # Lagrangian symmetry anticommutes with J
+    rng = np.random.default_rng([SEED + 6, rotated])
+    structure = rotated_structure(1, rng)[0] if rotated else ComplexStructure.standard(1)
+    for _ in range(8):
+        e0 = random_lagrangian(structure, rng)
+        gen = connect(e0, random_lagrangian(structure, rng), structure)
+        w = random_complex_antisymmetric(structure, rng, norm=2.0 * rng.random())
+        assert_matches_reference(gen, w, rng)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard-J", "rotated-J"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_perturbed_curve_runs_one_real_eigh(monkeypatch, n, rotated):
+    # a horizontal w is real symmetric in the record basis: one stacked
+    # float64 eigh on (T, n, n), and no complex eigendecomposition
+    rng = np.random.default_rng([SEED + 7, n, rotated])
+    structure = rotated_structure(n, rng)[0] if rotated else ComplexStructure.standard(n)
+    e0 = random_lagrangian(structure, rng)
+    gen = connect(e0, random_lagrangian(structure, rng), structure)
+    w = random_horizontal(structure, e0, rng)
+    spy = CallSpy(monkeypatch)
+    perturbed_curve(gen, w, 0.4, TS)
+    assert spy.calls(*ROUTINES) == [("eigh", (TS.size, n, n))]
+    assert spy.dtypes("eigh") == [np.dtype(np.float64)]
 
 
 def test_curves_refuse_a_base_that_is_not_lagrangian():

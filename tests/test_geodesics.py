@@ -16,7 +16,7 @@ from lagrass.complex_structure import (
     realify_conjugation,
     standard_form,
 )
-from lagrass.errors import InvariantViolation
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import (
     Geodesic,
     GeodesicGenerator,
@@ -53,6 +53,7 @@ from lagrass.subspaces import (
     vertical_symmetry,
 )
 from lagrass.tolerances import ANGLE_TOL, GENERATOR_ATOL
+from test_subspaces import planted_angle_pair
 
 SEED = 77001
 N_RANDOM_PAIRS = 25
@@ -528,6 +529,25 @@ def test_connect_endpoint_accuracy_up_to_n128(n, rotated):
         gen, resid = _connect(e0, e1, structure)
         assert resid <= 1e-12
         assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
+
+
+@pytest.mark.xfail(raises=ComputationError, strict=False,
+                   reason="ROADMAP item 2: dsyevd eigenvectors of the syrk M = z^T z lose "
+                          "orthogonality here, and the 2n x 2n endpoint check refuses a "
+                          "correct record; whether it shows depends on the LAPACK build")
+def test_connect_takes_the_half_right_angle_planted_pair():
+    # n = 22: 11 angles at pi/2 and 11 between 1.8e-11 and 6.5e-3
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": 170386586983775308758639209764045766551,
+                                         "inc": 7937318808080196428804369945471644491}}
+    n = int(rng.integers(1, 33))
+    angles = np.concatenate([np.full(n - n // 2, math.pi / 2),
+                             10.0 ** rng.uniform(-12, -1, n // 2)])
+    e0, e1 = planted_angle_pair(angles, rng)
+    gen = connect(e0, e1, ComplexStructure.standard(n))
+    assert n == 22 and abs(gen.norm - math.pi / 2) <= 1e-12
+    assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagrass.cli import main
@@ -28,7 +28,12 @@ from lagrass.complex_structure import (
 from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import Geodesic, _geodesic_steps, connect, evaluate, sample
 from lagrass.graphs import _graph_eps, graph_symmetry, is_graph, recover_operator
-from lagrass.sampling import perturbed_curve, random_complex_antisymmetric, random_lagrangian
+from lagrass.sampling import (
+    perturbed_curve,
+    random_complex_antisymmetric,
+    random_horizontal,
+    random_lagrangian,
+)
 from lagrass.subspaces import Symmetry, _require_conjugation_symmetries
 from reference_formulas import (
     graph_eps_by_blocks,
@@ -162,9 +167,20 @@ def test_perturbed_curve_refuses_a_grid_whose_exponents_overflow(t):
 def test_perturbed_curve_guard_passes_a_grid_short_of_overflow():
     # the guard's bound 2 max|t| (pi + |amplitude| 2n max|w|) stays finite here
     gen, rng = random_generator(3, True)
-    w = random_complex_antisymmetric(gen.structure, rng)
+    w = random_horizontal(gen.structure, gen.base, rng)
     c = perturbed_curve(gen, w, 0.1, [0.0, 0.25, 1e306, -3.0])
     assert np.isfinite(c).all() and c.shape == (4, 3, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perturbed_curve_takes_a_horizontal_direction_at_the_float_edge(seed):
+    # amplitude 0 gives the geodesic; the base check reads w / max|w|, so no
+    # residual of w e + e w overflows to inf and refuses a horizontal w
+    gen, rng = random_generator(4, False, seed)
+    w = random_horizontal(gen.structure, gen.base, rng)
+    ts = np.linspace(0.0, 1.0, 9)
+    c = perturbed_curve(gen, w / np.abs(w).max() * 1.7e308, 0.0, ts)
+    assert np.abs(c - sample(Geodesic(gen), ts)).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -222,6 +238,8 @@ def finite_or_typed(call):
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), scale=HUGE, special=SPECIAL,
        spoil=st.booleans(), t=TIMES, amplitude=st.sampled_from([0.0, 0.1, 1e300]))
+# w at 1.7e308: U^H H_w U formed from the unscaled w overflows in an add
+@example(seed=0, n=1, scale=1.7e308, special=math.nan, spoil=False, t=0.5, amplitude=0.1)
 def test_single_node_entries_return_finite_output_or_refuse(seed, n, scale, special, spoil,
                                                             t, amplitude):
     rng = np.random.default_rng(seed)
@@ -229,7 +247,8 @@ def test_single_node_entries_return_finite_output_or_refuse(seed, n, scale, spec
     geo = Geodesic(gen)
     finite_or_typed(lambda: evaluate(geo, t))
     finite_or_typed(lambda: sample(geo, [0.0, t]))
-    w = spoiled(random_complex_antisymmetric(gen.structure, rng), rng, scale, special, spoil)
+    # horizontal, so that the kernel runs at every n and is not only refused
+    w = spoiled(random_horizontal(gen.structure, gen.base, rng), rng, scale, special, spoil)
     finite_or_typed(lambda: perturbed_curve(gen, w, amplitude, [0.0, 0.5, t]))
     b = rng.standard_normal((n, n))
     a = spoiled(b + b.T, rng, scale, special, spoil)
