@@ -104,9 +104,10 @@ class ComplexStructure:
         [[A, B], [C, D]] of a: [[P, Q], [Q, -P]] with P = B + C, Q = D - A, or
         [[P, -Q], [Q, P]] with P = B - C, Q = D + A. Each entry of a J and of
         J a is a single +-a entry, so this is the dense form, bitwise up to the
-        sign of a zero."""
+        sign of a zero. Any other J forms the products through `_unit_scaled`,
+        so they overflow only where the residual does."""
         if not self._exact:
-            return _deviation((kind, self.matrix), a)
+            return _unit_scaled(lambda x: _deviation((kind, self.matrix), x), a)
         n = self.n
         plus, minus = (np.add, np.subtract) if kind == "commutes" else (np.subtract, np.add)
         p, q = plus(a[..., :n, n:], a[..., n:, :n]), minus(a[..., n:, n:], a[..., :n, :n])
@@ -114,6 +115,17 @@ class ComplexStructure:
         out[..., :n, :n], out[..., n:, :n] = p, q
         out[..., :n, n:], out[..., n:, n:] = (q, -p) if kind == "commutes" else (-q, p)
         return out
+
+
+def _unit_scaled(f, a: np.ndarray) -> np.ndarray:
+    """f(a) for f a product of a with J or an orthogonal matrix, which cannot overflow
+    below max|a| = 2^500; from there s f(a / s), s the power of two with max|a| / s
+    in [1, 2) per matrix, and an entry beyond the float range reads inf."""
+    if max_abs(a) < 2.0**500:
+        return f(a)
+    s = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1] - 1)
+    with np.errstate(over="ignore"):
+        return s * f(a / s)
 
 
 def _standardizing_basis(j: np.ndarray) -> np.ndarray:
@@ -171,10 +183,12 @@ def complexify(a, structure: ComplexStructure) -> np.ndarray:
 def _complex_block(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
     """a[:n, :n] + i a[n:, :n] in standard coordinates, for one matrix or a stack,
     unchecked: x + i y for a = [[x, -y], [y, x]], C for a = [[Re C, Im C],
-    [Im C, -Re C]]."""
+    [Im C, -Re C]], refused (ComputationError) where it leaves the float range."""
     if not structure.is_standard():
         r = structure.to_standard
-        a = r.T @ a @ r
+        a = _unit_scaled(lambda x: r.T @ x @ r, a)
+        if not np.isfinite(a).all():
+            raise ComputationError("complex matrix: an entry overflows the float range")
     n = structure.n
     return a[..., :n, :n] + 1j * a[..., n:, :n]
 

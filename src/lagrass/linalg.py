@@ -233,12 +233,16 @@ def apply_function(dec: SpectralDecomposition, f) -> np.ndarray:
 def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     """Exponential of a real antisymmetric matrix (or a stack of them).
 
-    Uses spectral pairing: with M = z^T z = -z z symmetric PSD, M = Q diag(lam) Q^T
-    and theta = sqrt(lam), e^z = cos(sqrt(M)) + z sinc(sqrt(M))
-    = (Q cos(theta) + (z Q) sinc(theta)) Q^T: three products, the first a
-    syrk for one matrix. The result lies in SO(n); the public 2-d path
-    verifies orthogonality and det +1. Each matrix of a stack is held to its
-    own scale, and the first non-antisymmetric one is named.
+    A z exactly in the standard-J block form [[A, -B], [B, A]] (both block
+    pairs compare equal, in every matrix of a stack) realifies iH with H =
+    B - iA Hermitian n x n, so e^z realifies V e^{i lam} V^H: one half-size
+    eigh and one complex product, U(n) acting on C^n as in the paper. No
+    tolerance picks this route; any other z (a rotated J, or not J-commuting)
+    takes M = z^T z = Q diag(lam) Q^T, theta = sqrt(lam) and
+    e^z = (Q cos(theta) + (z Q) sinc(theta)) Q^T: three products, the first a
+    syrk. The public 2-d path verifies orthogonality and det +1 on both
+    routes. Each matrix of a stack is held to its own scale, and the first
+    non-antisymmetric one is named.
     """
     arr = np.asarray(z, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -246,11 +250,22 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     if validate:
         _check(arr, "expm", [("antisymmetric", SYM_RTOL * arr.shape[-1], 0.0,
                               "input not antisymmetric{where} (deviation {dev:.3e})")])
-    lam, q = np.linalg.eigh(np.matmul(np.swapaxes(arr, -1, -2), arr))
-    theta = np.sqrt(np.clip(lam, 0.0, None))
-    out = q * np.cos(theta)[..., None, :]
-    out += np.matmul(arr, q) * np.sinc(theta / np.pi)[..., None, :]
-    out = np.matmul(out, np.swapaxes(q, -1, -2))
+    n = arr.shape[-1] // 2
+    a, b, c = arr[..., :n, :n], arr[..., n:, :n], arr[..., :n, n:]
+    if arr.shape[-1] % 2 == 0 and (a == arr[..., n:, n:]).all() and (b == -c).all():
+        h = np.empty(a.shape, dtype=complex)
+        h.real, h.imag = b, -a
+        lam, v = np.linalg.eigh(h)
+        u = np.matmul(v * np.exp(1j * lam)[..., None, :], np.swapaxes(v.conj(), -1, -2))
+        out = np.empty(arr.shape)
+        out[..., :n, :n] = out[..., n:, n:] = u.real
+        out[..., n:, :n], out[..., :n, n:] = u.imag, -u.imag
+    else:
+        lam, q = np.linalg.eigh(np.matmul(np.swapaxes(arr, -1, -2), arr))
+        theta = np.sqrt(np.clip(lam, 0.0, None))
+        out = q * np.cos(theta)[..., None, :]
+        out += np.matmul(arr, q) * np.sinc(theta / np.pi)[..., None, :]
+        out = np.matmul(out, np.swapaxes(q, -1, -2))
     if validate and arr.ndim == 2:
         n = arr.shape[0]
         dev = max_abs(out.T @ out - np.eye(n))

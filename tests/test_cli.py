@@ -58,6 +58,7 @@ from test_subspaces import (
     assert_blocks_invariant,
     block_dims,
     common_directions_read_above,
+    half_right_angle_pair,
     involution_defect,
     perturbed_three_spaces,
     planted_angle_pair,
@@ -1165,6 +1166,20 @@ def test_connect_multiplicity_and_graph_recover_keep_their_contract_near_right_a
     tol = 1e-12 * max(1.0, max_abs(b))
     assert abs(rec["residual_vertical_chart"] - want[0]) <= tol
     assert abs(rec["residual_identity_chart"] - want[1]) <= tol
+
+
+def test_connect_distance_and_multiplicity_take_the_half_right_angle_planted_pair():
+    # n = 22, 11 angles at pi/2 beside 11 small ones: all three commands exit
+    # 0, and the printed z keeps the contract
+    pair = half_right_angle_pair()
+    structure = ComplexStructure.standard(22)
+    (code_c, out_c, _), (code_d, out_d, _), (code_m, out_m, _) = run_on_pair(
+        pair, ["connect", "distance", "multiplicity"])
+    assert code_c == code_d == code_m == 0
+    norm = assert_generator_contract(json.loads(out_c)["z"], *pair, structure)
+    assert abs(norm - math.pi / 2) <= 1e-12
+    assert abs(json.loads(out_d)["distance"] - math.pi) <= 1e-12
+    assert json.loads(out_m)["minus_one_dim_complex"] == 11
 
 
 # eigenvalues at -pi/4 + side * delta: the node at t = 1 of the identity

@@ -25,8 +25,9 @@ from lagrass.complex_structure import (
     realify_conjugation,
     standard_form,
 )
-from lagrass.errors import InvariantViolation
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.linalg import expm_antisymmetric, max_abs
+from lagrass.sampling import random_complex_antisymmetric
 from lagrass.tolerances import RECON_RTOL
 from reference_formulas import complex_inner_product, symplectic_form
 
@@ -340,6 +341,36 @@ def test_a_j_off_the_standard_form_keeps_the_dense_residual():
     for kind in ("commutes", "anticommutes"):
         want = dense_residual(a, structure.matrix, kind)
         assert structure._residual(a, kind).tobytes() == want.tobytes()
+
+
+def test_rotated_j_reads_operators_near_the_float_max():
+    # entries up to 1.7e308 on 20 rotated n = 3 structures: the products with
+    # J are taken at unit scale, so a J-commuting (anticommuting) operator
+    # passes its check, and its complex matrix is the unit-scale one times
+    # 1.7e308, or refused as overflowing where that leaves the float range
+    big, n = 1.7e308, 3
+    rng = np.random.default_rng(SEED + 70)
+    fits_seen = set()
+    for _ in range(20):
+        structure = nonstandard_structure(n, rng.integers(2**32))
+        unit_z = random_complex_antisymmetric(structure, rng)
+        unit_z /= max_abs(unit_z)
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        unit_a = realify_conjugation(c + c.T, structure)
+        unit_a /= max_abs(unit_a)
+        assert commutes_with_structure(big * unit_z, structure)
+        assert anticommutes_with_structure(big * unit_a, structure)
+        for read, unit in ((complexify, unit_z),
+                           (conjugation_matrix, np.stack([unit_a, -unit_a]))):
+            want = read(unit, structure)
+            fits = max(max_abs(want.real), max_abs(want.imag)) < np.finfo(float).max / big
+            fits_seen.add(fits)
+            if fits:
+                assert max_abs(read(big * unit, structure) / big - want) <= 1e-14
+            else:
+                with pytest.raises(ComputationError, match="overflows the float range"):
+                    read(big * unit, structure)
+    assert fits_seen == {True, False}
 
 
 def test_the_spy_reports_j_checks_under_their_kinds(monkeypatch):

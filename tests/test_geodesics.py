@@ -16,7 +16,7 @@ from lagrass.complex_structure import (
     realify_conjugation,
     standard_form,
 )
-from lagrass.errors import ComputationError, InvariantViolation
+from lagrass.errors import InvariantViolation
 from lagrass.geodesics import (
     Geodesic,
     GeodesicGenerator,
@@ -53,7 +53,8 @@ from lagrass.subspaces import (
     vertical_symmetry,
 )
 from lagrass.tolerances import ANGLE_TOL, GENERATOR_ATOL
-from test_subspaces import planted_angle_pair
+from spies import CallSpy
+from test_subspaces import half_right_angle_pair
 
 SEED = 77001
 N_RANDOM_PAIRS = 25
@@ -531,23 +532,27 @@ def test_connect_endpoint_accuracy_up_to_n128(n, rotated):
         assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
 
 
-@pytest.mark.xfail(raises=ComputationError, strict=False,
-                   reason="ROADMAP item 2: dsyevd eigenvectors of the syrk M = z^T z lose "
-                          "orthogonality here, and the 2n x 2n endpoint check refuses a "
-                          "correct record; whether it shows depends on the LAPACK build")
 def test_connect_takes_the_half_right_angle_planted_pair():
     # n = 22: 11 angles at pi/2 and 11 between 1.8e-11 and 6.5e-3
-    rng = np.random.default_rng()
-    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": 170386586983775308758639209764045766551,
-                                         "inc": 7937318808080196428804369945471644491}}
-    n = int(rng.integers(1, 33))
-    angles = np.concatenate([np.full(n - n // 2, math.pi / 2),
-                             10.0 ** rng.uniform(-12, -1, n // 2)])
-    e0, e1 = planted_angle_pair(angles, rng)
+    e0, e1 = half_right_angle_pair()
+    n = e0.ambient_dim // 2
     gen = connect(e0, e1, ComplexStructure.standard(n))
     assert n == 22 and abs(gen.norm - math.pi / 2) <= 1e-12
     assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_connect_checks_its_endpoint_at_half_size_on_the_standard_j(monkeypatch, n):
+    # the standard J's 2 z has exact blocks: expm reads it as one n x n
+    # Hermitian eigh; a rotated J's takes the 2n x 2n eigh of z^T z, once
+    # (at n = 1 every antisymmetric z has the block form, whatever J is)
+    rng = np.random.default_rng([SEED + 15, n])
+    for structure, full in ((ComplexStructure.standard(n), 0), (rotated_structure(n, rng), 1)):
+        e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
+        spy = CallSpy(monkeypatch)
+        connect(e0, e1, structure)
+        monkeypatch.undo()
+        assert spy.calls("eigh").count(("eigh", (2 * n, 2 * n))) == full
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,72 @@ def test_expm_antisymmetric_in_three_products_matches_scipy(dim):
         for g in (got, got_in_stack):
             assert max_abs(g.T @ g - np.eye(dim)) <= 1e-12 * dim
             assert np.linalg.det(g) > 0.0
+
+
+def standard_j_generator(rng, thetas):
+    """z = realify(i V diag(thetas) V^H) for a random unitary V of C^n: the
+    block form [[A, -B], [B, A]] of the standard J, its blocks exactly equal,
+    antisymmetric, with operator norm max|thetas|."""
+    n = len(thetas)
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    h = (v * thetas) @ v.conj().T
+    m = 0.5j * (h + h.conj().T)
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+def expm_eigh_calls(z):
+    """expm_antisymmetric(z), unvalidated, and the (shape, dtype) of each eigh it ran."""
+    eigh = np.linalg.eigh
+    with mock.patch.object(np.linalg, "eigh", wraps=eigh) as spy:
+        out = expm_antisymmetric(z, validate=False)
+    return out, [(a.shape, a.dtype) for (a, *_), _ in spy.call_args_list]
+
+
+# angles clustered at 0 and at +-pi/2 (a cut-locus generator, doubled: +-pi)
+THETA_CENTERS = (0.0, math.pi / 2, -math.pi / 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48), count=st.integers(0, 3),
+       scale=st.sampled_from([0.0, 1.0, 2.0]), delta=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+def test_expm_reads_a_standard_j_generator_as_one_half_size_eigh(seed, n, count, scale, delta):
+    # one matrix (count 0) or a stack of count; every z in the block form
+    # takes one Hermitian n x n eigh, agrees with scipy's Pade expm and is in
+    # SO(2n), which the validating path checks itself
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        centers = rng.choice(THETA_CENTERS, n)
+        return standard_j_generator(rng, np.clip(scale * centers + delta * rng.uniform(
+            -1.0, 1.0, n), -math.pi, math.pi))
+
+    zs = np.stack([draw() for _ in range(max(count, 1))])
+    z = zs if count else zs[0]
+    got, calls = expm_eigh_calls(z)
+    assert calls == [(z.shape[:-2] + (n, n), np.dtype(complex))]
+    for zi, gi in zip(zs, got.reshape(zs.shape)):
+        assert max_abs(gi - scipy.linalg.expm(zi)) <= 1e-13 * max(1.0, np.linalg.norm(zi, 2))
+        assert max_abs(expm_antisymmetric(zi) - gi) <= 1e-14
+        assert max_abs(gi.T @ gi - np.eye(2 * n)) <= 1e-12 * 2 * n
+        assert np.linalg.det(gi) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_expm_of_a_generator_one_ulp_off_the_block_form_takes_the_general_route(n):
+    # B + one ulp in one entry of the lower-left block, its antisymmetric
+    # partner moved with it: z stays antisymmetric, the blocks compare unequal
+    import scipy.linalg
+
+    rng = np.random.default_rng([SEED, n])
+    z = standard_j_generator(rng, rng.uniform(-math.pi, math.pi, n))
+    z[n + 1, 0] = np.nextafter(z[n + 1, 0], math.inf)
+    z[0, n + 1] = -z[n + 1, 0]
+    got, calls = expm_eigh_calls(z)
+    assert calls == [((2 * n, 2 * n), np.dtype(float))]
+    assert max_abs(got - scipy.linalg.expm(z)) <= 1e-13 * max(1.0, np.linalg.norm(z, 2))
+    assert np.array_equal(expm_antisymmetric(z), got)
 
 
 def test_logm_rotation_is_half_angle():

@@ -645,6 +645,20 @@ def planted_angle_pair(angles, rng):
             Symmetry(2.0 * q1 @ q1.T - np.eye(2 * n)))
 
 
+def half_right_angle_pair():
+    """The planted pair of n = 22 with 11 angles at pi/2 and 11 between
+    1.8e-11 and 6.5e-3 on which the 2n x 2n syrk `expm` of `connect`'s
+    endpoint check once lost orthogonality in dsyevd's eigenvectors."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": 170386586983775308758639209764045766551,
+                                         "inc": 7937318808080196428804369945471644491}}
+    n = int(rng.integers(1, 33))
+    angles = np.concatenate([np.full(n - n // 2, math.pi / 2),
+                             10.0 ** rng.uniform(-12, -1, n // 2)])
+    return planted_angle_pair(angles, rng)
+
+
 def threshold_case(seed, tol, zero_side, right_side, generic):
     """A planted pair with one angle at tol * zero_side, one at
     pi/2 - tol * right_side and `generic` angles in [0.6, 0.95], with the
