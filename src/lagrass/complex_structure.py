@@ -183,13 +183,14 @@ def complexify(a, structure: ComplexStructure) -> np.ndarray:
 def _complex_block(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
     """a[:n, :n] + i a[n:, :n] in standard coordinates, for one matrix or a stack,
     unchecked: x + i y for a = [[x, -y], [y, x]], C for a = [[Re C, Im C],
-    [Im C, -Re C]], refused (ComputationError) where it leaves the float range."""
+    [Im C, -Re C]], refused (ComputationError) where it leaves the float range.
+    It reads the left block column only: r^T (a r[:, :n]) for r = to_standard."""
+    n = structure.n
     if not structure.is_standard():
         r = structure.to_standard
-        a = _unit_scaled(lambda x: r.T @ x @ r, a)
+        a = _unit_scaled(lambda x: r.T @ (x @ r[:, :n]), a)
         if not np.isfinite(a).all():
             raise ComputationError("complex matrix: an entry overflows the float range")
-    n = structure.n
     return a[..., :n, :n] + 1j * a[..., n:, :n]
 
 

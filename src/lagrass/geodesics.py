@@ -124,14 +124,20 @@ class GeodesicGenerator:
         """The generator of a record, unvalidated: it satisfies the invariants.
         z, when the caller already has the record's generator, is kept as is."""
         if z is None:
-            h = (u * theta) @ u.conj().T
-            z = realify(1j * (h + h.conj().T) / 2.0, structure)
-            z = (z - z.T) / 2.0
+            [z] = _record_generators(u, theta, structure)
         gen = object.__new__(cls)
         object.__setattr__(gen, "base", base)
         object.__setattr__(gen, "structure", structure)
         gen._record(z, u, theta)
         return gen
+
+
+def _record_generators(u: np.ndarray, theta: np.ndarray, *structures) -> list:
+    """realify(i U diag(theta) U^H) through each structure, antisymmetric to the
+    last bit; in the standard split its blocks are exactly [[A, -B], [B, A]]."""
+    h = (u * theta) @ u.conj().T
+    ih = 1j * (h + h.conj().T) / 2.0
+    return [(z - z.T) / 2.0 for z in (realify(ih, s) for s in structures)]
 
 
 def _real_form(c: np.ndarray) -> np.ndarray:
@@ -345,14 +351,15 @@ def connect(eps0, eps1, structure: ComplexStructure) -> GeodesicGenerator:
     real orthogonal and theta in (-pi/2, pi/2] the signed principal angles;
     the generator's record is U = W O and theta, as measured (no angle is
     snapped to 0 or pi/2). Identical endpoints short-circuit to z = 0. The
-    endpoint residual is verified before returning.
+    endpoint residual is verified before returning, in n x n (`_connect`).
     """
     return _connect(eps0, eps1, structure)[0]
 
 
 def _connect(eps0, eps1, structure: ComplexStructure) -> tuple[GeodesicGenerator, float]:
     """`connect` together with the endpoint residual max|e^{2z} eps0 - eps1| it
-    verified."""
+    verified. 2z is formed in the standard split for every J, so its exact blocks
+    take `expm_antisymmetric`'s n x n route; the endpoint is E C0, E = e^{2iH}, realified."""
     e0 = _as_symmetry(eps0)
     e1 = _as_symmetry(eps1)
     for name, e in (("first", e0), ("second", e1)):
@@ -363,12 +370,15 @@ def _connect(eps0, eps1, structure: ComplexStructure) -> tuple[GeodesicGenerator
     if gap <= 1e-13:
         return GeodesicGenerator(np.zeros((dim, dim)), e0, structure), gap
 
-    w = _real_form(_complex_block(e0.matrix, structure))
-    c1 = _complex_block(e1.matrix, structure)
-    o, phi = _real_eigenbasis(w.conj().T @ c1 @ w.conj())
-    gen = GeodesicGenerator._from_record(e0, structure, w @ o, phi / 2.0)
-    endpoint = expm_antisymmetric(2.0 * gen.z, validate=False) @ e0.matrix
-    resid = max_abs(endpoint - e1.matrix)
+    c0 = _complex_block(e0.matrix, structure)
+    w = _real_form(c0)
+    o, phi = _real_eigenbasis(w.conj().T @ _complex_block(e1.matrix, structure) @ w.conj())
+    u, theta, n = w @ o, phi / 2.0, structure.n
+    splits = (structure,) if structure.is_standard() else (ComplexStructure.standard(n), structure)
+    zs = _record_generators(u, theta, *splits)
+    gen = GeodesicGenerator._from_record(e0, structure, u, theta, zs[-1])
+    x = expm_antisymmetric(2.0 * zs[0], validate=False)
+    resid = max_abs(realify_conjugation((x[:n, :n] + 1j * x[n:, :n]) @ c0, structure) - e1.matrix)
     if resid > ENDPOINT_RTOL * dim:
         raise ComputationError(
             f"connect: endpoint residual {resid:.3e} beyond {ENDPOINT_RTOL * dim:.3e}"

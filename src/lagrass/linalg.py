@@ -236,8 +236,10 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     A z exactly in the standard-J block form [[A, -B], [B, A]] (both block
     pairs compare equal, in every matrix of a stack) realifies iH with H =
     B - iA Hermitian n x n, so e^z realifies V e^{i lam} V^H: one half-size
-    eigh and one complex product, U(n) acting on C^n as in the paper. No
-    tolerance picks this route; any other z (a rotated J, or not J-commuting)
+    eigh and one complex product, U(n) acting on C^n as in the paper; `connect`
+    and `random_complex_rotation` form 2z in the standard split for every J,
+    so they take it. No tolerance picks this route; any other z (realified
+    through a rotated J, or not J-commuting, as in `logm_special_orthogonal`)
     takes M = z^T z = Q diag(lam) Q^T, theta = sqrt(lam) and
     e^z = (Q cos(theta) + (z Q) sinc(theta)) Q^T: three products, the first a
     syrk. The public 2-d path verifies orthogonality and det +1 on both

@@ -68,11 +68,13 @@ def random_complex_rotation(structure: ComplexStructure, rng=None,
     """Orthogonal matrix commuting with J (a complex-unitary rotation).
 
     spread bounds the rotation angle. The magnitude is drawn uniformly;
-    pinning it would leave only finitely many rotations when n = 1.
+    pinning it would leave only finitely many rotations when n = 1. It is
+    exponentiated in the standard split (`expm_antisymmetric`'s n x n route).
     """
     g = _as_rng(rng)
-    a = random_complex_antisymmetric(structure, g, norm=spread * g.random())
-    return expm_antisymmetric(a)
+    std = structure if structure.is_standard() else ComplexStructure.standard(structure.n)
+    a = random_complex_antisymmetric(std, g, norm=spread * g.random())
+    return realify(_complex_block(expm_antisymmetric(a), std), structure)
 
 
 def random_lagrangian(structure: ComplexStructure, rng=None,

@@ -62,6 +62,7 @@ from test_subspaces import (
     involution_defect,
     perturbed_three_spaces,
     planted_angle_pair,
+    rotated_half_right_angle_pair,
     scaled_lagrangian_pair,
     threshold_case,
 )
@@ -1067,17 +1068,26 @@ def test_decompose_buckets_match_the_connect_record(seed, angles):
     assert dims == block_dims(zero, zero, right, right, 2 * (len(angles) - zero - right))
 
 
+def small_cluster(rng, count, small):
+    """count angles of a cluster at 0: exactly 0, or with small drawn
+    log-uniformly from [1e-12, 1e-1], the shape of the half-right-angle pair."""
+    return list(10.0 ** rng.uniform(-12.0, -1.0, count)) if small else [0.0] * count
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 6), right=st.integers(0, 6),
-       generic=st.integers(0, 4))
+@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 30), right=st.integers(0, 30),
+       generic=st.integers(0, 4), small=st.booleans())
+@example(seed=0, zero=30, right=30, generic=4, small=True)
 def test_distance_and_decompose_keep_their_contract_on_planted_clusters(seed, zero, right,
-                                                                       generic):
-    # clusters of angles at 0 and pi/2 beside generic ones, n <= 16: on exit 0
-    # the printed numbers must satisfy the contract, recomputed from them alone
+                                                                       generic, small):
+    # clusters of angles at or near 0 and at pi/2 beside generic ones, n <= 64:
+    # on exit 0 the printed numbers must satisfy the contract, recomputed from
+    # them alone; a small angle beyond the bucket width ANGLE_TOL is generic
     n = zero + right + generic
     assume(n > 0)
     rng = np.random.default_rng(seed)
-    angles = [0.0] * zero + [math.pi / 2] * right + list(rng.uniform(0.1, 1.4, generic))
+    angles = (small_cluster(rng, zero, small) + [math.pi / 2] * right
+              + list(rng.uniform(0.1, 1.4, generic)))
     (code_d, out_d, _), (code_s, out_s, _) = run_on_pair(planted_angle_pair(angles, rng),
                                                          ["distance", "decompose"])
     assert code_d == code_s == 0
@@ -1086,7 +1096,9 @@ def test_distance_and_decompose_keep_their_contract_on_planted_clusters(seed, ze
     assert dist["distance"] <= math.pi
     assert abs(dist["distance"] - 2.0 * max(angles)) <= 1e-8
     dec = json.loads(out_s)
-    assert dec["dims"] == block_dims(zero, zero, right, right, 2 * generic)
+    coincident = sum(a <= ANGLE_TOL for a in angles)
+    assert dec["dims"] == block_dims(coincident, coincident, right, right,
+                                     2 * (n - coincident - right))
     assert sum(dec["dims"].values()) == 2 * n
     bases = {name: np.array(basis).reshape(2 * n, -1) for name, basis in dec["bases"].items()}
     assert {name: b.shape[1] for name, b in bases.items()} == dec["dims"]
@@ -1116,24 +1128,29 @@ RIGHT_DELTAS = FLIP_DELTAS + (1e-6, 1e-3)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 6), right=st.integers(0, 6),
-       generic=st.integers(0, 4), delta=st.sampled_from(RIGHT_DELTAS))
-@example(seed=0, zero=0, right=6, generic=0, delta=1e-12)
-@example(seed=1, zero=1, right=1, generic=1, delta=1e-10)
-@example(seed=2, zero=0, right=2, generic=2, delta=1e-6)
+@given(seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 30), right=st.integers(0, 30),
+       generic=st.integers(0, 4), delta=st.sampled_from(RIGHT_DELTAS), small=st.booleans())
+@example(seed=0, zero=0, right=6, generic=0, delta=1e-12, small=False)
+@example(seed=1, zero=1, right=1, generic=1, delta=1e-10, small=False)
+@example(seed=2, zero=0, right=2, generic=2, delta=1e-6, small=False)
+@example(seed=3, zero=30, right=30, generic=4, delta=0.0, small=True)
 def test_connect_multiplicity_and_graph_recover_keep_their_contract_near_right_angles(
-        seed, zero, right, generic, delta):
-    # clusters of angles at 0 and at pi/2 - delta beside generic ones, n <= 16:
-    # on exit 0 the printed numbers must satisfy the contract, recomputed
-    # from them and the inputs alone
+        seed, zero, right, generic, delta, small):
+    # clusters of angles at or near 0 and at pi/2 - delta beside generic ones,
+    # n <= 64: on exit 0 the printed numbers must satisfy the contract,
+    # recomputed from them and the inputs alone
     n = zero + right + generic
     assume(n > 0)
     rng = np.random.default_rng(seed)
-    angles = [0.0] * zero + [math.pi / 2 - delta] * right + list(rng.uniform(0.1, 1.4, generic))
+    angles = (small_cluster(rng, zero, small) + [math.pi / 2 - delta] * right
+              + list(rng.uniform(0.1, 1.4, generic)))
     pair = planted_angle_pair(angles, rng)
     structure = ComplexStructure.standard(n)
-    (code_c, out_c, _), (code_m, out_m, _) = run_on_pair(pair, ["connect",
-                                                               "multiplicity --alternates"])
+    # every sign pattern up to n = 16; beyond it the first 2, as each
+    # alternate prints a 2n x 2n z
+    limit = 64 if n <= 16 else 2
+    (code_c, out_c, _), (code_m, out_m, _) = run_on_pair(
+        pair, ["connect", f"multiplicity --alternates --limit {limit}"])
     [(code_g, out_g, _)] = run_on_pair(pair[1:], ["graph-recover"])
     assert code_c == code_m == code_g == 0
 
@@ -1151,11 +1168,11 @@ def test_connect_multiplicity_and_graph_recover_keep_their_contract_near_right_a
     assert mult["minus_one_dim_complex"] == flips
     assert mult["classification"] == {0: "Unique", 1: "ExactlyTwo"}.get(flips, "Infinite")
     assert mult["norm_gap"] == math.pi / 2 - con["norm_op"]
-    # every sign pattern of the flip planes (2^6 = 64 is the default limit),
-    # each a distinct generator to the same endpoint; a flip takes |theta| =
-    # pi/2 - delta to pi/2 + delta, so the norm moves by at most 2 delta
+    # every sign pattern of the flip planes up to the limit, each a distinct
+    # generator to the same endpoint; a flip takes |theta| = pi/2 - delta to
+    # pi/2 + delta, so the norm moves by at most 2 delta
     alternates = mult["alternates"]
-    assert len(alternates) == 2 ** flips
+    assert len(alternates) == min(2 ** flips, limit)
     assert len({json.dumps(z) for z in alternates}) == len(alternates)
     for z in alternates:
         assert abs(assert_generator_contract(z, *pair, structure) - norm) <= 2 * delta + 1e-12
@@ -1182,17 +1199,37 @@ def test_connect_distance_and_multiplicity_take_the_half_right_angle_planted_pai
     assert json.loads(out_m)["minus_one_dim_complex"] == 11
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_connect_distance_and_multiplicity_take_the_half_right_angle_pair_on_rotated_js(
+        monkeypatch, seed):
+    # the same pair with a rotated J in both documents: all three commands exit
+    # 0, the printed z keeps the contract, and the only 2n x 2n eighs are the
+    # complex ones of iJ that read each document's J, none of z^T z
+    structure, *pair = rotated_half_right_angle_pair(seed)
+    spy = CallSpy(monkeypatch)
+    (code_c, out_c, _), (code_d, out_d, _), (code_m, out_m, _) = run_on_pair(
+        pair, ["connect", "distance", "multiplicity"], structure=structure)
+    monkeypatch.undo()
+    assert code_c == code_d == code_m == 0
+    assert {dtype for routine, shape, dtype in spy.linalg
+            if routine == "eigh" and shape == (44, 44)} == {np.dtype(complex)}
+    norm = assert_generator_contract(json.loads(out_c)["z"], *pair, structure)
+    assert abs(norm - math.pi / 2) <= 1e-12
+    assert abs(json.loads(out_d)["distance"] - math.pi) <= 1e-12
+    assert json.loads(out_m)["minus_one_dim_complex"] == 11
+
+
 # eigenvalues at -pi/4 + side * delta: the node at t = 1 of the identity
 # graph's flow lies about delta inside or outside the chart's edge
 EDGE_DELTAS = (0.0, 1e-12, 1e-6, 1e-3)
 EDGE_CASES = dict(seed=st.integers(0, 2**32 - 1), delta=st.sampled_from(EDGE_DELTAS),
                   sides=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=8),
-                  generic=st.integers(0, 8))
+                  generic=st.integers(0, 56))
 
 
 def edge_block(seed, delta, sides, generic):
     """A rotated block with eigenvalues -pi/4 + side * delta, one per side,
-    beside `generic` ones drawn from [-pi/2, pi/2]; n <= 16."""
+    beside `generic` ones drawn from [-pi/2, pi/2]; n <= 64."""
     edges = [-math.pi / 4 + side * delta for side in sides]
     return planted_block(np.random.default_rng(seed), len(sides) + generic, edges)
 
@@ -1209,6 +1246,7 @@ def circular_mismatch(got, want):
 @given(**EDGE_CASES, grid=st.sampled_from([3, 21, 50]))
 @example(seed=0, delta=0.0, sides=[1.0, 1.0], generic=0, grid=50)
 @example(seed=1, delta=1e-12, sides=[-1.0, 1.0, 1.0], generic=13, grid=21)
+@example(seed=3, delta=1e-12, sides=[-1.0, 1.0] * 4, generic=56, grid=50)
 def test_spectral_curve_keeps_its_contract_near_the_chart_edge(seed, delta, sides, generic,
                                                                 grid):
     # on exit 0 the printed rows must satisfy the contract, recomputed from
@@ -1241,23 +1279,26 @@ def test_spectral_curve_keeps_its_contract_near_the_chart_edge(seed, delta, side
 @settings(max_examples=15, deadline=None)
 @given(**EDGE_CASES)
 @example(seed=2, delta=0.0, sides=[-1.0] * 8, generic=8)
+@example(seed=3, delta=1e-12, sides=[1.0] * 8, generic=56)
 def test_sample_keeps_its_contract_to_the_chart_edge(seed, delta, sides, generic):
     # the pair is the identity graph and the node at t = 1 of the planted
     # block's flow, at the chart's edge: on exit 0 every printed node must be
     # a Lagrangian symmetry, the end nodes the inputs, and the speeds the
-    # closed-form length
+    # closed-form length. The default grid of 101 nodes up to n = 16, 21
+    # beyond it, as each node prints a 2n x 2n symmetry
     y = edge_block(seed, delta, sides, generic)
     n = len(y)
+    grid = 101 if n <= 16 else 21
     e0 = graph_symmetry(np.eye(n))
     pair = (e0, Symmetry(evaluate(Geodesic(codiagonal_generator(y, e0)), 1.0).matrix))
     with tempfile.TemporaryDirectory() as tmp:
-        [(code, out, err)] = run_on_pair(pair, [f"sample --out-prefix {tmp}/run"])
+        [(code, out, err)] = run_on_pair(pair, [f"sample --grid {grid} --out-prefix {tmp}/run"])
         assert code == 0, err
         curve, speed = ([[float(x) for x in line.split(",")] for line in
                          Path(name).read_text().splitlines()[2:]]
                         for name in json.loads(out)["files"])
     closed = json.loads(out)["closed_form_speed"]
-    ts = np.linspace(0.0, 1.0, 101).tolist()
+    ts = np.linspace(0.0, 1.0, grid).tolist()
     assert [row[0] for row in curve] == [row[0] for row in speed] == ts
 
     structure = ComplexStructure.standard(n)

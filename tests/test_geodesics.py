@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagrass.geodesics
 from lagrass.complex_structure import (
     _CLUSTER_GAP,
     _GAMMA,
@@ -54,7 +55,7 @@ from lagrass.subspaces import (
 )
 from lagrass.tolerances import ANGLE_TOL, GENERATOR_ATOL
 from spies import CallSpy
-from test_subspaces import half_right_angle_pair
+from test_subspaces import half_right_angle_pair, rotated_half_right_angle_pair
 
 SEED = 77001
 N_RANDOM_PAIRS = 25
@@ -541,18 +542,49 @@ def test_connect_takes_the_half_right_angle_planted_pair():
     assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_connect_takes_the_half_right_angle_planted_pair_on_rotated_js(monkeypatch, seed):
+    # the same pair under a rotated J: no 2n x 2n eigh (no dsyevd of z^T z) in
+    # connect, distance or the multiplicity count
+    structure, e0, e1 = rotated_half_right_angle_pair(seed)
+    spy = CallSpy(monkeypatch)
+    gen = connect(e0, e1, structure)
+    dist = distance(e0, e1, structure)
+    report = classify_multiplicity(gen)
+    monkeypatch.undo()
+    assert ("eigh", (44, 44)) not in spy.calls("eigh")
+    assert abs(gen.norm - math.pi / 2) <= 1e-12 and abs(dist - math.pi) <= 1e-12
+    assert report.minus_one_dim_complex == 11
+    assert max_abs(real_sample(gen, [1.0])[0] - e1.matrix) <= 1e-12
+
+
+def exact_standard_blocks(a):
+    """Whether a is exactly [[A, -B], [B, A]], the standard-J block form."""
+    n = a.shape[-1] // 2
+    return bool((a[:n, :n] == a[n:, n:]).all() and (a[n:, :n] == -a[:n, n:]).all())
+
+
 @pytest.mark.parametrize("n", [2, 8])
-def test_connect_checks_its_endpoint_at_half_size_on_the_standard_j(monkeypatch, n):
-    # the standard J's 2 z has exact blocks: expm reads it as one n x n
-    # Hermitian eigh; a rotated J's takes the 2n x 2n eigh of z^T z, once
-    # (at n = 1 every antisymmetric z has the block form, whatever J is)
+def test_connect_checks_its_endpoint_at_half_size_on_every_j(monkeypatch, n):
+    # the record's generator is formed in the standard split for every J, so
+    # connect's one expm reads a 2 z with exact blocks through one n x n
+    # Hermitian eigh, and no 2n x 2n eigh of z^T z runs on either J
     rng = np.random.default_rng([SEED + 15, n])
-    for structure, full in ((ComplexStructure.standard(n), 0), (rotated_structure(n, rng), 1)):
+    for structure in (ComplexStructure.standard(n), rotated_structure(n, rng)):
         e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
-        spy = CallSpy(monkeypatch)
+        spy, seen = CallSpy(monkeypatch), []
+
+        def spy_expm(z, validate=True):
+            seen.append(np.array(z, copy=True))
+            return expm_antisymmetric(z, validate)
+
+        monkeypatch.setattr(lagrass.geodesics, "expm_antisymmetric", spy_expm)
         connect(e0, e1, structure)
         monkeypatch.undo()
-        assert spy.calls("eigh").count(("eigh", (2 * n, 2 * n))) == full
+        assert ("eigh", (2 * n, 2 * n)) not in spy.calls("eigh")
+        assert spy.dtypes("eigh").count(np.dtype(complex)) == 1
+        [z2] = seen
+        assert z2.shape == (2 * n, 2 * n) and exact_standard_blocks(z2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])

@@ -659,6 +659,17 @@ def half_right_angle_pair():
     return planted_angle_pair(angles, rng)
 
 
+def rotated_half_right_angle_pair(seed):
+    """`half_right_angle_pair` conjugated into a seeded rotated J: the
+    structure of J = Q J_std Q^T and the two symmetries Q e Q^T, for a random
+    orthogonal Q; the principal angles are those of the standard pair."""
+    e0, e1 = half_right_angle_pair()
+    n = e0.ambient_dim // 2
+    q = np.linalg.qr(np.random.default_rng([seed, n]).standard_normal((2 * n, 2 * n)))[0]
+    return (ComplexStructure(q @ standard_form(n) @ q.T),
+            Symmetry(q @ e0.matrix @ q.T), Symmetry(q @ e1.matrix @ q.T))
+
+
 def threshold_case(seed, tol, zero_side, right_side, generic):
     """A planted pair with one angle at tol * zero_side, one at
     pi/2 - tol * right_side and `generic` angles in [0.6, 0.95], with the
