@@ -233,18 +233,17 @@ def apply_function(dec: SpectralDecomposition, f) -> np.ndarray:
 def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
     """Exponential of a real antisymmetric matrix (or a stack of them).
 
-    A z exactly in the standard-J block form [[A, -B], [B, A]] (both block
-    pairs compare equal, in every matrix of a stack) realifies iH with H =
-    B - iA Hermitian n x n, so e^z realifies V e^{i lam} V^H: one half-size
-    eigh and one complex product, U(n) acting on C^n as in the paper; `connect`
-    and `random_complex_rotation` form 2z in the standard split for every J,
-    so they take it. No tolerance picks this route; any other z (realified
-    through a rotated J, or not J-commuting, as in `logm_special_orthogonal`)
-    takes M = z^T z = Q diag(lam) Q^T, theta = sqrt(lam) and
-    e^z = (Q cos(theta) + (z Q) sinc(theta)) Q^T: three products, the first a
-    syrk. The public 2-d path verifies orthogonality and det +1 on both
-    routes. Each matrix of a stack is held to its own scale, and the first
-    non-antisymmetric one is named.
+    One formula: z = iH for a Hermitian H = V diag(lam) V^H, and e^z =
+    V e^{i lam} V^H from one Hermitian eigh, U(n) acting on C^n as in the
+    paper. A z whose blocks are exactly [[A, -B], [B, A]], the standard-J
+    form, in every matrix of a stack is read as the half-size H = B - iA, and
+    e^z realifies the product; `connect` and `random_complex_rotation` form
+    2z in the standard split for every J, so they take it. No tolerance picks
+    this reading: any other z is read as H = -iz, its spectrum paired +-lam
+    exactly, and e^z is the real part. An eigenvalue beyond the float range
+    is refused (ComputationError); the public 2-d path verifies orthogonality
+    and det +1, NaN failing both. Each matrix of a stack is held to its own
+    scale, and the first non-antisymmetric one is named.
     """
     arr = np.asarray(z, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -254,27 +253,28 @@ def expm_antisymmetric(z, validate: bool = True) -> np.ndarray:
                               "input not antisymmetric{where} (deviation {dev:.3e})")])
     n = arr.shape[-1] // 2
     a, b, c = arr[..., :n, :n], arr[..., n:, :n], arr[..., :n, n:]
-    if arr.shape[-1] % 2 == 0 and (a == arr[..., n:, n:]).all() and (b == -c).all():
+    blocks = arr.shape[-1] % 2 == 0 and (a == arr[..., n:, n:]).all() and (b == -c).all()
+    if blocks:
         h = np.empty(a.shape, dtype=complex)
         h.real, h.imag = b, -a
-        lam, v = np.linalg.eigh(h)
-        u = np.matmul(v * np.exp(1j * lam)[..., None, :], np.swapaxes(v.conj(), -1, -2))
+    lam, v = np.linalg.eigh(h if blocks else -1j * arr)
+    if not blocks:  # the spectrum of -iz is that of iz: pairing +-lam keeps e^z real
+        lam = 0.5 * lam - 0.5 * lam[..., ::-1]
+    if not max_abs(lam) < math.inf:
+        raise ComputationError("expm: an eigenvalue overflows the float range")
+    u = np.matmul(v * np.exp(1j * lam)[..., None, :], np.swapaxes(v.conj(), -1, -2))
+    if blocks:
         out = np.empty(arr.shape)
         out[..., :n, :n] = out[..., n:, n:] = u.real
         out[..., n:, :n], out[..., :n, n:] = u.imag, -u.imag
     else:
-        lam, q = np.linalg.eigh(np.matmul(np.swapaxes(arr, -1, -2), arr))
-        theta = np.sqrt(np.clip(lam, 0.0, None))
-        out = q * np.cos(theta)[..., None, :]
-        out += np.matmul(arr, q) * np.sinc(theta / np.pi)[..., None, :]
-        out = np.matmul(out, np.swapaxes(q, -1, -2))
+        out = u.real.copy()
     if validate and arr.ndim == 2:
-        n = arr.shape[0]
-        dev = max_abs(out.T @ out - np.eye(n))
-        if dev > 1e-12 * max(n, 1):
+        dev = max_abs(out.T @ out - np.eye(len(out)))
+        if not dev <= 1e-12 * max(len(out), 1):
             raise ComputationError(f"expm: output not orthogonal (deviation {dev:.3e})")
-        if np.linalg.det(out) < 0.0:
-            raise ComputationError("expm: output determinant negative")
+        if not np.linalg.det(out) > 0.0:
+            raise ComputationError("expm: output determinant not positive")
     return out
 
 

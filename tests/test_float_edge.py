@@ -15,6 +15,7 @@ import enum
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from lagrass.cli import main
 from lagrass.complex_structure import ComplexStructure
-from lagrass.errors import InvariantViolation
+from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.geodesics import (
     Geodesic,
     _node_speeds,
@@ -36,9 +37,10 @@ from lagrass.geodesics import (
     sampled_lengths,
 )
 from lagrass.graphs import cayley_transform, gap_distance, graph_symmetry, graph_window
-from lagrass.linalg import schatten_norm, spectral_decompose
-from lagrass.sampling import random_lagrangian_pair
+from lagrass.linalg import expm_antisymmetric, schatten_norm, spectral_decompose
+from lagrass.sampling import random_complex_antisymmetric, random_lagrangian_pair
 from lagrass.subspaces import five_way_decompose
+from test_geodesics import exact_standard_blocks
 from test_single_node_kernels import LAGRASS_ERRORS, PROPERTY, SPECIAL
 
 SEED = 2309
@@ -202,6 +204,26 @@ def test_schatten_norm_overflow_is_inf_without_a_warning():
     assert schatten_norm(a, 2) == math.inf
     assert schatten_norm(a, math.inf) == 1.7e308
     assert schatten_norm([[0.0, 0.8e308], [0.8e308, 0.0]], 1) == 1.6e308
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_expm_refuses_an_eigenvalue_beyond_the_float_range(n, interleaved):
+    # max|z| = 1.7e308 puts |z|_2 beyond the float range. The validated call
+    # once warned and returned NaN, which passes both of its comparisons; now
+    # each reading of H refuses: the half-size H = B - iA of the block form,
+    # and H = -iz of the same z with its coordinates interleaved
+    z = random_complex_antisymmetric(ComplexStructure.standard(n), np.random.default_rng(2))
+    z = z / np.abs(z).max() * 1.7e308
+    if interleaved:
+        order = np.arange(2 * n).reshape(2, n).T.ravel()
+        z = z[np.ix_(order, order)]
+        assert not exact_standard_blocks(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError,
+                           match=r"^expm: an eigenvalue overflows the float range$"):
+            expm_antisymmetric(z)
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,8 @@ def test_connect_takes_the_half_right_angle_planted_pair():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_connect_takes_the_half_right_angle_planted_pair_on_rotated_js(monkeypatch, seed):
-    # the same pair under a rotated J: no 2n x 2n eigh (no dsyevd of z^T z) in
-    # connect, distance or the multiplicity count
+    # the same pair under a rotated J: no 2n x 2n eigh (no full-size reading
+    # of 2z) in connect, distance or the multiplicity count
     structure, e0, e1 = rotated_half_right_angle_pair(seed)
     spy = CallSpy(monkeypatch)
     gen = connect(e0, e1, structure)
@@ -568,7 +568,7 @@ def exact_standard_blocks(a):
 def test_connect_checks_its_endpoint_at_half_size_on_every_j(monkeypatch, n):
     # the record's generator is formed in the standard split for every J, so
     # connect's one expm reads a 2 z with exact blocks through one n x n
-    # Hermitian eigh, and no 2n x 2n eigh of z^T z runs on either J
+    # Hermitian eigh, and no 2n x 2n eigh runs on either J
     rng = np.random.default_rng([SEED + 15, n])
     for structure in (ComplexStructure.standard(n), rotated_structure(n, rng)):
         e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)

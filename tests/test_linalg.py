@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lagrass.errors import ComputationError, InvariantViolation
+from lagrass.geodesics import connect
 from lagrass.linalg import (
     apply_function,
     expm_antisymmetric,
@@ -22,6 +23,8 @@ from lagrass.linalg import (
     schatten_norm,
     spectral_decompose,
 )
+from test_geodesics import exact_standard_blocks, planted_records, rotated_structure, souriau_pair
+from test_subspaces import rotated_half_right_angle_pair
 
 SEED = 20240811
 TOL = 1e-12
@@ -162,8 +165,8 @@ def antisymmetric_at_norm(rng, dim, norm):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 128, 256])
-def test_expm_antisymmetric_in_three_products_matches_scipy(dim):
-    # M = z^T z, e^z = (Q cos + (z Q) sinc) Q^T: against scipy's Pade expm at
+def test_expm_antisymmetric_of_a_generic_z_matches_scipy(dim):
+    # H = -iz, e^z = Re(V e^{i lam} V^H): against scipy's Pade expm at
     # norms 1, pi - 1e-6 and pi (eigenvalues of e^z at -1), one matrix and a
     # stack of them with the zero matrix first; the zero matrix maps to I exactly
     import scipy.linalg
@@ -180,6 +183,19 @@ def test_expm_antisymmetric_in_three_products_matches_scipy(dim):
         for g in (got, got_in_stack):
             assert max_abs(g.T @ g - np.eye(dim)) <= 1e-12 * dim
             assert np.linalg.det(g) > 0.0
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32])
+def test_expm_of_a_generic_z_at_a_large_norm_stays_orthogonal(dim):
+    # each eigenvalue of -iz carries an error of about eps |z|, so at large
+    # norms e^{i lam} of a pair +-lam drifts off conjugate; the exact pairing
+    # of the spectrum keeps the real part orthogonal, so the validated call
+    # answers at every finite norm (where e^z itself is ill-conditioned)
+    rng = np.random.default_rng([SEED, dim])
+    for norm in (1e12, 1e100, 1e300):
+        g = expm_antisymmetric(antisymmetric_at_norm(rng, dim, norm))
+        assert max_abs(g.T @ g - np.eye(dim)) <= 1e-13 * dim
+        assert np.linalg.det(g) > 0.0
 
 
 def standard_j_generator(rng, thetas):
@@ -235,7 +251,8 @@ def test_expm_reads_a_standard_j_generator_as_one_half_size_eigh(seed, n, count,
 @pytest.mark.parametrize("n", [2, 7])
 def test_expm_of_a_generator_one_ulp_off_the_block_form_takes_the_general_route(n):
     # B + one ulp in one entry of the lower-left block, its antisymmetric
-    # partner moved with it: z stays antisymmetric, the blocks compare unequal
+    # partner moved with it: z stays antisymmetric, the blocks compare unequal,
+    # so H = -iz is read at full size: one complex 2n x 2n eigh
     import scipy.linalg
 
     rng = np.random.default_rng([SEED, n])
@@ -243,9 +260,115 @@ def test_expm_of_a_generator_one_ulp_off_the_block_form_takes_the_general_route(
     z[n + 1, 0] = np.nextafter(z[n + 1, 0], math.inf)
     z[0, n + 1] = -z[n + 1, 0]
     got, calls = expm_eigh_calls(z)
-    assert calls == [((2 * n, 2 * n), np.dtype(float))]
+    assert calls == [((2 * n, 2 * n), np.dtype(complex))]
     assert max_abs(got - scipy.linalg.expm(z)) <= 1e-13 * max(1.0, np.linalg.norm(z, 2))
     assert np.array_equal(expm_antisymmetric(z), got)
+
+
+def assert_exponential(z, got):
+    """got is e^z: within 1e-13 max(1, |z|_2) of scipy's Pade expm, orthogonal
+    to 1e-13 m and of determinant +1."""
+    import scipy.linalg
+
+    m = z.shape[-1]
+    assert max_abs(got - scipy.linalg.expm(z)) <= 1e-13 * max(1.0, np.linalg.norm(z, 2))
+    assert max_abs(got.T @ got - np.eye(m)) <= 1e-13 * m
+    assert np.linalg.det(got) > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12, 35])
+def test_expm_of_a_rotated_half_right_angle_generator_is_verified(seed):
+    # 2z of the planted n = 22 pair under a rotated J. The eigenvectors of the
+    # Gram matrix z^T z from dsyevd were orthogonal only to about 1e-6 here,
+    # so the validated call refused seeds 5, 12 and 35 as "not orthogonal";
+    # the Hermitian eigh of -2iz keeps e^{2z} orthogonal to rounding
+    structure, e0, e1 = rotated_half_right_angle_pair(seed)
+    z = 2.0 * connect(e0, e1, structure).z
+    got = expm_antisymmetric(z)
+    assert_exponential(z, got)
+    unvalidated, calls = expm_eigh_calls(z)
+    assert np.array_equal(unvalidated, got)
+    assert calls == [(z.shape, np.dtype(complex))]
+
+
+def clustered_antisymmetric(rng, m, spread, delta):
+    """A plain antisymmetric m x m z = Q D Q^T: D has 2 x 2 blocks of angles
+    within delta of 0, 1 or pi times spread (the first at spread, so z is
+    not zero), a zero angle for odd m, and Q is a random rotation of R^m."""
+    k = m // 2
+    centers = np.concatenate([[1.0], rng.choice([0.0, 1.0, math.pi], k - 1)])
+    thetas = spread * centers + delta * rng.uniform(-1.0, 1.0, k)
+    d = np.zeros((m, m))
+    d[2 * np.arange(k) + 1, 2 * np.arange(k)] = thetas
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    z = q @ (d - d.T) @ q.T
+    return (z - z.T) / 2.0
+
+
+@st.composite
+def generic_generators(draw):
+    """A stack of antisymmetric m x m matrices, m <= 64, none in the
+    standard-J block form: 2z of rotated-J generators of planted Souriau pairs
+    (the `PLANTS` clusters, or half the angles at pi/2 and half in
+    [1e-12, 1e-1]), or plain z with clustered spectra (odd m included)."""
+    family = draw(st.sampled_from(["planted", "half-right", "clustered"]))
+    count = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng([seed, 2])
+    if family == "clustered":
+        m = draw(st.integers(3, 64))
+        spread = draw(st.sampled_from([0.5, 1.0]))
+        delta = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+        return np.stack([clustered_antisymmetric(rng, m, spread, delta) for _ in range(count)])
+    if family == "planted":
+        theta = draw(planted_records().map(lambda case: case[2][:32]).filter(
+            lambda theta: theta.size >= 2))
+    else:
+        n = draw(st.integers(2, 32))
+        theta = np.concatenate([np.full(n - n // 2, math.pi / 2),
+                                10.0 ** rng.uniform(-12, -1, n // 2)])
+    structure = rotated_structure(theta.size, rng)
+    zs = np.stack([2.0 * connect(*souriau_pair(structure, theta, rng), structure).z
+                   for _ in range(count)])
+    assume(all(max_abs(z) > 0.0 for z in zs))     # z = 0 is in the block form
+    return zs
+
+
+@settings(max_examples=30, deadline=None)
+@given(zs=generic_generators(), stacked=st.booleans(),
+       scale=st.sampled_from([1e8, 1e155, 1e300, 1.7e308]))
+def test_expm_of_a_generic_z_is_one_hermitian_eigh_of_minus_iz(zs, stacked, scale):
+    # one matrix, or a stack with the zero matrix first (it maps to I
+    # exactly): one complex m x m eigh per call, no float64 eigh, each result
+    # e^z to rounding; scaled up to max|z| = 1.7e308, each validated call is
+    # verified (to its own 1e-12 m: at such norms e^z is known to no digit)
+    # or refuses with ComputationError, never numpy's LinAlgError
+    m = zs.shape[-1]
+    assert not any(m % 2 == 0 and exact_standard_blocks(z) for z in zs)
+    z = np.concatenate([np.zeros((1, m, m)), zs]) if stacked else zs[0]
+    got, calls = expm_eigh_calls(z)
+    assert calls == [(z.shape, np.dtype(complex))]
+    if stacked:
+        assert np.array_equal(got[0], np.eye(m))
+        assert np.array_equal(expm_antisymmetric(z), got)
+    for zi, gi in zip(z.reshape(-1, m, m), got.reshape(-1, m, m)):
+        assert_exponential(zi, gi)
+    for zi in zs:
+        try:
+            big = expm_antisymmetric(zi / max_abs(zi) * scale)
+        except ComputationError:
+            continue
+        assert np.isfinite(big).all() and max_abs(big.T @ big - np.eye(m)) <= 1e-12 * m
+        assert np.linalg.det(big) > 0.0
+
+
+def test_expm_refuses_a_nan_output(monkeypatch):
+    # NaN passes a comparison "dev > tol": the checks are written so it fails
+    # them (eigenvectors patched to NaN, the eigenvalues left finite)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.full(a.shape, np.nan)))
+    with pytest.raises(ComputationError, match=r"^expm: output not orthogonal \(deviation nan\)$"):
+        expm_antisymmetric(rotation2(0.3) - rotation2(0.3).T)
 
 
 def test_logm_rotation_is_half_angle():

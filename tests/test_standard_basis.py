@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagrass.sampling
 from lagrass.complex_structure import (
     ComplexStructure,
     _standardizing_basis,
@@ -23,7 +24,7 @@ from lagrass.complex_structure import (
 )
 from lagrass.errors import InvariantViolation
 from lagrass.geodesics import Geodesic, classify_multiplicity, connect, distance, sample
-from lagrass.linalg import max_abs
+from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.sampling import (
     random_complex_antisymmetric,
     random_complex_rotation,
@@ -37,6 +38,7 @@ from reference_formulas import (
     random_lagrangian_by_blocks,
     standardizing_basis_by_pairing,
 )
+from test_geodesics import exact_standard_blocks
 
 SEED = 1414
 AGREE = 1e-12
@@ -154,6 +156,23 @@ def test_seeded_samplers_match_the_block_formulas(n, seed):
         for _ in range(2):
             assert same_bits(random_lagrangian(structure, rng).matrix,
                              random_lagrangian_by_blocks(structure, ref_rng).matrix)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_rotation_on_a_rotated_j_is_exponentiated_in_the_standard_split(monkeypatch, n):
+    # the sampler draws its generator in the standard split for every J, so
+    # `expm_antisymmetric` reads it exactly in the block form, at half size
+    seen = []
+
+    def spy_expm(z, validate=True):
+        seen.append(np.array(z, copy=True))
+        return expm_antisymmetric(z, validate)
+
+    monkeypatch.setattr(lagrass.sampling, "expm_antisymmetric", spy_expm)
+    structure = ComplexStructure(rotated_j(n, np.random.default_rng([SEED, n])))
+    random_complex_rotation(structure, n)
+    [z] = seen
+    assert z.shape == (2 * n, 2 * n) and exact_standard_blocks(z)
 
 
 def test_samplers_on_a_rotated_j_match_the_block_formulas():
