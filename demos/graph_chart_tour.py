@@ -14,7 +14,6 @@ import numpy as np
 from lagrass import (
     ComplexStructure,
     NotAGraphError,
-    expm_antisymmetric,
     gap_distance,
     graph_projection,
     graph_subspace,
@@ -62,10 +61,9 @@ moved = transformed_graph_operator(u, a)
 print("small rotation, image recovered, first-order closed form residual:",
       f"{moved.residual_first_order:.2e}")
 
-quarter = math.pi / 2 * structure.matrix
-u_quarter = expm_antisymmetric(quarter)
+# e^{(pi/2) J} = J itself: the quarter turn of C^n
 try:
-    transformed_graph_operator(u_quarter, zero)
+    transformed_graph_operator(structure.matrix, zero)
 except NotAGraphError as exc:
     print("quarter turn sends the horizontal graph to the vertical:")
     print("  ", exc)

@@ -228,7 +228,7 @@ def _cmd_validate(args) -> dict:
         "j_orthogonality": max_abs(j @ j.T - np.eye(dim)),
         "symmetry_asymmetry": max_abs(e - e.T),
         "symmetry_square_minus_identity": max_abs(e @ e - np.eye(dim)),
-        "anticommutator_with_j": max_abs(structure._residual(e, "anticommutes")),
+        "anticommutator_with_j": max_abs(e @ j + j @ e),
         "subspace_dim": eps.plus_dim,
         "lagrangian": is_lagrangian(eps, structure),
         "provenance": _provenance(args),
@@ -238,14 +238,14 @@ def _cmd_validate(args) -> dict:
 def _cmd_connect(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     gen, endpoint = _connect(e0, e1, structure)
-    z = gen.z
+    z, j = gen.z, structure.matrix
     geo = Geodesic(gen)
     return {
         "z": z.tolist(),
         "norm_op": gen.norm,
         "residuals": {
             "antisymmetry": max_abs(z + z.T),
-            "commutator_with_j": max_abs(structure._residual(z, "commutes")),
+            "commutator_with_j": max_abs(z @ j - j @ z),
             "anticommutator_with_base": max_abs(z @ e0.matrix + e0.matrix @ z),
             "endpoint": endpoint,
         },
@@ -258,8 +258,8 @@ def _cmd_connect(args) -> dict:
 def _cmd_distance(args) -> dict:
     structure, e0, e1 = _load_pair(args)
     d = distance(e0, e1, structure)
-    gap = _conjugation_gap(_complex_block(e0.matrix, structure),
-                           _complex_block(e1.matrix, structure))
+    gap = _conjugation_gap(_complex_block(structure._split(e0.matrix)),
+                           _complex_block(structure._split(e1.matrix)))
     return {
         "distance": d,
         "projection_gap": gap,
@@ -329,7 +329,7 @@ def _cmd_graph_recover(args) -> dict:
     # vertical (the identity graph) to eps has the chart block x (y) = -H,
     # |H| <= pi/2, with e^{2iH} = -C (-iC): H = O diag(psi / 2) O^T for the
     # phases psi = phi + pi (phi - pi/2), wrapped into (-pi, pi] as phi is
-    o, phi = _real_eigenbasis(_complex_block(eps.matrix, structure))
+    o, phi = _real_eigenbasis(_complex_block(eps.matrix))
     psi = _wrap_phase(phi + np.array([[math.pi], [-math.pi / 2.0]]))
     cos_x, cos_y = (o * np.cos(psi / 2.0)[:, None, :]) @ o.T
     sin_x, sin_y = -(o * np.sin(psi / 2.0)[:, None, :]) @ o.T

@@ -10,10 +10,10 @@ conjugate-linear: v -> C conj(v) with an n x n complex matrix C
 (`conjugation_matrix`, `realify_conjugation`). All of these are plain numpy
 complex arrays. A symmetric unitary C, the matrix of a Lagrangian symmetry,
 is O diag(e^{i phi}) O^T with O real orthogonal (`_real_eigenbasis`).
-These four functions read and write standard coordinates: for a non-standard
-J they apply the change of basis `to_standard`, and no other module does.
-Every (anti)commutation check with J takes its residual from `_residual`: the
-n x n blocks for J exactly standard, a product with J only otherwise.
+Every J is standard_form(n) in other coordinates, J's standard split: an
+entry point takes each operand there once (`ComplexStructure._split`), runs
+the standard-J code and brings its output back once (`_unsplit`). Only the
+identities with J are measured in the split.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InvariantViolation
-from .linalg import _as_2d, _check, _deviation, _eq_by_value, _read_only, max_abs, require_square
+from .linalg import _as_2d, _check, _eq_by_value, _read_only, max_abs, require_square
 from .tolerances import RECON_RTOL, SYM_RTOL
 
 
@@ -42,12 +42,11 @@ def standard_form(n: int) -> np.ndarray:
 class ComplexStructure:
     """A validated complex structure J on R^{2n}.
 
-    Non-standard J's are accepted and conjugated to the standard form once at
-    construction: `to_standard` is orthogonal with
-    to_standard^T @ J @ to_standard = standard_form(n), read off the +1
-    eigenvectors of iJ (`_standardizing_basis`). It and matrix, a copy of
-    the input, are read-only. Everything downstream works in standard
-    coordinates through that change of basis.
+    `to_standard` is an orthogonal R with R^T J R = standard_form(n), read
+    off the +1 eigenvectors of iJ once at construction
+    (`_standardizing_basis`), or I for a J within 1e-12 of standard_form(n),
+    which is then standard. It and matrix, a copy of the input, are
+    read-only, and only this class reads R.
     """
 
     __eq__ = _eq_by_value
@@ -55,7 +54,6 @@ class ComplexStructure:
     n: int = field(init=False)
     to_standard: np.ndarray = field(init=False)
     _standard: bool = field(init=False, repr=False, compare=False)
-    _exact: bool = field(init=False, repr=False, compare=False)   # J == standard_form(n)
 
     def __post_init__(self):
         j = require_square(self.matrix, "J")
@@ -70,13 +68,11 @@ class ComplexStructure:
             raise InvariantViolation("J: must square to -I")
         if max_abs(j.T @ j - np.eye(dim)) > tol:
             raise InvariantViolation("J: must be orthogonal")
-        object.__setattr__(self, "matrix", _read_only(j.copy()))
-        object.__setattr__(self, "n", n)
-        off = max_abs(j - standard_form(n))
-        r = np.eye(dim) if off <= 1e-12 else _standardizing_basis(j)
-        object.__setattr__(self, "to_standard", _read_only(r))
-        object.__setattr__(self, "_standard", off <= 1e-12)
-        object.__setattr__(self, "_exact", off == 0.0)
+        standard = max_abs(j - standard_form(n)) <= 1e-12
+        r = np.eye(dim) if standard else _standardizing_basis(j)
+        for name, value in (("matrix", _read_only(j.copy())), ("n", n),
+                            ("to_standard", _read_only(r)), ("_standard", standard)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def standard(cls, n: int) -> "ComplexStructure":
@@ -84,11 +80,9 @@ class ComplexStructure:
         constructor exactly, and its change of basis is the identity."""
         j = _read_only(standard_form(n))
         structure = object.__new__(cls)
-        object.__setattr__(structure, "matrix", j)
-        object.__setattr__(structure, "n", j.shape[0] // 2)
-        object.__setattr__(structure, "to_standard", _read_only(np.eye(j.shape[0])))
-        object.__setattr__(structure, "_standard", True)
-        object.__setattr__(structure, "_exact", True)
+        for name, value in (("matrix", j), ("n", j.shape[0] // 2),
+                            ("to_standard", _read_only(np.eye(j.shape[0]))), ("_standard", True)):
+            object.__setattr__(structure, name, value)
         return structure
 
     @property
@@ -98,16 +92,19 @@ class ComplexStructure:
     def is_standard(self) -> bool:
         return self._standard
 
+    def _split(self, a: np.ndarray) -> np.ndarray:
+        """R^T a R, R = to_standard (a for the standard J): a in J's standard split."""
+        return a if self._standard else self.to_standard.T @ a @ self.to_standard
+
+    def _unsplit(self, a: np.ndarray) -> np.ndarray:
+        """R a R^T: a matrix or stack of the standard split in the caller's coordinates."""
+        return a if self._standard else self.to_standard @ a @ self.to_standard.T
+
     def _residual(self, a: np.ndarray, kind: str) -> np.ndarray:
-        """a J - J a ("commutes") or a J + J a ("anticommutes"), for one matrix
-        or a stack. For J == standard_form(n) it is read off the blocks
-        [[A, B], [C, D]] of a: [[P, Q], [Q, -P]] with P = B + C, Q = D - A, or
-        [[P, -Q], [Q, P]] with P = B - C, Q = D + A. Each entry of a J and of
-        J a is a single +-a entry, so this is the dense form, bitwise up to the
-        sign of a zero. Any other J forms the products through `_unit_scaled`,
-        so they overflow only where the residual does."""
-        if not self._exact:
-            return _unit_scaled(lambda x: _deviation((kind, self.matrix), x), a)
+        """a J - J a ("commutes") or a J + J a ("anticommutes") for a matrix or stack a in
+        J's standard split, J = standard_form(n), read off the blocks [[A, B], [C, D]] of a:
+        [[P, Q], [Q, -P]], P = B + C, Q = D - A, or [[P, -Q], [Q, P]], P = B - C, Q = D + A.
+        Each entry of a J and J a is one +-a entry: the dense form, bitwise up to a zero's sign."""
         n = self.n
         plus, minus = (np.add, np.subtract) if kind == "commutes" else (np.subtract, np.add)
         p, q = plus(a[..., :n, n:], a[..., n:, :n]), minus(a[..., n:, n:], a[..., :n, :n])
@@ -117,15 +114,18 @@ class ComplexStructure:
         return out
 
 
-def _unit_scaled(f, a: np.ndarray) -> np.ndarray:
-    """f(a) for f a product of a with J or an orthogonal matrix, which cannot overflow
-    below max|a| = 2^500; from there s f(a / s), s the power of two with max|a| / s
-    in [1, 2) per matrix, and an entry beyond the float range reads inf."""
-    if max_abs(a) < 2.0**500:
-        return f(a)
-    s = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1] - 1)
-    with np.errstate(over="ignore"):
-        return s * f(a / s)
+def _split_checked(a: np.ndarray, structure: ComplexStructure, kind: str, rtol: float,
+                   floor: float = 1e-300, name: str = "operator", message: str | None = None):
+    """(u, s): s u is J's standard split of a (a matrix or stack), u held to `kind` with J
+    within rtol * max(max|u|, floor) by `_check`: None where it fails, or "name: message" raised.
+    s is None but where R^T a R could overflow (a rotated J, max|a| >= 2^500): there it is
+    the power of two with max|a| / s in [1, 2) per matrix, as the verdict scales with a."""
+    s = None
+    if not structure._standard and max_abs(a) >= 2.0**500:
+        s = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1] - 1)
+    u = structure._split(a if s is None else a / s)
+    checks = [((kind, structure), rtol, floor, message or "")]
+    return (None if _check(u, name, checks, verdict=message is None) is False else u), s
 
 
 def _standardizing_basis(j: np.ndarray) -> np.ndarray:
@@ -143,29 +143,30 @@ def _standardizing_basis(j: np.ndarray) -> np.ndarray:
 
 
 def commutes_with_structure(a, structure: ComplexStructure) -> bool:
-    """True iff a J = J a within SYM_RTOL * dim * max|a| (complex-linear operators)."""
-    return _structure_verdict(a, structure, "commutes_with_structure", "commutes")
+    """True iff a J = J a within SYM_RTOL * dim * max|a| in J's split (complex-linear)."""
+    return _structure_verdict(a, structure, "commutes_with_structure", "commutes")[0] is not None
 
 
 def anticommutes_with_structure(a, structure: ComplexStructure) -> bool:
     """True iff a J = -J a within tolerance (conjugate-linear operators)."""
-    return _structure_verdict(a, structure, "anticommutes_with_structure", "anticommutes")
+    return _structure_verdict(a, structure, "anticommutes_with_structure",
+                              "anticommutes")[0] is not None
 
 
 def is_complex_unitary(u, structure: ComplexStructure) -> bool:
-    """True iff u is orthogonal and commutes with J (unitary on (C^n, <.,.>_J))."""
-    return _structure_verdict(u, structure, "is_complex_unitary", "orthonormal", "commutes")
+    """True iff u commutes with J and is orthogonal (unitary on (C^n, <.,.>_J))."""
+    arr = np.asarray(u, dtype=float)
+    if _structure_verdict(arr, structure, "is_complex_unitary", "commutes")[0] is None:
+        return False
+    return _check(arr, "operator", [("orthonormal", SYM_RTOL * len(arr), 1e-300, "")], verdict=True)
 
 
-def _structure_verdict(a, structure: ComplexStructure, name: str, *kinds) -> bool:
-    """Whether a satisfies each identity ("commutes" and "anticommutes" taken
-    with J, by `ComplexStructure._residual`) within SYM_RTOL * dim * max(max|a|, 1e-300)."""
+def _structure_verdict(a, structure: ComplexStructure, name: str, kind: str):
+    """`_split_checked` of an operator a, within SYM_RTOL * dim * max(max|u|, 1e-300)."""
     arr = _as_2d(a, "operator", square=True)
     if arr.shape[0] != structure.dim:
         raise InvariantViolation(f"{name}: dimension mismatch")
-    tol = SYM_RTOL * max(arr.shape[0], 1)
-    checks = [(k if k == "orthonormal" else (k, structure), tol, 1e-300, "") for k in kinds]
-    return _check(arr, "operator", checks, verdict=True)
+    return _split_checked(arr, structure, kind, SYM_RTOL * max(arr.shape[0], 1))
 
 
 def complexify(a, structure: ComplexStructure) -> np.ndarray:
@@ -174,21 +175,20 @@ def complexify(a, structure: ComplexStructure) -> np.ndarray:
     In standard coordinates a = [[x, -y], [y, x]] and the matrix is x + i y.
     Refuses operators that do not commute with J.
     """
-    arr = _as_2d(a, "operator", square=True)
-    if not _structure_verdict(arr, structure, "complexify", "commutes"):
+    u, s = _structure_verdict(a, structure, "complexify", "commutes")
+    if u is None:
         raise InvariantViolation("complexify: operator does not commute with J")
-    return _complex_block(arr, structure)
+    return _complex_block(u, s)
 
 
-def _complex_block(a: np.ndarray, structure: ComplexStructure) -> np.ndarray:
-    """a[:n, :n] + i a[n:, :n] in standard coordinates, for one matrix or a stack,
-    unchecked: x + i y for a = [[x, -y], [y, x]], C for a = [[Re C, Im C],
-    [Im C, -Re C]], refused (ComputationError) where it leaves the float range.
-    It reads the left block column only: r^T (a r[:, :n]) for r = to_standard."""
-    n = structure.n
-    if not structure.is_standard():
-        r = structure.to_standard
-        a = _unit_scaled(lambda x: r.T @ (x @ r[:, :n]), a)
+def _complex_block(a: np.ndarray, scale=None) -> np.ndarray:
+    """a[:n, :n] + i a[n:, :n], times a scale of `_split_checked`, for a matrix or stack in the
+    standard split: x + i y for a = [[x, -y], [y, x]], C for a = [[Re C, Im C], [Im C, -Re C]],
+    unchecked but refused (ComputationError) where it leaves the float range."""
+    n = a.shape[-1] // 2
+    if scale is not None:
+        with np.errstate(over="ignore"):
+            a = scale * a[..., :n]
         if not np.isfinite(a).all():
             raise ComputationError("complex matrix: an entry overflows the float range")
     return a[..., :n, :n] + 1j * a[..., n:, :n]
@@ -199,14 +199,17 @@ def realify(m, structure: ComplexStructure) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (structure.n, structure.n):
         raise InvariantViolation("realify: dimension mismatch")
-    n = structure.n
-    std = np.empty((2 * n, 2 * n))
-    std[:n, :n] = std[n:, n:] = m.real
-    std[:n, n:], std[n:, :n] = -m.imag, m.imag
-    if structure.is_standard():
-        return std
-    r = structure.to_standard
-    return r @ std @ r.T
+    return structure._unsplit(_realified(m, structure.n))
+
+
+def _realified(m: np.ndarray, n: int, conjugate: bool = False) -> np.ndarray:
+    """[[Re m, -Im m], [Im m, Re m]], or [[Re m, Im m], [Im m, -Re m]] for v -> m conj(v)
+    (conjugate): the real operator(s) of one n x n complex m or a stack, standard split."""
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n], out[..., n:, :n] = m.real, m.imag
+    out[..., :n, n:] = m.imag if conjugate else -m.imag
+    out[..., n:, n:] = -m.real if conjugate else m.real
+    return out
 
 
 def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
@@ -222,10 +225,9 @@ def conjugation_matrix(a, structure: ComplexStructure) -> np.ndarray:
     dim = structure.dim
     if arr.ndim < 2 or arr.shape[-2:] != (dim, dim):
         raise InvariantViolation("conjugation matrix: dimension mismatch")
-    _check(arr, "conjugation matrix", [(("anticommutes", structure),
-                                        SYM_RTOL * max(dim, 1), 1e-300,
-                                        "operator does not anticommute with J")])
-    return _complex_block(arr, structure)
+    u, s = _split_checked(arr, structure, "anticommutes", SYM_RTOL * max(dim, 1),
+                          name="conjugation matrix", message="operator does not anticommute with J")
+    return _complex_block(u, s)
 
 
 def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarray:
@@ -233,16 +235,7 @@ def realify_conjugation(c: np.ndarray, structure: ComplexStructure) -> np.ndarra
 
     c is one n x n complex matrix or a stack of them.
     """
-    n = structure.n
-    out = np.empty(c.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = c.real
-    out[..., :n, n:] = c.imag
-    out[..., n:, :n] = c.imag
-    out[..., n:, n:] = -c.real
-    if not structure.is_standard():
-        r = structure.to_standard
-        out = r @ out @ r.T
-    return out
+    return structure._unsplit(_realified(c, structure.n, conjugate=True))
 
 
 def _wrap_phase(phi: np.ndarray) -> np.ndarray:

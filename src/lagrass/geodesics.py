@@ -27,8 +27,8 @@ from .complex_structure import (
     ComplexStructure,
     _complex_block,
     _real_eigenbasis,
-    anticommutes_with_structure,
-    realify,
+    _realified,
+    _split_checked,
     realify_conjugation,
 )
 from .errors import ComputationError, InvariantViolation
@@ -46,8 +46,8 @@ from .linalg import (
 from .subspaces import (
     Symmetry,
     _as_symmetry,
+    _lagrangian_split,
     check_tangent,
-    is_lagrangian,
 )
 from .tolerances import ENDPOINT_RTOL, GENERATOR_ATOL, SYM_RTOL
 
@@ -64,10 +64,10 @@ class GeodesicGenerator:
     z J = J z, z eps0 = -eps0 z, ||z|| <= pi/2.
 
     The spectral record (u, theta) has z = realify(i U diag(theta) U^H) and
-    C0 = U U^T for the conjugation matrix C0 of the base: theta are the signed
-    principal angles and norm = max|theta| = ||z||. Validation reads it off
-    the part of z that anticommutes with the base (z within the slack). z, u
-    and theta are read-only, and so is the base's matrix.
+    C0 = U U^T for the conjugation matrix C0 of the base, in J's standard
+    split: theta are the signed principal angles and norm = max|theta| = ||z||.
+    Validation reads it off the part of z that anticommutes with the base (z
+    within the slack). z, u and theta are read-only, and so is the base's matrix.
 
     Every node e^{2tz} eps0 is Lagrangian in exact arithmetic, and the only
     defects it can inherit from the record, ||U^H U - I|| and the base
@@ -90,16 +90,17 @@ class GeodesicGenerator:
         z = _as_2d(self.z, "generator", square=True)
         if z.shape[0] != self.structure.dim or z.shape[0] != self.base.ambient_dim:
             raise InvariantViolation("generator: dimension mismatch")
-        if not anticommutes_with_structure(self.base.matrix, self.structure):
-            raise InvariantViolation("generator: base symmetry does not anticommute with J")
-        e = self.base.matrix
+        e, tol = self.base.matrix, SYM_RTOL * max(z.shape[0], 1)
+        e_split = _split_checked(e, self.structure, "anticommutes", tol, 1e-300, "generator",
+                                 "base symmetry does not anticommute with J")[0]
         _check(z, "generator", [
-            ("antisymmetric", SYM_RTOL * max(z.shape[0], 1), 0.0, "not antisymmetric" + _EXCEEDS),
-            (("commutes", self.structure), GENERATOR_ATOL, 1.0, "does not commute with J"),
+            ("antisymmetric", tol, 0.0, "not antisymmetric" + _EXCEEDS),
             (("anticommutes", e), GENERATOR_ATOL, 1.0, "does not anticommute with the base")])
+        z_split, scale = _split_checked(z, self.structure, "commutes", GENERATOR_ATOL, 1.0,
+                                        "generator", "does not commute with J")
         # z = iH; in a real form W of the base, W^H H W is real symmetric
-        w = _real_form(_complex_block(e, self.structure))
-        k = (w.conj().T @ (-1j * _complex_block(z, self.structure)) @ w).real
+        w = _real_form(_complex_block(e_split))
+        k = (w.conj().T @ (-1j * _complex_block(z_split, scale)) @ w).real
         theta, o = np.linalg.eigh(0.5 * k + 0.5 * k.T)
         self._record(z.copy(), w @ o, theta)
 
@@ -120,11 +121,13 @@ class GeodesicGenerator:
 
     @classmethod
     def _from_record(cls, base: Symmetry, structure: ComplexStructure, u: np.ndarray,
-                     theta: np.ndarray, z: np.ndarray | None = None) -> "GeodesicGenerator":
+                     theta: np.ndarray, split: np.ndarray | None = None) -> "GeodesicGenerator":
         """The generator of a record, unvalidated: it satisfies the invariants.
-        z, when the caller already has the record's generator, is kept as is."""
-        if z is None:
-            [z] = _record_generators(u, theta, structure)
+        split, when the caller already has it (`_record_generator`), is kept."""
+        split = _record_generator(u, theta) if split is None else split
+        z = structure._unsplit(split)
+        if z is not split:      # antisymmetric to the last bit again
+            z = (z - z.T) / 2.0
         gen = object.__new__(cls)
         object.__setattr__(gen, "base", base)
         object.__setattr__(gen, "structure", structure)
@@ -132,12 +135,12 @@ class GeodesicGenerator:
         return gen
 
 
-def _record_generators(u: np.ndarray, theta: np.ndarray, *structures) -> list:
-    """realify(i U diag(theta) U^H) through each structure, antisymmetric to the
-    last bit; in the standard split its blocks are exactly [[A, -B], [B, A]]."""
+def _record_generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """realify(i U diag(theta) U^H) in the standard split, antisymmetric to
+    the last bit, with blocks exactly [[A, -B], [B, A]]."""
     h = (u * theta) @ u.conj().T
-    ih = 1j * (h + h.conj().T) / 2.0
-    return [(z - z.T) / 2.0 for z in (realify(ih, s) for s in structures)]
+    z = _realified(1j * (h + h.conj().T) / 2.0, len(u))
+    return (z - z.T) / 2.0
 
 
 def _real_form(c: np.ndarray) -> np.ndarray:
@@ -148,7 +151,7 @@ def _real_form(c: np.ndarray) -> np.ndarray:
 
 class _NodeCertificate(NamedTuple):
     holds: bool     # every node with finite entries passes the Symmetry check
-    eta: float      # ||U^H U - I||_F, the record's unitarity defect (NaN off the standard J)
+    eta: float      # ||U^H U - I||_F, the split record's unitarity defect (NaN off the standard J)
     slack: float    # s = 16 (n + 2)^2 eps, the rounding slack of its bounds
     rho: float = math.nan   # ||R(U U^T) - eps0||_F, the base residual
     g: np.ndarray | None = None     # diag(G) for G = U^H conj(U)
@@ -208,7 +211,7 @@ def _node_certificate(gen: GeodesicGenerator) -> _NodeCertificate:
     eps = np.finfo(float).eps
     eta = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
     rho = float(np.linalg.norm(realify_conjugation(u @ u.T, structure) - e))
-    c0 = _complex_block(e, structure)
+    c0 = _complex_block(e)
     slack = 16.0 * (n + 2) ** 2 * eps
     sym = max(max_abs(e - e.T), float(_amax(c0 - c0.T))) + slack
     inv = eta * (2.0 + eta) + 2.0 * (1.0 + eta) * rho + rho**2 + slack
@@ -294,7 +297,7 @@ def sample(geo: Geodesic, ts) -> np.ndarray:
     holds (see `evaluate`), which the chart grid relies on.
     """
     gen = geo.generator
-    return _complex_block(gen.base.matrix, gen.structure) + _geodesic_steps(gen, ts)
+    return _complex_block(gen.structure._split(gen.base.matrix)) + _geodesic_steps(gen, ts)
 
 
 def _geodesic_steps(gen: GeodesicGenerator, ts) -> np.ndarray:
@@ -357,28 +360,28 @@ def connect(eps0, eps1, structure: ComplexStructure) -> GeodesicGenerator:
 
 
 def _connect(eps0, eps1, structure: ComplexStructure) -> tuple[GeodesicGenerator, float]:
-    """`connect` together with the endpoint residual max|e^{2z} eps0 - eps1| it
-    verified. 2z is formed in the standard split for every J, so its exact blocks
-    take `expm_antisymmetric`'s n x n route; the endpoint is E C0, E = e^{2iH}, realified."""
-    e0 = _as_symmetry(eps0)
-    e1 = _as_symmetry(eps1)
+    """`connect` together with the endpoint residual max|e^{2z} eps0 - eps1| it verified, in
+    J's standard split, which each endpoint enters once. 2z has exact blocks there, so it
+    takes `expm_antisymmetric`'s n x n route; the endpoint is E C0, E = e^{2iH}, realified."""
+    e0, e1 = _as_symmetry(eps0), _as_symmetry(eps1)
+    splits = []
     for name, e in (("first", e0), ("second", e1)):
-        if not is_lagrangian(e, structure):
+        splits.append(_lagrangian_split(e, structure))
+        if splits[-1] is None:
             raise InvariantViolation(f"connect: {name} endpoint is not Lagrangian")
     dim = structure.dim
     gap = max_abs(e0.matrix - e1.matrix)
     if gap <= 1e-13:
         return GeodesicGenerator(np.zeros((dim, dim)), e0, structure), gap
 
-    c0 = _complex_block(e0.matrix, structure)
+    c0 = _complex_block(splits[0])
     w = _real_form(c0)
-    o, phi = _real_eigenbasis(w.conj().T @ _complex_block(e1.matrix, structure) @ w.conj())
+    o, phi = _real_eigenbasis(w.conj().T @ _complex_block(splits[1]) @ w.conj())
     u, theta, n = w @ o, phi / 2.0, structure.n
-    splits = (structure,) if structure.is_standard() else (ComplexStructure.standard(n), structure)
-    zs = _record_generators(u, theta, *splits)
-    gen = GeodesicGenerator._from_record(e0, structure, u, theta, zs[-1])
-    x = expm_antisymmetric(2.0 * zs[0], validate=False)
-    resid = max_abs(realify_conjugation((x[:n, :n] + 1j * x[n:, :n]) @ c0, structure) - e1.matrix)
+    z = _record_generator(u, theta)
+    gen = GeodesicGenerator._from_record(e0, structure, u, theta, z)
+    x = expm_antisymmetric(2.0 * z, validate=False)
+    resid = max_abs(_realified((x[:n, :n] + 1j * x[n:, :n]) @ c0, n, conjugate=True) - splits[1])
     if resid > ENDPOINT_RTOL * dim:
         raise ComputationError(
             f"connect: endpoint residual {resid:.3e} beyond {ENDPOINT_RTOL * dim:.3e}"

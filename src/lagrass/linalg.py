@@ -74,7 +74,7 @@ def _deviation(identity, a: np.ndarray) -> np.ndarray:
     """Residual at a of "symmetric" a = a^T, "antisymmetric" a = -a^T,
     "orthonormal" a^T a = I, "involutive" a conj(a) = I, "idempotent"
     a a = a, ("commutes", b) a b = b a or ("anticommutes", b) a b = -b a. A
-    ComplexStructure b forms its own residual (`ComplexStructure._residual`)."""
+    ComplexStructure b forms its own, of a in its split (`ComplexStructure._residual`)."""
     kind, b = identity if isinstance(identity, tuple) else (identity, None)
     if isinstance(b, np.ndarray):
         return a @ b - b @ a if kind == "commutes" else a @ b + b @ a

@@ -15,8 +15,8 @@ import numpy as np
 from .complex_structure import (
     ComplexStructure,
     _complex_block,
+    _realified,
     complexify,
-    realify,
     realify_conjugation,
 )
 from .errors import InvariantViolation
@@ -52,15 +52,14 @@ def random_complex_antisymmetric(structure: ComplexStructure, rng=None,
     These are the realified p + iq with p antisymmetric and q symmetric,
     [[p, -q], [q, p]] in standard coordinates, which commutes with J.
     """
-    g = _as_rng(rng)
-    n = structure.n
-    p = random_antisymmetric(n, g)
-    q = random_symmetric(n, g)
-    a = realify(p + 1j * q, structure)
+    return structure._unsplit(_split_generator(structure.n, _as_rng(rng), norm))
+
+
+def _split_generator(n: int, g: np.random.Generator, norm: float) -> np.ndarray:
+    """`random_complex_antisymmetric` in the standard split, blocks exact."""
+    a = _realified(random_antisymmetric(n, g) + 1j * random_symmetric(n, g), n)
     top = schatten_norm(a, math.inf)
-    if top == 0.0:
-        return a
-    return a * (norm / top)
+    return a if top == 0.0 else a * (norm / top)
 
 
 def random_complex_rotation(structure: ComplexStructure, rng=None,
@@ -72,9 +71,8 @@ def random_complex_rotation(structure: ComplexStructure, rng=None,
     exponentiated in the standard split (`expm_antisymmetric`'s n x n route).
     """
     g = _as_rng(rng)
-    std = structure if structure.is_standard() else ComplexStructure.standard(structure.n)
-    a = random_complex_antisymmetric(std, g, norm=spread * g.random())
-    return realify(_complex_block(expm_antisymmetric(a), std), structure)
+    a = _split_generator(structure.n, g, spread * g.random())
+    return structure._unsplit(expm_antisymmetric(a))
 
 
 def random_lagrangian(structure: ComplexStructure, rng=None,
@@ -159,5 +157,5 @@ def perturbed_curve(gen: GeodesicGenerator, w: np.ndarray, amplitude: float,
     np.matmul(o * e.imag[..., None, :], ot, out=d.imag)
     d[...] = np.swapaxes(_stack_times(d, gen.u.T), -1, -2)
     steps = _stack_times(d, gen.u.T)
-    steps += _complex_block(gen.base.matrix, structure)
+    steps += _complex_block(structure._split(gen.base.matrix))
     return steps

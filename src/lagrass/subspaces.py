@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_structure import ComplexStructure, anticommutes_with_structure
+from .complex_structure import ComplexStructure, _split_checked
 from .errors import ComputationError, InvariantViolation
 from .linalg import (
     _EXCEEDS,
@@ -227,17 +227,21 @@ def _as_symmetry(s) -> Symmetry:
 
 
 def is_lagrangian(s, structure: ComplexStructure) -> bool:
-    """True iff J maps the subspace onto its orthogonal complement.
+    """True iff J maps the subspace onto its orthogonal complement: the symmetry
+    anticommutes with J (in J's standard split), and the dimension, then
+    necessarily half the ambient one, is checked as well."""
+    return _lagrangian_split(s, structure) is not None
 
-    Equivalently the symmetry anticommutes with J; the dimension is then
-    necessarily half the ambient one, which is checked as well.
-    """
+
+def _lagrangian_split(s, structure: ComplexStructure) -> np.ndarray | None:
+    """The symmetry of s in J's split where s is Lagrangian (never rescaled), else None."""
     eps = _as_symmetry(s)
     if eps.ambient_dim != structure.dim:
         raise InvariantViolation("is_lagrangian: ambient dimension mismatch")
     if eps.plus_dim != structure.n:
-        return False
-    return anticommutes_with_structure(eps.matrix, structure)
+        return None
+    return _split_checked(eps.matrix, structure, "anticommutes",
+                          SYM_RTOL * max(structure.dim, 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +334,20 @@ def five_way_decompose(eps0: Symmetry, eps1: Symmetry,
 
 def check_tangent(eps: Symmetry, v, structure: ComplexStructure | None = None) -> np.ndarray:
     """Validate a tangent vector at eps: symmetric, anticommutes with eps,
-    and (when J is supplied) anticommutes with J. Returns v unchanged."""
+    and (when J is supplied) anticommutes with J in its split. Returns v unchanged."""
     eps = _as_symmetry(eps)
     arr = _as_2d(v, "tangent vector", square=True)
     n = arr.shape[0]
     if n != eps.ambient_dim or (structure is not None and n != structure.dim):
         raise InvariantViolation("tangent vector: dimension mismatch")
     tol = SYM_RTOL * max(n, 1)
-    checks = [("symmetric", tol, 0.0, "not symmetric" + _EXCEEDS),
-              (("anticommutes", eps.matrix), tol, 1e-300,
-               "does not anticommute with the base symmetry")]
+    _check(arr, "tangent vector", [("symmetric", tol, 0.0, "not symmetric" + _EXCEEDS),
+                                   (("anticommutes", eps.matrix), tol, 1e-300,
+                                    "does not anticommute with the base symmetry")])
     if structure is not None:
-        checks.append((("anticommutes", structure), tol, 1e-300,
-                       "does not anticommute with J"))
-    return _check(arr, "tangent vector", checks)
+        _split_checked(arr, structure, "anticommutes", tol, name="tangent vector",
+                       message="does not anticommute with J")
+    return arr
 
 
 def tangent_project(eps: Symmetry, a) -> np.ndarray:

@@ -28,7 +28,7 @@ from lagrass.complex_structure import (
 from lagrass.errors import ComputationError, InvariantViolation
 from lagrass.linalg import expm_antisymmetric, max_abs
 from lagrass.sampling import random_complex_antisymmetric
-from lagrass.tolerances import RECON_RTOL
+from lagrass.tolerances import RECON_RTOL, SYM_RTOL
 from reference_formulas import complex_inner_product, symplectic_form
 
 SEED = 424242
@@ -296,7 +296,7 @@ def test_wrap_phase_is_each_former_wrap_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# the one J-residual: blocks for the standard J, products otherwise
+# the one J-residual: blocks in J's standard split
 
 
 def dense_residual(a, j, kind):
@@ -310,7 +310,7 @@ def dense_residual(a, j, kind):
 def test_the_block_residual_is_the_dense_one_bitwise(seed, n, stack, low, span, kind):
     # entries at scales 10^low ... 10^(low + span) within [1e-200, 1e200], a
     # fifth of them signed zeros: |a J -+ J a| read off the blocks equals the
-    # dense products' bit for bit, and a rotated J keeps the dense form itself
+    # dense products' bit for bit
     rng = np.random.default_rng(seed)
     shape = stack + (2 * n, 2 * n)
     exponents = rng.uniform(low, min(low + span, 200), shape)
@@ -321,26 +321,99 @@ def test_the_block_residual_is_the_dense_one_bitwise(seed, n, stack, low, span, 
         got = structure._residual(a, kind)
         assert got.shape == a.shape
         assert np.abs(got).tobytes() == np.abs(dense_residual(a, standard_form(n), kind)).tobytes()
-    if n:
-        rotated = nonstandard_structure(n, seed)
-        want = dense_residual(a, rotated.matrix, kind)
-        assert rotated._residual(a, kind).tobytes() == want.tobytes()
 
 
-def test_a_j_off_the_standard_form_keeps_the_dense_residual():
-    # within 1e-12 of the standard form J is standard (its change of basis is
-    # I), but only J == standard_form(n) takes the block residual
-    n = 3
+def planted_in_the_split(which, n, factor, rng):
+    """An operator b of the standard split whose identity with J sits at
+    factor times its tolerance SYM_RTOL * 2n * max|b|: a symmetry a plane
+    rotation away from the vertical one ("lagrangian"), or one planted entry
+    of I ("commutes") or of diag(-I, I) ("conjugation")."""
+    m = 2 * n
+    tol = SYM_RTOL * m
+    if which == "lagrangian":
+        # the rotation in the plane (e_i, e_{n+k}), i != k, does not commute
+        # with J: to first order in t the residual is t times that of
+        # [x, b0], and t ~ 1e-9 leaves t^2 far below the 1e-3 margin
+        i, k = rng.choice(n, 2, replace=False)
+        x = np.zeros((m, m))
+        x[n + k, i], x[i, n + k] = 1.0, -1.0
+        b0 = np.diag(np.concatenate([-np.ones(n), np.ones(n)]))
+        slope = max_abs(ComplexStructure.standard(n)._residual(x @ b0 - b0 @ x, "anticommutes"))
+        g = expm_antisymmetric(factor * tol / slope * x)
+        return g @ b0 @ g.T
+    b = np.eye(m) if which == "commutes" else np.diag(np.concatenate([-np.ones(n), np.ones(n)]))
+    i = rng.integers(n)
+    b[i, i] += factor * tol if which == "conjugation" else -factor * tol
+    return b
+
+
+def verdict_of(which, a, structure):
+    """is_lagrangian or commutes_with_structure of a, or conjugation_matrix
+    of the stack [a, a], False where it refuses."""
+    from lagrass.subspaces import Symmetry, is_lagrangian
+
+    if which == "lagrangian":
+        return is_lagrangian(Symmetry(a), structure)
+    if which == "commutes":
+        return commutes_with_structure(a, structure)
+    try:
+        return conjugation_matrix(np.stack([a, a]), structure)
+    except InvariantViolation as exc:
+        assert str(exc) == "conjugation matrix: operator does not anticommute with J"
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       which=st.sampled_from(["lagrangian", "commutes", "conjugation"]),
+       factor=st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]))
+def test_a_rotated_j_takes_its_verdicts_in_the_standard_split(seed, n, which, factor):
+    # the identities with J are measured on R^T a R, R = to_standard: a
+    # rotated J accepts or refuses an operator planted at 0.999 or 1.001 of
+    # the tolerance in its split exactly as the standard J does on R^T a R.
+    # Max-abs is not rotation-invariant, so in the caller's coordinates the
+    # same operator can sit anywhere from about half to three times as far
+    # from its tolerance
+    if which == "lagrangian" and n == 1:
+        n = 2
+    rng = np.random.default_rng(seed)
+    rotated = nonstandard_structure(n, seed)
+    r = rotated.to_standard
+    a = r @ planted_in_the_split(which, n, factor, rng) @ r.T
+    got = verdict_of(which, a, rotated)
+    want = verdict_of(which, r.T @ a @ r, ComplexStructure.standard(n))
+    if which != "conjugation":
+        assert got == want == (factor < 1.0)
+        return
+    assert (got is False) == (want is False) == (factor > 1.0)
+    if want is not False:
+        assert max_abs(got - want) <= 1e-14
+
+
+def test_a_snapped_j_moves_the_residual_by_at_most_its_offset():
+    # within 1e-12 of the standard form J is standard: its change of basis is
+    # I and its residual the block one of standard_form(n). That moves the
+    # dense residual of the J itself by at most 2 dim off max|a|, off =
+    # max|J - standard_form(n)| <= 1e-12: 2 % of the tolerance
+    # SYM_RTOL dim max|a| (plus the rounding of the dense products)
+    assert 2e-12 == pytest.approx(0.02 * SYM_RTOL)
     rng = np.random.default_rng(SEED)
-    nudge = rng.standard_normal((2 * n, 2 * n))
-    j = expm_antisymmetric(1e-14 * (nudge - nudge.T)) @ standard_form(n)
-    structure = ComplexStructure(j)
-    assert structure.is_standard() and not structure._exact
-    assert ComplexStructure(standard_form(n))._exact and ComplexStructure.standard(n)._exact
-    a = rng.standard_normal((2, 2 * n, 2 * n))
-    for kind in ("commutes", "anticommutes"):
-        want = dense_residual(a, structure.matrix, kind)
-        assert structure._residual(a, kind).tobytes() == want.tobytes()
+    for n in (1, 3, 8):
+        dim = 2 * n
+        nudge = rng.standard_normal((dim, dim))
+        x = (nudge - nudge.T) / max_abs(nudge - nudge.T) * 1e-13     # linear from here
+        x *= 0.9e-12 / max_abs(expm_antisymmetric(x) @ standard_form(n) - standard_form(n))
+        j = expm_antisymmetric(x) @ standard_form(n)
+        off = max_abs(j - standard_form(n))
+        assert 0.5e-12 < off <= 1e-12
+        structure = ComplexStructure(j)
+        assert structure.is_standard() and max_abs(structure.to_standard - np.eye(dim)) == 0.0
+        a = rng.standard_normal((3, dim, dim)) * 10.0 ** rng.uniform(-5, 5, (3, 1, 1))
+        scale = np.abs(a).max(axis=(-2, -1))
+        for kind in ("commutes", "anticommutes"):
+            moved = np.abs(structure._residual(a, kind) - dense_residual(a, j, kind))
+            bound = 2 * dim * (off + 2 * np.finfo(float).eps) * scale
+            assert (moved.max(axis=(-2, -1)) <= bound).all()
 
 
 def test_rotated_j_reads_operators_near_the_float_max():
@@ -386,13 +459,15 @@ def test_the_spy_reports_j_checks_under_their_kinds(monkeypatch):
     conjugation_matrix(np.stack([base.matrix] * 2), structure)
     check_tangent(base, np.zeros((4, 4)), structure)
     GeodesicGenerator(np.zeros((4, 4)), base, structure)
+    # an identity with J is a check of its own, on the operator in J's
+    # standard split; the other identities share one in the caller's
     assert [(name, kinds) for name, kinds, _ in spy.checks if name != "symmetry"] == [
         ("operator", ("anticommutes",)),
-        ("operator", ("orthonormal", "commutes")),
+        ("operator", ("commutes",)), ("operator", ("orthonormal",)),
         ("conjugation matrix", ("anticommutes",)),
-        ("tangent vector", ("symmetric", "anticommutes", "anticommutes")),
-        ("operator", ("anticommutes",)),
-        ("generator", ("antisymmetric", "commutes", "anticommutes")),
+        ("tangent vector", ("symmetric", "anticommutes")), ("tangent vector", ("anticommutes",)),
+        ("generator", ("anticommutes",)),
+        ("generator", ("antisymmetric", "anticommutes")), ("generator", ("commutes",)),
     ]
 
 

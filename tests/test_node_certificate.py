@@ -182,7 +182,7 @@ def planted_base(gen, which, factor, rng):
     m = 2 * n
     if which == "commuting" and n > 1:
         i, k = rng.choice(n, 2, replace=False)
-        c0 = _complex_block(e, gen.structure)
+        c0 = _complex_block(gen.structure._split(e))
         plant = np.zeros((m, m))
         plant[i, n + k] = plant[n + k, i] = (factor * SYM_RTOL * math.sqrt(m)
                                              - (c0[k, i] - c0[i, k]).imag)

@@ -19,6 +19,9 @@ import lagrass.sampling
 from lagrass.complex_structure import (
     ComplexStructure,
     _standardizing_basis,
+    complexify,
+    conjugation_matrix,
+    is_complex_unitary,
     realify_conjugation,
     standard_form,
 )
@@ -30,7 +33,7 @@ from lagrass.sampling import (
     random_complex_rotation,
     random_lagrangian,
 )
-from lagrass.subspaces import Symmetry, five_way_decompose
+from lagrass.subspaces import Symmetry, five_way_decompose, is_lagrangian
 
 from reference_formulas import (
     random_complex_antisymmetric_by_blocks,
@@ -124,6 +127,54 @@ def test_results_do_not_depend_on_the_basis_property(n, seed):
     structure = ComplexStructure(rotated_j(n, rng))
     assert_basis(structure)
     assert_basis_free(structure, rng)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_a_rotated_j_splits_each_operand_of_connect_once(monkeypatch, n):
+    # one change of basis per endpoint into the standard split, and one back
+    # for the generator; everything between runs the standard-J code
+    rng = np.random.default_rng([SEED, n])
+    structure = ComplexStructure(rotated_j(n, rng))
+    e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
+    calls = []
+    for name in ("_split", "_unsplit"):
+        def spy(self, a, real=getattr(ComplexStructure, name), name=name):
+            calls.append((name, np.shape(a)))
+            return real(self, a)
+        monkeypatch.setattr(ComplexStructure, name, spy)
+    gen = connect(e0, e1, structure)
+    dim = structure.dim
+    assert sorted(calls) == [("_split", (dim, dim))] * 2 + [("_unsplit", (dim, dim))]
+    monkeypatch.undo()
+    assert max_abs(expm_antisymmetric(2.0 * gen.z) @ e0.matrix - e1.matrix) <= 1e-12
+
+
+class Untouchable:
+    """A change of basis that refuses every use."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the change of basis was read")
+
+    @property
+    def T(self):
+        raise AssertionError("the change of basis was read")
+
+    __matmul__ = __rmatmul__ = __getitem__ = __array__
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_standard_j_forms_no_product_with_its_change_of_basis(n):
+    for standard in (ComplexStructure.standard(n), ComplexStructure(standard_form(n))):
+        structure = with_basis(standard, Untouchable())
+        rng = np.random.default_rng([SEED, n])
+        e0, e1 = random_lagrangian(structure, rng), random_lagrangian(structure, rng)
+        gen = connect(e0, e1, structure)
+        distance(e0, e1, structure)
+        realify_conjugation(sample(Geodesic(gen), np.linspace(0.0, 1.0, 5)), structure)
+        complexify(gen.z, structure)
+        conjugation_matrix(e0.matrix, structure)
+        assert is_lagrangian(e0, structure) and is_complex_unitary(np.eye(2 * n), structure)
+        assert_basis_free(standard, rng)
 
 
 def test_basis_postcondition_keeps_its_message(monkeypatch):
